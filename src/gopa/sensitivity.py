@@ -9,7 +9,17 @@ import numpy as np
 from .exceptions import DegenerateError, SampleSizeError, TooManyExperts
 from .solver import solve_gopa, solve_opa
 
+MIN_PERMUTED_EXPERTS = 3
 MAX_PERMUTED_EXPERTS = 8
+
+# Relative spread below which a sample counts as constant: reports print 12
+# significant digits, so a smaller spread is rounding noise, not variation.
+CONSTANT_SPREAD = 1e-12
+
+
+def _guard_panel_size(n):
+    if n > MAX_PERMUTED_EXPERTS:
+        raise TooManyExperts(f"{n}! scenarios exceed the guard of {MAX_PERMUTED_EXPERTS}!")
 
 
 def permute_experts(problem):
@@ -19,8 +29,7 @@ def permute_experts(problem):
     generated in lexicographic order, so the sweep is deterministic.
     """
     n = problem.n_experts
-    if n > MAX_PERMUTED_EXPERTS:
-        raise TooManyExperts(f"{n}! scenarios exceed the guard of {MAX_PERMUTED_EXPERTS}!")
+    _guard_panel_size(n)
     for perm in permutations(range(1, n + 1)):
         yield replace(problem, expert_ranks=np.asarray(perm, dtype=int))
 
@@ -48,18 +57,20 @@ def describe(samples):
     Skewness uses the adjusted Fisher-Pearson estimator
     ``g1 sqrt(n(n-1)) / (n-2)`` and kurtosis the sample excess form
     ``((n+1) g2 + 6)(n-1) / ((n-2)(n-3))``; the coefficient of variation uses
-    the (n-1)-denominator standard deviation.
+    the (n-1)-denominator standard deviation.  A sample whose spread is at
+    most ``CONSTANT_SPREAD`` times its largest magnitude is treated as
+    constant: skewness, kurtosis and cv are then 0.
     """
     x = np.asarray(samples, dtype=float)
     n = x.size
     if n < 4:
         raise SampleSizeError(f"need at least 4 samples, got {n}")
     mean = x.mean()
-    dev = x - mean
-    m2 = (dev ** 2).mean()
-    if m2 == 0.0:
+    if np.ptp(x) <= CONSTANT_SPREAD * np.abs(x).max():
         return ScenarioStats(mean=float(mean), skewness=0.0, kurtosis=0.0,
                              cv=0.0, minimum=float(x.min()), maximum=float(x.max()))
+    dev = x - mean
+    m2 = (dev ** 2).mean()
     g1 = (dev ** 3).mean() / m2 ** 1.5
     g2 = (dev ** 4).mean() / m2 ** 2 - 3.0
     skew = g1 * sqrt(n * (n - 1.0)) / (n - 2.0)
@@ -72,27 +83,43 @@ def describe(samples):
 
 
 def permutation_stats(problem, utilities=None):
-    """Solve every expert-rank permutation and describe the weight outcomes.
+    """Describe the weight outcomes of every expert-rank permutation.
 
-    Utilities (when given) come from the first stage, which does not depend on
-    expert ranks, so they are reused across scenarios.  Returns a dict with
-    ``experts``, ``attributes``, and ``alternatives`` lists of
-    ``(id, ScenarioStats)`` plus the raw per-scenario weight arrays.
+    Expert ranks enter the optimal weights only as a factor ``1/t_i`` on
+    expert ``i``'s cells, and the normalizer ``z*`` rescales all weights to
+    sum 1.  So one solve with every rank set to 1 gives per-expert weights
+    ``W``, and a scenario with ranks ``t`` has expert weights
+    ``(W.sum((1, 2)) / t) / norm`` with ``norm = sum_i W[i].sum() / t_i``;
+    its attribute and alternative weights are ``(1/t) @ W.sum(2) / norm`` and
+    ``(1/t) @ W.sum(1) / norm``.  Utilities (when given) come from the first
+    stage, which does not depend on expert ranks, so they are used as they
+    are.  Scenarios come in the lexicographic order of `permute_experts`.
+
+    Returns a dict with ``experts``, ``attributes``, and ``alternatives``
+    lists of ``(id, ScenarioStats)`` plus the raw per-scenario weight arrays.
+
+    Raises
+    ------
+    TooManyExperts
+        Above ``MAX_PERMUTED_EXPERTS`` experts.
+    SampleSizeError
+        Below ``MIN_PERMUTED_EXPERTS`` experts, whose 1 or 2 scenarios are too
+        few to describe.
     """
-    experts = []
-    attributes = []
-    alternatives = []
-    for scenario in permute_experts(problem):
-        if utilities is None:
-            sol = solve_opa(scenario)
-        else:
-            sol = solve_gopa(scenario, utilities)
-        experts.append(sol.expert_weights)
-        attributes.append(sol.attribute_weights)
-        alternatives.append(sol.alternative_weights)
-    experts = np.vstack(experts)
-    attributes = np.vstack(attributes)
-    alternatives = np.vstack(alternatives)
+    n = problem.n_experts
+    _guard_panel_size(n)
+    if n < MIN_PERMUTED_EXPERTS:
+        raise SampleSizeError(
+            f"the sensitivity sweep needs at least {MIN_PERMUTED_EXPERTS} experts "
+            f"({MIN_PERMUTED_EXPERTS}! scenarios); the panel has {n}")
+    base = replace(problem, expert_ranks=np.ones(n, dtype=int))
+    sol = solve_opa(base) if utilities is None else solve_gopa(base, utilities)
+    inv_ranks = 1.0 / np.array(list(permutations(range(1, n + 1))), dtype=float)
+    experts = inv_ranks * sol.expert_weights
+    norm = experts.sum(axis=1, keepdims=True)
+    experts /= norm
+    attributes = inv_ranks @ sol.expert_attribute_weights() / norm
+    alternatives = inv_ranks @ sol.expert_alternative_weights() / norm
     return {
         "experts": [(eid, describe(experts[:, i]))
                     for i, eid in enumerate(problem.expert_ids)],

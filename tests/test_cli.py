@@ -1,11 +1,14 @@
 import csv
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import gopa
 from gopa.cli import main
 
 from oracles import random_problem
@@ -193,6 +196,13 @@ class TestSensitivityCommand:
         assert rows[0] == ["scenario", "section", "id", "weight"]
         assert len(rows) == 1 + 6 * (3 + 2 + 5)
 
+    def test_two_expert_panel_rejected(self, tmp_path, capsys):
+        _, doc = random_problem(np.random.default_rng(22), 2, 2, 4)
+        path = write_doc(tmp_path, doc)
+        assert main(["sensitivity", str(path), "--method", "opa"]) == 2
+        err = capsys.readouterr().err
+        assert "at least 3 experts" in err and "the panel has 2" in err
+
 
 class TestVerifyCommand:
     def test_random_battery_passes(self, tmp_path):
@@ -212,7 +222,12 @@ class TestVerifyCommand:
 
 
 def test_console_script_runs():
+    # The child must import the package under test, also when pytest put it on
+    # sys.path itself (`pythonpath` in pyproject.toml) rather than PYTHONPATH.
+    src = str(Path(gopa.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
     result = subprocess.run([sys.executable, "-m", "gopa.cli", "verify",
-                             "--random", "2"], capture_output=True, text=True)
+                             "--random", "2"], capture_output=True, text=True,
+                            env={**os.environ, "PYTHONPATH": path})
     assert result.returncode == 0
     assert '"pass": true' in result.stdout

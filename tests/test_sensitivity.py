@@ -4,9 +4,13 @@ import numpy as np
 import pytest
 
 from gopa.exceptions import SampleSizeError, TooManyExperts
+from gopa.model import validate_problem
 from gopa.sensitivity import describe, permutation_stats, permute_experts
+from gopa.solver import solve_gopa, solve_opa
 
-from oracles import random_problem
+from oracles import random_problem, random_utilities
+
+SECTIONS = ("experts", "attributes", "alternatives")
 
 
 class TestPermuteExperts:
@@ -77,8 +81,61 @@ class TestDescribe:
         with pytest.raises(SampleSizeError):
             describe([1.0, 2.0, 3.0])
 
+    def test_constant_up_to_rounding(self):
+        # Every expert ranks C1 > C2 over gap-free cells, so each expert
+        # gives C1 two thirds of its weight whatever its rank: the attribute
+        # columns are constant, but the sweep computes them with ~1e-16 spread.
+        _, doc = random_problem(np.random.default_rng(21), 3, 2, 5)
+        doc["attribute_ranks"] = {e["id"]: {"C1": 1, "C2": 2} for e in doc["experts"]}
+        stats = permutation_stats(validate_problem(doc))
+        assert stats["attributes"][0][1].mean == pytest.approx(2.0 / 3.0, abs=1e-15)
+        constant = 0
+        for section in SECTIONS:
+            raw = stats["raw"][section]
+            for (_, st), col in zip(stats[section], raw.T):
+                if np.ptp(col) <= 1e-12 * np.abs(col).max():
+                    constant += 1
+                    assert (st.skewness, st.kurtosis, st.cv) == (0.0, 0.0, 0.0)
+        assert constant == 2
+
+
+def loop_oracle(problem, utilities=None):
+    """Per-scenario weights from one full stage-2 solve per permutation."""
+    sols = [solve_opa(s) if utilities is None else solve_gopa(s, utilities)
+            for s in permute_experts(problem)]
+    return {"experts": np.vstack([s.expert_weights for s in sols]),
+            "attributes": np.vstack([s.attribute_weights for s in sols]),
+            "alternatives": np.vstack([s.alternative_weights for s in sols])}
+
 
 class TestPermutationStats:
+    @pytest.mark.parametrize("n_experts", [3, 4, 5])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_closed_form_matches_loop(self, n_experts, seed):
+        rng = np.random.default_rng(100 * n_experts + seed)
+        p, _ = random_problem(rng, n_experts, 3, 6, irregular=True)
+        assert p.has_missing.any() or p.has_duplicates.any()
+        u = random_utilities(rng, p)
+        for utilities in (None, u):
+            raw = permutation_stats(p, utilities)["raw"]
+            expected = loop_oracle(p, utilities)
+            for section in SECTIONS:
+                assert raw[section].shape == expected[section].shape
+                assert raw[section] == pytest.approx(expected[section], abs=1e-12)
+
+    def test_guard_before_any_solve(self, monkeypatch):
+        p, _ = random_problem(np.random.default_rng(2), 9, 1, 2)
+        monkeypatch.setattr("gopa.sensitivity.solve_opa", None)
+        with pytest.raises(TooManyExperts):
+            permutation_stats(p)
+
+    @pytest.mark.parametrize("n_experts", [1, 2])
+    def test_small_panel_rejected(self, n_experts, monkeypatch):
+        p, _ = random_problem(np.random.default_rng(n_experts), n_experts, 2, 4)
+        monkeypatch.setattr("gopa.sensitivity.solve_opa", None)
+        with pytest.raises(SampleSizeError, match=rf"at least 3 experts.*has {n_experts}$"):
+            permutation_stats(p)
+
     def test_expert_rows_identical_across_experts(self):
         p, _ = random_problem(np.random.default_rng(5), 4, 2, 5)
         stats = permutation_stats(p)
