@@ -4,8 +4,12 @@ The elicited density minimizes KL divergence to a risk-preference target
 subject to constraints on its cumulative distribution.  Because every
 constraint acts through the CDF at integer ranks, the optimum rescales the
 target by a constant factor on each segment between breakpoints, so the
-problem reduces to solving for segment masses.  A damped Newton iteration on
-the dual multipliers (one per constraint) recovers them.
+problem reduces to the KL projection of `gopa.projection` with the target's
+segment masses ``m`` as base.  Newton steps on the dual multipliers, one per
+constraint, give the masses ``m * exp(rows.T @ y) / Z``; in inequality mode a
+working set decides which floors bind.  A linear program runs only when that
+iteration fails or leaves a segment mass near zero, to tell an infeasible
+context, or one that empties a segment, from a numeric failure.
 
 Constraint conventions for a cell context in continuous prospects: a ratio or
 difference stored at rank ``r`` relates the cumulative utilities F(r-1) and
@@ -17,10 +21,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exceptions import BreakpointError, InfeasibleContext, NumericFailure
-from .lpcheck import LinearProgram, solve_lp
-
-_RESIDUAL_TOL = 1e-12
+from .exceptions import BreakpointError, InfeasibleContext
+from .projection import project
 
 
 def breakpoints(ctx, size):
@@ -110,108 +112,6 @@ def _cumulative_rows(ctx, pts):
     return np.zeros((0, n_seg)), np.zeros(0), np.zeros(0, dtype=bool)
 
 
-def _feasibility_check(rows, rhs, is_bound, bound_mode, n_seg):
-    senses = ["="] * rows.shape[0]
-    if bound_mode == "inequality":
-        for i in np.flatnonzero(is_bound):
-            senses[i] = ">="
-    lhs = np.vstack([rows, np.ones(n_seg)])
-    lp = LinearProgram(objective=np.zeros(n_seg), lhs=lhs,
-                       rhs=np.concatenate([rhs, [1.0]]),
-                       senses=tuple(senses) + ("=",))
-    if solve_lp(lp).status != "optimal":
-        raise InfeasibleContext("cumulative constraints admit no density")
-
-
-def _masses(q_exponent, m):
-    e = q_exponent - q_exponent.max()
-    q = m * np.exp(e)
-    return q / q.sum()
-
-
-def _dual_merit(lam, m, rows, rhs):
-    """Convex dual merit: log-partition of the rescaled masses plus lam @ rhs."""
-    e = -(rows.T @ lam)
-    shift = e.max()
-    return float(np.log(np.exp(e - shift) @ m) + shift + lam @ rhs)
-
-
-def _dual_newton(m, rows, rhs, max_iter=400):
-    n_con = rows.shape[0]
-    lam = np.zeros(n_con)
-    best = None
-    for _ in range(max_iter):
-        q = _masses(-rows.T @ lam, m)
-        res = rows @ q - rhs
-        gap = np.abs(res).max()
-        if best is None or gap < best[0]:
-            best = (gap, q, lam.copy())
-        if gap <= _RESIDUAL_TOL:
-            return q, lam
-        aq = rows @ q
-        hess = (rows * q) @ rows.T - np.outer(aq, aq)  # covariance, PSD
-        ridge = 0.0
-        while True:
-            try:
-                step = np.linalg.solve(hess + ridge * np.eye(n_con), res)
-            except np.linalg.LinAlgError:
-                step = None
-            if step is not None and res @ step > 0:
-                break
-            ridge = max(1e-12, 10.0 * ridge) if ridge else 1e-12
-            if ridge > 1e3:
-                step = res.copy()  # gradient direction as a last resort
-                break
-        if gap <= 1e-6:
-            # inside the quadratic basin the merit is flat at float resolution,
-            # so line-searching it stalls; take plain Newton steps instead
-            lam = lam + step
-            continue
-        decrease = res @ step
-        phi0 = _dual_merit(lam, m, rows, rhs)
-        alpha = 1.0
-        while alpha > 1e-15:
-            lam_try = lam + alpha * step
-            if _dual_merit(lam_try, m, rows, rhs) <= phi0 - 1e-4 * alpha * decrease:
-                lam = lam_try
-                break
-            alpha *= 0.5
-        else:
-            break
-    gap, q, lam = best
-    if gap <= 1e-10:
-        return q, lam
-    if n_con == 1:
-        return _dual_bisection(m, rows, rhs)
-    raise NumericFailure("dual iteration for the density did not converge")
-
-
-def _dual_bisection(m, rows, rhs):
-    def res(lam):
-        q = _masses(-rows[0] * lam, m)
-        return rows[0] @ q - rhs[0]
-
-    lo, hi = -1.0, 1.0
-    for _ in range(200):
-        if res(lo) > 0 and res(hi) < 0:
-            break
-        lo *= 2.0
-        hi *= 2.0
-        if hi > 1e8:
-            raise NumericFailure("single-constraint bracket not found")
-    for _ in range(300):
-        mid = 0.5 * (lo + hi)
-        if res(mid) > 0:
-            lo = mid
-        else:
-            hi = mid
-    lam = np.array([0.5 * (lo + hi)])
-    q = _masses(-rows.T @ lam, m)
-    if np.abs(rows @ q - rhs).max() > 1e-9:
-        raise NumericFailure("single-constraint bisection stalled")
-    return q, lam
-
-
 def elicit_continuous(target, ctx, size, bound_mode="equality"):
     """Elicit the piecewise-scaled utility density of one continuous cell.
 
@@ -243,82 +143,16 @@ def elicit_continuous(target, ctx, size, bound_mode="equality"):
     pts = breakpoints(ctx, size)
     m = np.array([target.integral(a, b) for a, b in zip(pts[:-1], pts[1:])])
     rows, rhs, is_bound = _cumulative_rows(ctx, pts)
-    _feasibility_check(rows, rhs, is_bound, bound_mode, m.size)
-
-    if bound_mode == "equality" or not is_bound.any():
-        q, lam = _solve_with_zero_guard(m, rows, rhs)
-    else:
-        q, lam = _solve_bounds_as_floors(m, rows, rhs, is_bound)
-
-    if (q < 1e-9).any():
-        senses = ["="] * rows.shape[0]
-        if bound_mode == "inequality":
-            for i in np.flatnonzero(is_bound):
-                senses[i] = ">="
-        _certify_positive_masses(m, rows, rhs, tuple(senses), np.flatnonzero(q < 1e-9))
-    scales = q / m
-    if (scales <= 0).any() or not np.isfinite(scales).all():
+    # bound rows come last, so in inequality mode they are the ">=" rows
+    n_eq = rows.shape[0] - (int(is_bound.sum()) if bound_mode == "inequality" else 0)
+    q, y, pinned = project(m, rows, rhs, n_eq, "cumulative constraints admit no density")
+    if pinned.any():
         raise InfeasibleContext("constraints force zero density on a segment")
-    log_scale = float(-1.0 - np.log(scales[0]) - (rows.T @ lam)[0]) if rows.size \
+    scales = q / m
+    log_scale = float(-1.0 - np.log(scales[0]) + (rows.T @ y)[0]) if rows.size \
         else float(-1.0)
     return PiecewiseDensity(target=target, breakpoints=pts, scales=scales,
-                            masses=q, multipliers=lam, log_scale=log_scale)
-
-
-def _certify_positive_masses(m, rows, rhs, senses, suspects):
-    """Raise when some suspect segment cannot carry positive mass at all."""
-    n_seg = m.size
-    lhs = np.vstack([rows, np.ones(n_seg)])
-    rhs_full = np.concatenate([rhs, [1.0]])
-    for s in suspects:
-        obj = np.zeros(n_seg)
-        obj[s] = 1.0
-        res = solve_lp(LinearProgram(objective=obj, lhs=lhs, rhs=rhs_full,
-                                     senses=senses + ("=",)))
-        if res.status == "optimal" and res.value <= 1e-9:
-            raise InfeasibleContext("constraints force zero density on a segment")
-
-
-def _solve_with_zero_guard(m, rows, rhs):
-    if rows.shape[0] == 0:
-        return m.copy(), np.zeros(0)
-    try:
-        return _dual_newton(m, rows, rhs)
-    except NumericFailure:
-        # a segment may be forced to zero mass; certify before giving up
-        _certify_positive_masses(m, rows, rhs, ("=",) * rows.shape[0],
-                                 range(m.size))
-        raise
-
-
-def _solve_bounds_as_floors(m, rows, rhs, is_bound):
-    """Active-set loop for floor-type bounds; other rows stay equalities."""
-    always = np.flatnonzero(~is_bound)
-    bounds = np.flatnonzero(is_bound)
-    active = set()
-    for _ in range(2 * bounds.size + 2):
-        idx = list(always) + sorted(active)
-        sub_rows = rows[idx]
-        sub_rhs = rhs[idx]
-        if sub_rows.shape[0] == 0:
-            q, sub_lam = m.copy(), np.zeros(0)
-        else:
-            q, sub_lam = _solve_with_zero_guard(m, sub_rows, sub_rhs)
-        violated = [b for b in bounds if b not in active and rows[b] @ q < rhs[b] - 1e-12]
-        if violated:
-            active.update(violated)
-            continue
-        # a floor pushing the CDF up must carry a nonpositive multiplier
-        lam_map = dict(zip(idx, sub_lam))
-        wrong = [b for b in active if lam_map[b] > 1e-9]
-        if wrong:
-            active.discard(max(wrong, key=lambda b: lam_map[b]))
-            continue
-        lam = np.zeros(rows.shape[0])
-        for pos, val in lam_map.items():
-            lam[pos] = val
-        return q, lam
-    raise NumericFailure("bound active-set loop did not settle")
+                            masses=q, multipliers=-y, log_scale=log_scale)
 
 
 def risk_preference(density, x):

@@ -3,19 +3,18 @@
 Finds the per-rank utility vector closest in KL divergence to a surrogate
 target subject to the cell's preference constraints (ratios and differences
 between consecutive ranks, per-rank lower bounds, rank dominance, and
-normalization).  The solver eliminates equalities through a null-space
-parameterization, handles inequalities with a log barrier, and polishes the
-result with an active-set Newton step.
+normalization): the KL projection of `gopa.projection` with the surrogate as
+base.  Newton steps on the dual multipliers, one per constraint, give
+``u = v * exp(rows.T @ y) / Z``; a working set decides which lower-bound and
+rank-order rows bind.  A linear program runs only when that iteration fails or
+leaves a utility near zero, to tell an infeasible context from ranks forced to
+zero utility, which are pinned there before the projection runs again.
 """
 
 import numpy as np
-import scipy.linalg
-import scipy.optimize
 
-from .exceptions import InfeasibleContext, NumericFailure
-from .lpcheck import LinearProgram, solve_lp
+from .projection import project
 
-_INTERIOR_EPS = 1e-9
 _ACTIVE_TOL = 1e-7
 
 
@@ -28,317 +27,14 @@ def discrete_constraint_system(ctx, size):
         Equalities ``A_eq @ U = b_eq`` (normalization, ratios, differences)
         and inequalities ``G @ U >= h`` (lower bounds, then rank dominance).
     """
-    eq_rows = [np.ones(size)]
-    eq_rhs = [1.0]
-    for rank, alpha in ctx.ratio:
-        row = np.zeros(size)
-        row[rank - 1] = 1.0
-        row[rank] = -alpha
-        eq_rows.append(row)
-        eq_rhs.append(0.0)
-    for rank, beta in ctx.absdiff:
-        row = np.zeros(size)
-        row[rank - 1] = 1.0
-        row[rank] = -1.0
-        eq_rows.append(row)
-        eq_rhs.append(beta)
-    g_rows = []
-    g_rhs = []
-    for rank, gamma in ctx.lowerbound:
-        row = np.zeros(size)
-        row[rank - 1] = 1.0
-        g_rows.append(row)
-        g_rhs.append(gamma)
-    for rank in range(size - 1):
-        row = np.zeros(size)
-        row[rank] = 1.0
-        row[rank + 1] = -1.0
-        g_rows.append(row)
-        g_rhs.append(0.0)
-    a_eq = np.vstack(eq_rows)
-    b_eq = np.asarray(eq_rhs)
-    if g_rows:
-        g = np.vstack(g_rows)
-        h = np.asarray(g_rhs)
-    else:
-        g = np.zeros((0, size))
-        h = np.zeros(0)
+    eye = np.eye(size)
+    a_eq = np.vstack([np.ones(size)]
+                     + [eye[r - 1] - alpha * eye[r] for r, alpha in ctx.ratio]
+                     + [eye[r - 1] - eye[r] for r, _ in ctx.absdiff])
+    b_eq = np.array([1.0] + [0.0] * len(ctx.ratio) + [beta for _, beta in ctx.absdiff])
+    g = np.vstack([eye[[r - 1 for r, _ in ctx.lowerbound]], eye[:-1] - eye[1:]])
+    h = np.concatenate([[gamma for _, gamma in ctx.lowerbound], np.zeros(size - 1)])
     return a_eq, b_eq, g, h
-
-
-def _kl(u, v):
-    out = np.zeros_like(u)
-    pos = u > 0
-    out[pos] = u[pos] * np.log(u[pos] / v[pos])
-    return out.sum()
-
-
-def _max_lp(objective, a_eq, b_eq, g, h, n):
-    """Maximize a linear objective over the cell polytope (U >= 0 implicit)."""
-    lhs = np.vstack([a_eq, g]) if g.size else a_eq
-    rhs = np.concatenate([b_eq, h]) if g.size else b_eq
-    senses = ("=",) * a_eq.shape[0] + (">=",) * g.shape[0]
-    lp = LinearProgram(objective=objective, lhs=lhs, rhs=rhs, senses=senses)
-    return solve_lp(lp)
-
-
-def _interior_lp(a_eq, b_eq, g, h, n):
-    """Maximize the smallest slack (inequalities and coordinates) over the polytope."""
-    rows = []
-    rhs = []
-    senses = []
-    for i in range(a_eq.shape[0]):
-        rows.append(np.concatenate([a_eq[i], [0.0]]))
-        rhs.append(b_eq[i])
-        senses.append("=")
-    for i in range(g.shape[0]):
-        rows.append(np.concatenate([g[i], [-1.0]]))
-        rhs.append(h[i])
-        senses.append(">=")
-    eye = np.eye(n)
-    for r in range(n):
-        rows.append(np.concatenate([eye[r], [-1.0]]))
-        rhs.append(0.0)
-        senses.append(">=")
-    objective = np.zeros(n + 1)
-    objective[n] = 1.0
-    free = (False,) * n + (True,)
-    lp = LinearProgram(objective=objective, lhs=np.vstack(rows), rhs=np.asarray(rhs),
-                       senses=tuple(senses), free=free)
-    return solve_lp(lp)
-
-
-def _reduce_degenerate(a_eq, b_eq, g, h, n):
-    """Fold always-tight inequalities and always-zero coordinates into equalities.
-
-    Returns an augmented equality system, the remaining inequalities, the set
-    of coordinates pinned to zero, and a strictly feasible point (or None when
-    the feasible set is a single point).
-    """
-    pinned = set()
-    for _ in range(g.shape[0] + n + 2):
-        res = _interior_lp(a_eq, b_eq, g, h, n)
-        if res.status != "optimal":
-            raise InfeasibleContext("preference constraints admit no feasible utility")
-        if res.value > _INTERIOR_EPS:
-            return a_eq, b_eq, g, h, pinned, res.x[:n]
-        progress = False
-        keep = []
-        for i in range(g.shape[0]):
-            sub = _max_lp(g[i], a_eq, b_eq, g, h, n)
-            if sub.status != "optimal":
-                raise InfeasibleContext("preference constraints admit no feasible utility")
-            if sub.value - h[i] <= _INTERIOR_EPS:
-                a_eq = np.vstack([a_eq, g[i]])
-                b_eq = np.append(b_eq, h[i])
-                progress = True
-            else:
-                keep.append(i)
-        g, h = g[keep], h[keep]
-        for r in range(n):
-            if r in pinned:
-                continue
-            obj = np.zeros(n)
-            obj[r] = 1.0
-            sub = _max_lp(obj, a_eq, b_eq, g, h, n)
-            if sub.status != "optimal":
-                raise InfeasibleContext("preference constraints admit no feasible utility")
-            if sub.value <= _INTERIOR_EPS:
-                row = np.zeros(n)
-                row[r] = 1.0
-                a_eq = np.vstack([a_eq, row])
-                b_eq = np.append(b_eq, 0.0)
-                pinned.add(r)
-                progress = True
-        if not progress:
-            return a_eq, b_eq, g, h, pinned, None
-    raise NumericFailure("feasible-set reduction did not settle")
-
-
-def _affine_parameterization(a_eq, b_eq):
-    u_p, *_ = np.linalg.lstsq(a_eq, b_eq, rcond=None)
-    if np.abs(a_eq @ u_p - b_eq).max() > 1e-9:
-        raise InfeasibleContext("equality constraints are inconsistent")
-    null = scipy.linalg.null_space(a_eq)
-    return u_p, null
-
-
-def _newton_equality(v, u_start, a_eq, b_eq, free_mask, max_iter=200):
-    """Minimize the KL objective restricted to an affine subspace.
-
-    Coordinates outside ``free_mask`` are pinned at zero by the equality
-    system and excluded from the objective (0 ln 0 = 0).
-    """
-    u_p, null = _affine_parameterization(a_eq, b_eq)
-    if null.shape[1] == 0:
-        return np.clip(u_p, 0.0, None)
-    y = null.T @ (u_start - u_p)
-    u = u_p + null @ y
-    fm = free_mask
-    for _ in range(max_iter):
-        grad_u = np.zeros_like(u)
-        grad_u[fm] = np.log(u[fm] / v[fm]) + 1.0
-        grad = null.T @ grad_u
-        hess_u = np.zeros_like(u)
-        hess_u[fm] = 1.0 / u[fm]
-        hess = (null.T * hess_u) @ null
-        try:
-            step = np.linalg.solve(hess, -grad)
-        except np.linalg.LinAlgError:
-            step = np.linalg.lstsq(hess, -grad, rcond=None)[0]
-        decrement = -grad @ step
-        if decrement <= 1e-26:
-            break
-        alpha = 1.0
-        f0 = _kl(u, v)
-        while alpha > 1e-14:
-            u_try = u_p + null @ (y + alpha * step)
-            if (u_try[fm] > 0).all():
-                if _kl(u_try, v) <= f0 - 1e-4 * alpha * decrement + 1e-15:
-                    break
-            alpha *= 0.5
-        else:
-            break
-        y = y + alpha * step
-        u = u_p + null @ y
-    return u
-
-
-def _try_equality_fast_path(v, a_eq, b_eq, g, h):
-    """Solve with equalities only; valid when every inequality stays slack."""
-    try:
-        u_p, null = _affine_parameterization(a_eq, b_eq)
-    except InfeasibleContext:
-        return None
-    if null.shape[1] == 0:
-        return None
-    start = u_p + null @ (null.T @ (v - u_p))
-    if not (start > 1e-12).all():
-        return None
-    free = np.ones(v.size, dtype=bool)
-    u = _newton_equality(v, start, a_eq, b_eq, free)
-    if (u <= 1e-12).any():
-        return None
-    if g.size and not (g @ u - h > 1e-9).all():
-        return None
-    return u
-
-
-def _minimize_kl(v, a_eq, b_eq, g, h):
-    n = v.size
-    fast = _try_equality_fast_path(v, a_eq, b_eq, g, h)
-    if fast is not None:
-        return fast
-    a_eq, b_eq, g, h, pinned, u0 = _reduce_degenerate(a_eq, b_eq, g, h, n)
-    free_mask = np.ones(n, dtype=bool)
-    for r in pinned:
-        free_mask[r] = False
-
-    u_p, null = _affine_parameterization(a_eq, b_eq)
-    if null.shape[1] == 0:
-        u = np.clip(u_p, 0.0, None)
-        _check_feasible(u, a_eq, b_eq, g, h)
-        return u
-
-    if u0 is None:
-        raise NumericFailure("no strictly feasible start available")
-    # place the start exactly on the equality manifold
-    u0 = u0 - a_eq.T @ np.linalg.lstsq(a_eq @ a_eq.T, a_eq @ u0 - b_eq, rcond=None)[0]
-    if not (u0[free_mask] > 0).all() or (g.size and not (g @ u0 - h > 0).all()):
-        raise NumericFailure("interior start lost after projection")
-
-    u = _barrier(v, u_p, null, u0, g, h, free_mask)
-    u = _polish(v, u, a_eq, b_eq, g, h, free_mask)
-    _check_feasible(u, a_eq, b_eq, g, h)
-    return u
-
-
-def _barrier(v, u_p, null, u0, g, h, fm, t0=1.0, mu=30.0):
-    n_barrier = int(fm.sum()) + g.shape[0]
-    y = null.T @ (u0 - u_p)
-    u = u_p + null @ y
-    t = t0
-    while True:
-        for _ in range(100):
-            slack = g @ u - h if g.size else np.zeros(0)
-            grad_u = np.zeros_like(u)
-            grad_u[fm] = t * (np.log(u[fm] / v[fm]) + 1.0) - 1.0 / u[fm]
-            if g.size:
-                grad_u -= g.T @ (1.0 / slack)
-            grad = null.T @ grad_u
-            diag = np.zeros_like(u)
-            diag[fm] = t / u[fm] + 1.0 / u[fm] ** 2
-            hess = (null.T * diag) @ null
-            if g.size:
-                gw = g / slack[:, None]
-                gn = gw @ null
-                hess += gn.T @ gn
-            try:
-                step = np.linalg.solve(hess, -grad)
-            except np.linalg.LinAlgError:
-                step = np.linalg.lstsq(hess, -grad, rcond=None)[0]
-            decrement = -grad @ step
-            if decrement <= 1e-14 * max(1.0, t):
-                break
-            phi0 = _barrier_value(v, u, g, h, fm, t)
-            alpha = 1.0
-            while alpha > 1e-14:
-                u_try = u_p + null @ (y + alpha * step)
-                if (u_try[fm] > 0).all() and (not g.size or (g @ u_try - h > 0).all()):
-                    if _barrier_value(v, u_try, g, h, fm, t) <= phi0 - 1e-4 * alpha * decrement + 1e-13:
-                        break
-                alpha *= 0.5
-            else:
-                break
-            y = y + alpha * step
-            u = u_p + null @ y
-        if n_barrier / t <= 1e-11:
-            return u
-        t *= mu
-
-
-def _barrier_value(v, u, g, h, fm, t):
-    val = t * _kl(u, v) - np.log(u[fm]).sum()
-    if g.size:
-        val -= np.log(g @ u - h).sum()
-    return val
-
-
-def _polish(v, u, a_eq, b_eq, g, h, fm):
-    """Re-solve with the near-active inequalities treated as equalities."""
-    if not g.size:
-        return _newton_equality(v, u, a_eq, b_eq, fm)
-    active = set(np.flatnonzero(g @ u - h <= _ACTIVE_TOL))
-    best = u
-    for _ in range(2 * g.shape[0] + 2):
-        idx = sorted(active)
-        a_aug = np.vstack([a_eq, g[idx]]) if idx else a_eq
-        b_aug = np.concatenate([b_eq, h[idx]]) if idx else b_eq
-        cand = _newton_equality(v, best, a_aug, b_aug, fm)
-        slack = g @ cand - h
-        violated = [i for i in range(g.shape[0]) if i not in active and slack[i] < -1e-12]
-        if violated:
-            active.update(violated)
-            continue
-        grad = np.zeros_like(cand)
-        grad[fm] = np.log(np.clip(cand[fm], 1e-300, None) / v[fm]) + 1.0
-        cols = [a_eq.T] + ([g[idx].T] if idx else [])
-        mat = np.hstack(cols)
-        mult, *_ = np.linalg.lstsq(mat, grad, rcond=None)
-        lam = mult[a_eq.shape[0]:]
-        wrong = [idx[k] for k in range(len(idx)) if lam[k] < -1e-9]
-        best = cand
-        if not wrong:
-            return cand
-        active.discard(wrong[int(np.argmin([lam[idx.index(w)] for w in wrong]))])
-    return best
-
-
-def _check_feasible(u, a_eq, b_eq, g, h):
-    if np.abs(a_eq @ u - b_eq).max() > 1e-9 or (u < -1e-10).any():
-        raise NumericFailure("solution drifted off the constraint set")
-    if g.size and (g @ u - h < -1e-9).any():
-        raise NumericFailure("solution violates an inequality constraint")
 
 
 def elicit_discrete(target, ctx, size):
@@ -368,13 +64,9 @@ def elicit_discrete(target, ctx, size):
     if v.shape != (size,) or (v <= 0).any():
         raise ValueError(f"target must be {size} positive weights")
     v = v / v.sum()
-    if size == 1:
-        for _, gamma in ctx.lowerbound:
-            if gamma > 1.0 + 1e-12:
-                raise InfeasibleContext("lower bound exceeds the total utility")
-        return np.ones(1)
     a_eq, b_eq, g, h = discrete_constraint_system(ctx, size)
-    u = _minimize_kl(v, a_eq, b_eq, g, h)
+    u, _, _ = project(v, np.vstack([a_eq[1:], g]), np.concatenate([b_eq[1:], h]),
+                      a_eq.shape[0] - 1, "preference constraints admit no feasible utility")
     u = np.where(np.abs(u) < 1e-15, 0.0, u)
     return u
 
@@ -392,6 +84,8 @@ def kkt_residual_discrete(u, target, ctx, active_tol=_ACTIVE_TOL):
     max-norm of the remaining gradient.  Zero within tolerance exactly when
     ``u`` is the constrained KL minimizer.
     """
+    import scipy.optimize   # here, not at the top: it is most of the package's import time
+
     u = np.asarray(u, dtype=float)
     size = u.size
     v = np.asarray(target, dtype=float)

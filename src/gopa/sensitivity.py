@@ -70,9 +70,10 @@ def describe(samples):
         return ScenarioStats(mean=float(mean), skewness=0.0, kurtosis=0.0,
                              cv=0.0, minimum=float(x.min()), maximum=float(x.max()))
     dev = x - mean
-    m2 = (dev ** 2).mean()
-    g1 = (dev ** 3).mean() / m2 ** 1.5
-    g2 = (dev ** 4).mean() / m2 ** 2 - 3.0
+    dev2 = dev * dev    # products: numpy evaluates `dev ** 3` and `** 4` by generic pow
+    m2 = dev2.mean()
+    g1 = (dev2 * dev).mean() / m2 ** 1.5
+    g2 = (dev2 * dev2).mean() / m2 ** 2 - 3.0
     skew = g1 * sqrt(n * (n - 1.0)) / (n - 2.0)
     kurt = ((n + 1.0) * g2 + 6.0) * (n - 1.0) / ((n - 2.0) * (n - 3.0))
     std = sqrt(m2 * n / (n - 1.0))

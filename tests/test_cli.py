@@ -118,6 +118,15 @@ class TestExitCodes:
         path = write_doc(tmp_path, clean_doc)
         assert main(["solve", str(path), "--tol", "-1"]) == 2
 
+    def test_numeric_failure_names_cell_and_iterations(self, tmp_path, clean_doc, capsys,
+                                                       monkeypatch):
+        monkeypatch.setattr(gopa.projection, "_BUDGET", 1)
+        path = write_doc(tmp_path, clean_doc)
+        assert main(["solve", str(path)]) == 4
+        err = capsys.readouterr().err
+        assert "cell (E1, C1)" in err
+        assert "did not converge after 1 iterations (residual" in err
+
 
 class TestElicitCommand:
     def test_discrete_cell_vector(self, tmp_path, clean_doc, capsys):

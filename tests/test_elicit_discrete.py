@@ -156,3 +156,34 @@ class TestConstraintSystem:
         assert a_eq.shape == (3, 7)   # normalization + ratio + absdiff
         assert g.shape == (13, 7)     # 7 bounds + 6 dominance rows
         assert b_eq[0] == 1.0
+
+
+class TestDegenerateTies:
+    """Uniform and reciprocal targets at 10-30 ranks: many rank-order rows tie."""
+
+    STALLED = (
+        ("uniform", 10, CellContext(ratio=((3, 1.1324497589075777), (8, 1.3745231144259258)),
+                                    lowerbound=((5, 0.09759390361830828),
+                                                (9, 0.03835182755259231)))),
+        ("rr", 10, CellContext(ratio=((8, 1.611482142338877),),
+                               absdiff=((2, 0.012849370334756749),),
+                               lowerbound=((3, 0.11506637901087015),))),
+    )
+
+    @pytest.mark.parametrize("family,size,ctx", STALLED, ids=("uniform10", "rr10"))
+    def test_cells_that_stall_without_a_working_set(self, family, size, ctx):
+        target = surrogate_weights(family, size)
+        u = elicit_discrete(target, ctx, size)
+        check_feasible(u, ctx)
+        assert kkt_residual_discrete(u, target, ctx) <= 1e-10
+
+    @pytest.mark.parametrize("family", ["uniform", "rr"])
+    def test_random_contexts(self, family):
+        rng = np.random.default_rng(31 if family == "uniform" else 32)
+        for _ in range(30):
+            size = int(rng.integers(10, 31))
+            ctx, _ = random_discrete_context(rng, size, max_constraints=5)
+            target = surrogate_weights(family, size)
+            u = elicit_discrete(target, ctx, size)
+            check_feasible(u, ctx)
+            assert kkt_residual_discrete(u, target, ctx) <= 1e-10

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from gopa.exceptions import InfeasibleContext
+from gopa import projection
+from gopa.exceptions import InfeasibleContext, NumericFailure
 from gopa.model import load_document
 from gopa.pipeline import (
     elicit_utilities,
@@ -40,6 +41,14 @@ class TestSolveDocument:
         with pytest.raises(InfeasibleContext) as err:
             solve_document(doc)
         assert "E2" in str(err.value) and "C1" in str(err.value)
+
+    def test_numeric_failure_is_named(self, monkeypatch):
+        monkeypatch.setattr(projection, "_BUDGET", 1)
+        doc = document()
+        doc["contexts"] = {"E3": {"C2": {"ratio": [{"rank": 1, "alpha": 1.4}]}}}
+        with pytest.raises(NumericFailure, match=r"cell \(E3, C2\): KL projection did not "
+                                                 r"converge after 1 iterations \(residual"):
+            solve_document(doc)
 
     def test_orientation_changes_continuous_cells_only(self):
         problem, context, structures = load_document(document())

@@ -1,0 +1,128 @@
+import sys
+
+import numpy as np
+import pytest
+
+import gopa.lpcheck
+from gopa.elicit_continuous import elicit_continuous
+from gopa.elicit_discrete import elicit_discrete, kkt_residual_discrete
+from gopa.exceptions import NumericFailure
+from gopa.model import CellContext
+from gopa.projection import kl_project, positive_support
+from gopa.structures import UtilityStructure, surrogate_weights, target_density
+
+from oracles import random_continuous_context, random_discrete_context
+
+
+class TestKLProject:
+    def test_no_rows_returns_base(self):
+        base = np.array([0.5, 0.3, 0.2])
+        x, y = kl_project(base, np.zeros((0, 3)), np.zeros(0), 0)
+        assert np.abs(x - base).max() <= 1e-15
+        assert y.shape == (0,)
+
+    def test_slack_inequalities_take_no_iteration(self):
+        base = surrogate_weights("roc", 30)
+        rows = np.eye(30)[:-1] - np.eye(30)[1:]
+        x, y = kl_project(base, rows, np.zeros(29), 0)
+        assert np.abs(x - base).max() <= 1e-15
+        assert (y == 0.0).all()
+
+    def test_dual_form_and_multiplier_signs(self):
+        base = np.full(4, 0.25)
+        rows = np.array([[1.0, -2.0, 0.0, 0.0],     # x1 = 2 x2
+                         [0.0, 0.0, 1.0, 0.0],      # x3 >= 0.4
+                         [0.0, 0.0, 0.0, 1.0]])     # x4 >= 0.05 (slack)
+        rhs = np.array([0.0, 0.4, 0.05])
+        x, y = kl_project(base, rows, rhs, 1)
+        assert x.sum() == pytest.approx(1.0, abs=1e-15)
+        assert x[0] - 2.0 * x[1] == pytest.approx(0.0, abs=1e-12)
+        assert x[2] == pytest.approx(0.4, abs=1e-12)
+        assert y[1] > 0.0 and y[2] == 0.0
+        log_ratio = np.log(x / base) - rows.T @ y
+        assert np.ptp(log_ratio) <= 1e-12
+
+    def test_redundant_consistent_rows(self):
+        base = np.array([0.4, 0.3, 0.2, 0.1])
+        rows = np.array([[1.0, 0.0, 0.0, 0.0],
+                         [0.0, 1.0, 0.0, 0.0],
+                         [1.0, 1.0, 0.0, 0.0]])
+        x, _ = kl_project(base, rows, np.array([0.3, 0.3, 0.6]), 3)
+        assert x[:2] == pytest.approx([0.3, 0.3], abs=1e-12)
+        assert x[2:] == pytest.approx([0.4 * 2 / 3, 0.4 / 3], abs=1e-12)
+
+    def test_failure_names_iterations_and_residual(self):
+        with pytest.raises(NumericFailure, match=r"after \d+ iterations \(residual [0-9.e+-]+\)"):
+            kl_project(np.full(2, 0.5), np.array([[1.0, 0.0]]), np.array([2.0]), 1)
+
+
+class TestPositiveSupport:
+    def test_empty_polytope(self):
+        rows = np.eye(2)
+        assert positive_support(rows, np.array([0.7, 0.7]), 0) is None
+
+    def test_forced_zero_coordinate(self):
+        rows = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
+        support = positive_support(rows, np.array([0.6, 0.4]), 0)
+        assert support.tolist() == [True, True, False]
+
+    def test_full_support(self):
+        rows = np.array([[1.0, -1.0, 0.0]])
+        assert positive_support(rows, np.array([1e-7]), 1).all()
+
+
+class TestStageOneDefects:
+    """Contexts that the earlier reduction-and-barrier solvers rejected."""
+
+    def test_continuous_redundant_equation(self):
+        # the two bounds at ranks 1 and 2 already imply the ratio at rank 2
+        ctx = CellContext(ratio=((2, 2.1776010246516875),),
+                          absdiff=((5, 0.24955098765715633),),
+                          lowerbound=((1, 0.09699502570997988), (2, 0.21121646737216895),
+                                      (3, 0.2897943679666825)))
+        target = target_density(UtilityStructure(kind="crra", alpha=1.0, gamma=0.5), 6)
+        d = elicit_continuous(target, ctx, 6)
+        assert d.cdf(2.0) - 2.1776010246516875 * d.cdf(1.0) == pytest.approx(0.0, abs=1e-10)
+        assert d.cdf(5.0) - d.cdf(4.0) == pytest.approx(0.24955098765715633, abs=1e-10)
+        for rank, gamma in ctx.lowerbound:
+            assert d.cdf(float(rank)) == pytest.approx(gamma, abs=1e-10)
+        assert d.cdf(6.0) == pytest.approx(1.0, abs=1e-12)
+
+    @pytest.mark.parametrize("ctx", [
+        # a difference of 6e-8 leaves a rank-order row nearly tight
+        CellContext(ratio=((17, 1.001), (20, 1.001)), absdiff=((2, 2e-3), (11, 6e-8))),
+        # feasible (HiGHS and the returned point agree) but once called infeasible
+        CellContext(ratio=((6, 1.040403686707325), (28, 1.874643312572222)),
+                    absdiff=((14, 0.003203831764285181),),
+                    lowerbound=((28, 0.003515113490558757),)),
+    ], ids=("tiny-difference", "feasible-called-infeasible"))
+    def test_discrete_feasible_contexts(self, ctx):
+        target = surrogate_weights("uniform", 30)
+        u = elicit_discrete(target, ctx, 30)
+        assert u.sum() == pytest.approx(1.0, abs=1e-12)
+        assert (np.diff(u) <= 1e-12).all()
+        for r, alpha in ctx.ratio:
+            assert u[r - 1] - alpha * u[r] == pytest.approx(0.0, abs=1e-12)
+        for r, beta in ctx.absdiff:
+            assert u[r - 1] - u[r] == pytest.approx(beta, abs=1e-12)
+        for r, gamma in ctx.lowerbound:
+            assert u[r - 1] >= gamma - 1e-12
+        assert kkt_residual_discrete(u, target, ctx) <= 1e-10
+
+
+def test_elicitation_runs_no_simplex(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("stage 1 called the simplex")
+
+    simplex = gopa.lpcheck.solve_lp
+    for name, module in list(sys.modules.items()):
+        if name.startswith("gopa") and getattr(module, "solve_lp", None) is simplex:
+            monkeypatch.setattr(module, "solve_lp", refuse)
+    rng = np.random.default_rng(44)
+    for _ in range(20):
+        size = int(rng.integers(2, 12))
+        ctx, _ = random_discrete_context(rng, size)
+        elicit_discrete(surrogate_weights("roc", size), ctx, size)
+        ctx, _ = random_continuous_context(rng, size)
+        elicit_continuous(target_density("neutral", size), ctx, size)
+
