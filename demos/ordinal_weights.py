@@ -58,8 +58,6 @@ expert_w, net = decompose(solution)
 print("\nnet utility by rank (identical for every expert):")
 print(np.round(net[0], 4))
 
-per_rank = np.zeros((3, 10))
-for (i, j), w in solution.rank_weights.items():
-    per_rank[i] += w
+per_rank = solution.rank_weights.sum(axis=1)
 print("product check |w_ir - W_i u_ir| =",
       f"{np.abs(expert_w[:, None] * net - per_rank).max():.2e}")

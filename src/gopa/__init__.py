@@ -72,7 +72,7 @@ from .model import (
 )
 from .pipeline import elicit_utilities, solution_report, solve_document
 from .sensitivity import ScenarioStats, describe, permutation_stats, permute_experts
-from .solver import WeightSolution, aggregate, decompose, solve_gopa, solve_opa
+from .solver import WeightSolution, decompose, solve_gopa, solve_opa
 from .structures import (
     TargetDensity,
     UtilityStructure,

@@ -75,13 +75,15 @@ class PiecewiseDensity:
         return self.scales[self.segment_index(x)] * self.target.value(x)
 
     def cdf(self, x):
-        """Cumulative utility on [0, x]."""
-        cum = np.concatenate([[0.0], np.cumsum(self.masses)])
-        if np.ndim(x) == 0:
-            s = int(self.segment_index(x))
-            return cum[s] + self.scales[s] * self.target.integral(self.breakpoints[s], x)
+        """Cumulative utility on [0, x]: a scalar for a scalar ``x``, else an array."""
         x = np.asarray(x, dtype=float)
-        return np.array([self.cdf(t) for t in x])
+        cum = np.concatenate([[0.0], np.cumsum(self.masses)])
+        s = self.segment_index(x)
+        # target.integral is scalar `math` code on purpose: numpy's exp, log and
+        # pow differ from it in the last bit on some inputs
+        inside = np.array([self.target.integral(a, b)
+                           for a, b in zip(self.breakpoints[s].flat, x.flat)])
+        return (cum[s] + self.scales[s] * inside.reshape(x.shape))[()]
 
 
 def _cumulative_rows(ctx, pts):
@@ -179,8 +181,7 @@ def cumulative_utilities(density, orientation="reversed"):
     honor rank dominance (rank 1 gets the largest value).  With a uniform
     density the reversed vector equals the rank-sum surrogate weights.
     """
-    size = density.size
-    tail = np.array([1.0 - density.cdf(size - r) for r in range(1, size + 1)])
+    tail = 1.0 - density.cdf(np.arange(density.size)[::-1])    # 1 - F(K - r), r = 1 .. K
     literal = tail / tail.sum()
     if orientation == "literal":
         return literal

@@ -10,6 +10,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import DimensionError, InfeasibleStage2, NumericFailure
+from .model import pack_utilities
+from .solver import harmonic_coefficients
 
 PIVOT_TOL = 1e-9
 
@@ -87,8 +89,6 @@ def solve_lp(lp, tol=PIVOT_TOL, max_iter=None):
     # slack / surplus / artificial columns
     cols = [a]
     basis = [-1] * m
-    slack_index = {}
-    art_cols = []
     extra = 0
     for i, sense in enumerate(senses):
         if sense == "<=":
@@ -96,13 +96,11 @@ def solve_lp(lp, tol=PIVOT_TOL, max_iter=None):
             col[i, 0] = 1.0
             cols.append(col)
             basis[i] = n + extra
-            slack_index[n + extra] = i
             extra += 1
         elif sense == ">=":
             col = np.zeros((m, 1))
             col[i, 0] = -1.0
             cols.append(col)
-            slack_index[n + extra] = i
             extra += 1
     art_start = n + extra
     for i, sense in enumerate(senses):
@@ -111,7 +109,6 @@ def solve_lp(lp, tol=PIVOT_TOL, max_iter=None):
             col[i, 0] = 1.0
             cols.append(col)
             basis[i] = n + extra
-            art_cols.append(n + extra)
             extra += 1
     tab_a = np.hstack(cols)
     total = n + extra
@@ -180,76 +177,49 @@ def solve_lp(lp, tol=PIVOT_TOL, max_iter=None):
 # --- builders for the weight programs ---------------------------------------
 
 
-def _harmonic_tail(kij):
-    """tail[r - 1] = sum of 1/h for h = r .. kij."""
-    return np.cumsum(1.0 / np.arange(kij, 0, -1.0))[::-1]
+def _flat_cells(problem):
+    """Per weight variable ``padded[rank_mask]``: its cell's ``t_i * s_ij`` and its rank."""
+    ts = (problem.expert_ranks[:, None] * problem.attribute_ranks).astype(float)
+    mask = problem.rank_mask
+    return np.broadcast_to(ts[..., None], mask.shape)[mask], np.nonzero(mask)[2] + 1
 
 
 def cell_variable_names(problem):
     """Flat variable layout shared by the LP builders: all w cells, then z."""
-    names = []
-    for i, j in problem.cells():
-        kij = int(problem.max_rank[i, j])
-        eid, aid = problem.expert_ids[i], problem.attribute_ids[j]
-        names.extend(f"w[{eid},{aid},r{r}]" for r in range(1, kij + 1))
-    names.append("z")
-    return tuple(names)
+    names = [f"w[{problem.expert_ids[i]},{problem.attribute_ids[j]},r{r + 1}]"
+             for i, j, r in zip(*np.nonzero(problem.rank_mask))]
+    return tuple(names) + ("z",)
 
 
 def _rank_rows(problem, coefficients):
     """Rows ``coef*z - t*s*w <= 0`` plus the weighted normalization row."""
-    sizes = [int(problem.max_rank[i, j]) for i, j in problem.cells()]
-    n_w = sum(sizes)
-    n = n_w + 1
-    rows = []
-    offset = 0
-    for (i, j), kij in zip(problem.cells(), sizes):
-        ts = float(problem.expert_ranks[i] * problem.attribute_ranks[i, j])
-        coefs = coefficients[(i, j)]
-        for r in range(kij):
-            row = np.zeros(n)
-            row[offset + r] = -ts
-            row[n_w] = coefs[r]
-            rows.append(row)
-        offset += kij
-    norm = np.zeros(n)
-    offset = 0
-    for (i, j), kij in zip(problem.cells(), sizes):
-        norm[offset:offset + kij] = problem.cell_counts(i, j)
-        offset += kij
-    lhs = np.vstack(rows + [norm])
-    rhs = np.concatenate([np.zeros(len(rows)), [1.0]])
-    senses = ("<=",) * len(rows) + ("=",)
-    objective = np.zeros(n)
-    objective[n_w] = 1.0
-    free = (False,) * n_w + (True,)
-    return LinearProgram(objective=objective, lhs=lhs, rhs=rhs, senses=senses,
-                         free=free, names=cell_variable_names(problem))
+    mask = problem.rank_mask
+    ts, _ = _flat_cells(problem)
+    n_w = ts.size
+    lhs = np.zeros((n_w + 1, n_w + 1))
+    np.fill_diagonal(lhs[:n_w], -ts)
+    lhs[:n_w, n_w] = coefficients[mask]
+    lhs[n_w, :n_w] = problem.rank_counts[mask]
+    last = np.eye(1, n_w + 1, n_w)[0]   # objective z; right side 1 of the normalization row
+    return LinearProgram(objective=last, lhs=lhs, rhs=last,
+                         senses=("<=",) * n_w + ("=",), free=(False,) * n_w + (True,),
+                         names=cell_variable_names(problem))
 
 
 def build_opa_lp(problem):
     """LP whose optimum matches the closed-form ranking weights."""
-    coefs = {(i, j): _harmonic_tail(int(problem.max_rank[i, j]))
-             for i, j in problem.cells()}
-    return _rank_rows(problem, coefs)
+    return _rank_rows(problem, harmonic_coefficients(problem))
 
 
 def build_gopa_lp(problem, utilities):
     """LP for given per-cell utilities: rows ``K_ij * U_r * z <= t*s*w_r``."""
-    coefs = {}
-    for i, j in problem.cells():
-        kij = int(problem.max_rank[i, j])
-        u = np.asarray(utilities[(i, j)], dtype=float)
-        if u.shape != (kij,):
-            raise DimensionError(f"cell ({i},{j}) expects {kij} utilities, got {u.shape}")
-        coefs[(i, j)] = kij * u
-    return _rank_rows(problem, coefs)
+    return _rank_rows(problem, problem.max_rank[..., None] * pack_utilities(problem, utilities))
 
 
 @dataclass(frozen=True)
 class EfficiencyCheck:
     objective: float
-    rank_weights: dict       # (i, j) -> ndarray over ranks
+    rank_weights: np.ndarray     # padded (I, J, K), 0 beyond each cell's max rank
     min_slack: float
 
 
@@ -266,43 +236,21 @@ def verify_efficiency(problem, z_star):
     InfeasibleStage2
         If no weights attain every slack >= ``z_star``.
     """
-    sizes = [int(problem.max_rank[i, j]) for i, j in problem.cells()]
-    n = sum(sizes)
-    rows = []
-    rhs = []
-    offset = 0
-    objective = np.zeros(n)
-    for (i, j), kij in zip(problem.cells(), sizes):
-        ts = float(problem.expert_ranks[i] * problem.attribute_ranks[i, j])
-        objective[offset:offset + kij] = ts
-        for r in range(1, kij + 1):
-            row = np.zeros(n)
-            if r < kij:
-                row[offset + r - 1] = ts * r
-                row[offset + r] = -ts * r
-            else:
-                row[offset + r - 1] = ts * kij
-            rows.append(row)
-            rhs.append(z_star)
-        offset += kij
-    norm = np.zeros(n)
-    offset = 0
-    for (i, j), kij in zip(problem.cells(), sizes):
-        norm[offset:offset + kij] = problem.cell_counts(i, j)
-        offset += kij
-    lhs = np.vstack(rows + [norm])
-    rhs = np.asarray(rhs + [1.0])
-    senses = (">=",) * len(rows) + ("=",)
-    lp = LinearProgram(objective=objective, lhs=lhs, rhs=rhs, senses=senses)
-    res = solve_lp(lp)
+    mask = problem.rank_mask
+    ts, ranks = _flat_cells(problem)
+    n = ts.size
+    # slack of rank r: ts * r * (w_r - w_{r+1}), and ts * K_ij * w_K at a cell's last rank
+    lhs = np.zeros((n + 1, n))
+    np.fill_diagonal(lhs, ts * ranks)
+    inner = np.flatnonzero(ranks[1:] > 1)    # the next variable is in the same cell
+    lhs[inner, inner + 1] = -ts[inner] * ranks[inner]
+    lhs[n] = problem.rank_counts[mask]
+    rhs = np.append(np.full(n, z_star), 1.0)
+    res = solve_lp(LinearProgram(objective=ts, lhs=lhs, rhs=rhs, senses=(">=",) * n + ("=",)))
     if res.status != "optimal":
         raise InfeasibleStage2(f"stage-2 program is {res.status} at z* = {z_star:g}")
 
-    slacks = lhs[:-1] @ res.x
-    weights = {}
-    offset = 0
-    for (i, j), kij in zip(problem.cells(), sizes):
-        weights[(i, j)] = res.x[offset:offset + kij].copy()
-        offset += kij
+    weights = np.zeros(mask.shape)
+    weights[mask] = res.x
     return EfficiencyCheck(objective=res.value, rank_weights=weights,
-                           min_slack=float(slacks.min()))
+                           min_slack=float((lhs[:-1] @ res.x).min()))

@@ -16,6 +16,7 @@ from .exceptions import (
     DuplicateConstraintError,
     EmptyCellError,
     SignError,
+    UtilityShapeError,
     ValidationError,
 )
 from .structures import UtilityStructure
@@ -74,12 +75,15 @@ class RankingProblem:
                 and (self.max_rank == self.n_alternatives).all())
 
     @property
+    def rank_mask(self):
+        """(I, J, K) mask of ranks ``1 .. max_rank[i, j]`` in per-rank padded arrays;
+        in C order its entries run over `cells`, each cell by rank."""
+        return np.arange(self.n_alternatives) < self.max_rank[..., None]
+
+    @property
     def has_internal_gaps(self):
         """True when some cell skips a rank below its own maximum rank."""
-        for i, j in self.cells():
-            if (self.cell_counts(i, j) == 0).any():
-                return True
-        return False
+        return bool(((self.rank_counts == 0) & self.rank_mask).any())
 
     def cells(self):
         """Iterate over (expert index, attribute index) pairs."""
@@ -90,6 +94,24 @@ class RankingProblem:
     def cell_counts(self, i, j):
         """Rank frequencies ``c_r`` of cell (i, j), length ``max_rank[i, j]``."""
         return self.rank_counts[i, j, :self.max_rank[i, j]]
+
+
+def pack_utilities(problem, utilities):
+    """Pack ``(i, j) -> utility vector`` into the padded (I, J, K) layout.
+
+    Raises `UtilityShapeError` if a cell is missing or has the wrong length.
+    """
+    packed = np.zeros(problem.rank_counts.shape)
+    for i, j in problem.cells():
+        kij = int(problem.max_rank[i, j])
+        if (i, j) not in utilities:
+            raise UtilityShapeError(f"missing utilities for cell ({i}, {j})")
+        u = np.asarray(utilities[(i, j)], dtype=float)
+        if u.shape != (kij,):
+            raise UtilityShapeError(
+                f"cell ({i}, {j}) expects {kij} utilities, got shape {u.shape}")
+        packed[i, j, :kij] = u
+    return packed
 
 
 EMPTY_CELL_CONTEXT_FIELDS = ("ratio", "absdiff", "lowerbound")
@@ -234,23 +256,16 @@ def validate_problem(raw):
                         raise ValidationError(path, f"rank {rank} exceeds the {K} alternatives")
                     r[i, j, k] = rank
 
-    max_rank = np.zeros((I, J), dtype=int)
-    counts = np.zeros((I, J, K), dtype=int)
-    has_dups = np.zeros((I, J), dtype=bool)
-    has_missing = np.zeros((I, J), dtype=bool)
-    for i, eid in enumerate(expert_ids):
-        for j, aid in enumerate(attribute_ids):
-            present = r[i, j][r[i, j] > 0]
-            if present.size == 0:
-                raise EmptyCellError(f"alternative_ranks.{eid}.{aid}",
-                                     "cell has no ranked alternative")
-            kij = int(present.max())
-            max_rank[i, j] = kij
-            for rank in present:
-                counts[i, j, rank - 1] += 1
-            c = counts[i, j, :kij]
-            has_dups[i, j] = bool((c > 1).any())
-            has_missing[i, j] = bool((c == 0).any() or present.size < K)
+    max_rank = r.max(axis=2)
+    if not max_rank.all():
+        i, j = np.argwhere(max_rank == 0)[0]
+        raise EmptyCellError(f"alternative_ranks.{expert_ids[i]}.{attribute_ids[j]}",
+                             "cell has no ranked alternative")
+    # rank r of cell n = i * J + j is counted in bin n * K + r - 1
+    slots = np.arange(I * J).reshape(I, J, 1) * K + r - 1
+    counts = np.bincount(slots[r > 0], minlength=I * J * K).reshape(I, J, K)
+    has_dups = (counts > 1).any(axis=2)
+    has_missing = ((counts > 0).sum(axis=2) < max_rank) | (r == 0).any(axis=2)
 
     return RankingProblem(
         expert_ids=tuple(expert_ids),

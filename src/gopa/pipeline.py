@@ -91,11 +91,7 @@ def solution_report(solution, method, orientation="reversed", bound_mode="equali
                   for j, aid in enumerate(p.attribute_ids)}
             for i, eid in enumerate(p.expert_ids)
         },
-        "rank_weights": {
-            eid: {aid: solution.rank_weights[(i, j)].tolist()
-                  for j, aid in enumerate(p.attribute_ids)}
-            for i, eid in enumerate(p.expert_ids)
-        },
+        "rank_weights": _by_cell(p, solution.rank_weights),
         "flags": {
             "gap_free": bool(p.gap_free),
             "has_exclusions": bool(solution.exclusions_flagged),
@@ -107,13 +103,15 @@ def solution_report(solution, method, orientation="reversed", bound_mode="equali
         },
     }
     if solution.utilities is not None:
-        report["utilities"] = {
-            p.expert_ids[i]: {p.attribute_ids[j]: u.tolist()
-                              for (i2, j), u in sorted(solution.utilities.items())
-                              if i2 == i}
-            for i in range(p.n_experts)
-        }
+        report["utilities"] = _by_cell(p, solution.utilities)
     return report
+
+
+def _by_cell(problem, padded):
+    """Nested ``expert id -> attribute id -> list`` of a padded (I, J, K) array's cells."""
+    return {eid: {aid: padded[i, j, :problem.max_rank[i, j]].tolist()
+                  for j, aid in enumerate(problem.attribute_ids)}
+            for i, eid in enumerate(problem.expert_ids)}
 
 
 @dataclass(frozen=True)
@@ -139,16 +137,14 @@ def report_to_solution(report):
     """Rebuild a weight solution from a report document (for diagnostics)."""
     ids = report["ids"]
     shim = _Ids(tuple(ids["experts"]), tuple(ids["attributes"]), tuple(ids["alternatives"]))
-    weights = np.zeros((shim.n_experts, shim.n_attributes, shim.n_alternatives))
     cells = report["cell_weights"]
-    for i, eid in enumerate(shim.expert_ids):
-        for j, aid in enumerate(shim.attribute_ids):
-            for k, mid in enumerate(shim.alternative_ids):
-                weights[i, j, k] = cells[eid][aid].get(mid, 0.0)
+    weights = np.array([[[cells[eid][aid].get(mid, 0.0) for mid in shim.alternative_ids]
+                         for aid in shim.attribute_ids]
+                        for eid in shim.expert_ids], dtype=float)
     return WeightSolution(
         problem=shim,
         objective=float(report["objective"]),
-        rank_weights={},
+        rank_weights=None,
         weights=weights,
         expert_weights=weights.sum(axis=(1, 2)),
         attribute_weights=weights.sum(axis=(0, 2)),

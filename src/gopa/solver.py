@@ -11,33 +11,36 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import DecompositionUnsupported, UtilityShapeError
-from .lpcheck import _harmonic_tail
+from .model import pack_utilities
 
 
 @dataclass(frozen=True)
 class WeightSolution:
-    """Optimal decision weights for one problem.
+    """Optimal decision weights for one problem; all arrays are read-only.
 
-    ``rank_weights[(i, j)]`` holds the per-rank weights of a cell;
-    ``weights[i, j, k]`` the mapped per-alternative weights (0 where the
-    alternative is excluded in that cell).  Aggregates are marginal sums.
+    ``rank_weights[i, j, r - 1]`` is the weight of rank ``r`` in cell (i, j)
+    and ``utilities`` (generalized solver only) the cell's utility of rank
+    ``r``, both padded with 0 beyond ``max_rank[i, j]`` (see
+    `RankingProblem.rank_mask`).  ``weights[i, j, k]`` holds the mapped
+    per-alternative weights (0 where the alternative is excluded in that
+    cell).  Aggregates are marginal sums.
     """
 
     problem: object
     objective: float
-    rank_weights: dict
+    rank_weights: np.ndarray
     weights: np.ndarray
     expert_weights: np.ndarray
     attribute_weights: np.ndarray
     alternative_weights: np.ndarray
-    utilities: dict = None
+    utilities: np.ndarray = None
     exclusions_flagged: bool = False
 
     def __post_init__(self):
-        self.weights.setflags(write=False)
-        self.expert_weights.setflags(write=False)
-        self.attribute_weights.setflags(write=False)
-        self.alternative_weights.setflags(write=False)
+        for array in (self.rank_weights, self.weights, self.expert_weights,
+                      self.attribute_weights, self.alternative_weights, self.utilities):
+            if array is not None:
+                array.setflags(write=False)
 
     def expert_attribute_weights(self):
         """Matrix of per-(expert, attribute) weights, summed over alternatives."""
@@ -48,26 +51,33 @@ class WeightSolution:
         return self.weights.sum(axis=1)
 
 
+def harmonic_coefficients(problem):
+    """Padded ordinal coefficients: each cell's harmonic tail sums, built for
+    its own length (differences of one long cumulative sum round differently)."""
+    coefficients = np.zeros(problem.rank_counts.shape)
+    for kij in np.unique(problem.max_rank):
+        tail = np.cumsum(1.0 / np.arange(kij, 0, -1.0))[::-1]
+        coefficients[problem.max_rank == kij, :kij] = tail
+    return coefficients
+
+
 def _assemble(problem, coefficients, utilities=None):
-    """Common assembly: z*, per-rank weights, mapping, aggregation."""
-    denom = 0.0
-    for i, j in problem.cells():
-        ts = float(problem.expert_ranks[i] * problem.attribute_ranks[i, j])
-        c = problem.cell_counts(i, j)
-        denom += (c * coefficients[(i, j)]).sum() / ts
-    z_star = 1.0 / denom
+    """Common assembly of padded coefficients: z*, per-rank weights, mapping, aggregation."""
+    ts = (problem.expert_ranks[:, None] * problem.attribute_ranks).astype(float)
+    products = problem.rank_counts * coefficients
+    cell_sums = np.empty(ts.shape)
+    # numpy sums pairwise, so padding a cell's ranks, or summing the cells in
+    # one call, would regroup the additions and move last digits of z*:
+    # each cell is summed over its own ranks, the cells one after another
+    for kij in np.unique(problem.max_rank):
+        cells = problem.max_rank == kij
+        cell_sums[cells] = products[cells, :kij].sum(axis=1)
+    z_star = 1.0 / np.cumsum(cell_sums / ts)[-1]
+    rank_weights = coefficients * z_star / ts[..., None]
 
-    rank_weights = {}
-    weights = np.zeros((problem.n_experts, problem.n_attributes, problem.n_alternatives))
-    for i, j in problem.cells():
-        ts = float(problem.expert_ranks[i] * problem.attribute_ranks[i, j])
-        w = coefficients[(i, j)] * z_star / ts
-        rank_weights[(i, j)] = w
-        ranks = problem.alternative_ranks[i, j]
-        present = ranks > 0
-        weights[i, j, present] = w[ranks[present] - 1]
-
-    excluded = bool((problem.alternative_ranks == 0).any())
+    ranks = problem.alternative_ranks
+    mapped = np.take_along_axis(rank_weights, np.maximum(ranks - 1, 0), axis=2)
+    weights = np.where(ranks > 0, mapped, 0.0)
     return WeightSolution(
         problem=problem,
         objective=z_star,
@@ -77,7 +87,7 @@ def _assemble(problem, coefficients, utilities=None):
         attribute_weights=weights.sum(axis=(0, 2)),
         alternative_weights=weights.sum(axis=(0, 1)),
         utilities=utilities,
-        exclusions_flagged=excluded,
+        exclusions_flagged=bool((ranks == 0).any()),
     )
 
 
@@ -88,9 +98,7 @@ def solve_opa(problem):
     per-alternative weights proportional to rank order centroid weights when
     expert and attribute importance is equal.
     """
-    coefs = {(i, j): _harmonic_tail(int(problem.max_rank[i, j]))
-             for i, j in problem.cells()}
-    return _assemble(problem, coefs)
+    return _assemble(problem, harmonic_coefficients(problem))
 
 
 def solve_gopa(problem, utilities, tol=1e-8):
@@ -109,30 +117,17 @@ def solve_gopa(problem, utilities, tol=1e-8):
         If a cell's utilities are missing, not normalized, or increase with
         rank beyond ``tol``.
     """
-    coefs = {}
-    for i, j in problem.cells():
-        kij = int(problem.max_rank[i, j])
-        if (i, j) not in utilities:
-            raise UtilityShapeError(f"missing utilities for cell ({i}, {j})")
-        u = np.asarray(utilities[(i, j)], dtype=float)
-        if u.shape != (kij,):
-            raise UtilityShapeError(
-                f"cell ({i}, {j}) expects {kij} utilities, got shape {u.shape}")
-        if abs(u.sum() - 1.0) > tol:
-            raise UtilityShapeError(f"cell ({i}, {j}) utilities sum to {u.sum():.12g}")
-        if (u < -tol).any():
-            raise UtilityShapeError(f"cell ({i}, {j}) utilities must be nonnegative")
-        if kij > 1 and (np.diff(u) > tol).any():
-            raise UtilityShapeError(
-                f"cell ({i}, {j}) utilities increase with rank; pass them post-orientation")
-        coefs[(i, j)] = kij * u
-    return _assemble(problem, coefs, utilities={k: np.array(v) for k, v in utilities.items()})
-
-
-def aggregate(solution):
-    """Marginal weight sums: (experts, attributes, alternatives)."""
-    return (solution.expert_weights, solution.attribute_weights,
-            solution.alternative_weights)
+    u = pack_utilities(problem, utilities)
+    sums = u.sum(axis=2)
+    # padding holds 0: it adds nothing to a sum and cannot rise after a cell's last rank
+    for failed, message in ((np.abs(sums - 1.0) > tol, "utilities sum to {:.12g}"),
+                            ((u < -tol).any(axis=2), "utilities must be nonnegative"),
+                            ((np.diff(u, axis=2) > tol).any(axis=2),
+                             "utilities increase with rank; pass them post-orientation")):
+        if failed.any():
+            i, j = np.argwhere(failed)[0]
+            raise UtilityShapeError(f"cell ({i}, {j}) " + message.format(sums[i, j]))
+    return _assemble(problem, problem.max_rank[..., None] * u, utilities=u)
 
 
 def decompose(solution):
@@ -154,10 +149,5 @@ def decompose(solution):
     problem = solution.problem
     if problem.has_missing.any() or problem.has_duplicates.any():
         raise DecompositionUnsupported("decomposition requires gap-free rankings")
-    size = problem.n_alternatives
-    per_rank = np.zeros((problem.n_experts, size))
-    for (i, j), w in solution.rank_weights.items():
-        per_rank[i] += w
     expert = solution.expert_weights
-    net = per_rank / expert[:, None]
-    return expert.copy(), net
+    return expert.copy(), solution.rank_weights.sum(axis=1) / expert[:, None]

@@ -105,6 +105,71 @@ def grid_kl_minimum(target, ctx, size, resolution=1e-3, budget=300_000):
     return best_val, u_best
 
 
+def harmonic_tail(kij):
+    """tail[r - 1] = sum of 1/h for h = r .. kij."""
+    return np.cumsum(1.0 / np.arange(kij, 0, -1.0))[::-1]
+
+
+def assemble_by_cell(problem, coefficients):
+    """Stage-2 closed form walked cell by cell over ``(i, j) -> coefficients``.
+
+    Returns ``(objective, rank_weights, weights)`` with ``rank_weights`` a
+    ``(i, j) -> ndarray`` dict of length ``max_rank[i, j]`` each.
+    """
+    denom = 0.0
+    for i, j in problem.cells():
+        ts = float(problem.expert_ranks[i] * problem.attribute_ranks[i, j])
+        c = problem.cell_counts(i, j)
+        denom += (c * coefficients[(i, j)]).sum() / ts
+    z_star = 1.0 / denom
+
+    rank_weights = {}
+    weights = np.zeros((problem.n_experts, problem.n_attributes, problem.n_alternatives))
+    for i, j in problem.cells():
+        ts = float(problem.expert_ranks[i] * problem.attribute_ranks[i, j])
+        w = coefficients[(i, j)] * z_star / ts
+        rank_weights[(i, j)] = w
+        ranks = problem.alternative_ranks[i, j]
+        present = ranks > 0
+        weights[i, j, present] = w[ranks[present] - 1]
+    return z_star, rank_weights, weights
+
+
+def rank_structure_by_cell(alternative_ranks):
+    """Per-cell rank counts, max rank, duplicate and missing flags from a rank loop."""
+    n_e, n_a, size = alternative_ranks.shape
+    counts = np.zeros((n_e, n_a, size), dtype=int)
+    max_rank = np.zeros((n_e, n_a), dtype=int)
+    dups = np.zeros((n_e, n_a), dtype=bool)
+    missing = np.zeros((n_e, n_a), dtype=bool)
+    for i in range(n_e):
+        for j in range(n_a):
+            present = alternative_ranks[i, j][alternative_ranks[i, j] > 0]
+            kij = int(present.max())
+            max_rank[i, j] = kij
+            for rank in present:
+                counts[i, j, rank - 1] += 1
+            c = counts[i, j, :kij]
+            dups[i, j] = bool((c > 1).any())
+            missing[i, j] = bool((c == 0).any() or present.size < size)
+    return counts, max_rank, dups, missing
+
+
+def point_cdf(density, x):
+    """Cumulative utility of a solved density at one point, segment by segment."""
+    cum = np.concatenate([[0.0], np.cumsum(density.masses)])
+    s = int(density.segment_index(x))
+    return cum[s] + density.scales[s] * density.target.integral(density.breakpoints[s], x)
+
+
+def cumulative_utilities_by_rank(density, orientation="reversed"):
+    """Per-rank utilities from one `point_cdf` call per rank."""
+    size = density.size
+    tail = np.array([1.0 - point_cdf(density, size - r) for r in range(1, size + 1)])
+    literal = tail / tail.sum()
+    return literal if orientation == "literal" else literal[::-1].copy()
+
+
 def kendall_bruteforce(ranks):
     """Concordance from its defining rank-sum deviations (no tie handling)."""
     r = np.asarray(ranks, dtype=float)

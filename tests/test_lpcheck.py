@@ -137,7 +137,8 @@ class TestEfficiency:
         sol = solve_opa(p)
         check = verify_efficiency(p, sol.objective)
         weights = check.rank_weights
-        total = sum(float(p.cell_counts(i, j) @ weights[(i, j)]) for i, j in p.cells())
+        total = sum(float(p.cell_counts(i, j) @ weights[i, j, :p.max_rank[i, j]])
+                    for i, j in p.cells())
         assert total == pytest.approx(1.0, abs=1e-8)
-        for (i, j), w in weights.items():
+        for w in (weights[i, j, :p.max_rank[i, j]] for i, j in p.cells()):
             assert (w >= -1e-10).all()

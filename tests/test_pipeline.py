@@ -85,9 +85,9 @@ class TestIrregularCells:
         assert solution.weights[0, 0, 3] == 0.0  # excluded alternative
         assert solution.weights[0, 0, 4] == 0.0
         total = (solution.problem.rank_counts[0, 0, :3]
-                 @ solution.rank_weights[(0, 0)]
+                 @ solution.rank_weights[0, 0, :3]
                  + solution.problem.rank_counts[1, 0, :5]
-                 @ solution.rank_weights[(1, 0)])
+                 @ solution.rank_weights[1, 0, :5])
         assert total == pytest.approx(1.0, abs=1e-10)
 
     def test_short_cell_context_rank_out_of_range(self):

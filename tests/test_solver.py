@@ -4,7 +4,7 @@ import pytest
 from gopa.exceptions import DecompositionUnsupported, UtilityShapeError
 from gopa.lpcheck import build_gopa_lp, build_opa_lp
 from gopa.model import validate_problem
-from gopa.solver import aggregate, decompose, solve_gopa, solve_opa
+from gopa.solver import decompose, solve_gopa, solve_opa
 from gopa.structures import surrogate_weights
 
 from oracles import random_problem, random_utilities
@@ -66,20 +66,20 @@ class TestOrdinalSolver:
         assert sol.weights[0, 0, 4] == 0.0
         assert sol.exclusions_flagged
         c = p.cell_counts(0, 0)
-        assert (c * sol.rank_weights[(0, 0)]).sum() == pytest.approx(1.0, abs=1e-12)
+        assert (c * sol.rank_weights[0, 0, :4]).sum() == pytest.approx(1.0, abs=1e-12)
 
     def test_normalization_and_dominance_invariants(self):
         rng = np.random.default_rng(3)
         for _ in range(20):
             p, _ = random_problem(rng, irregular=True)
             sol = solve_opa(p)
-            total = sum(float(p.cell_counts(i, j) @ sol.rank_weights[(i, j)])
+            total = sum(float(p.cell_counts(i, j) @ sol.rank_weights[i, j, :p.max_rank[i, j]])
                         for i, j in p.cells())
             assert total == pytest.approx(1.0, abs=1e-10)
             assert sol.expert_weights.sum() == pytest.approx(1.0, abs=1e-10)
             assert sol.attribute_weights.sum() == pytest.approx(1.0, abs=1e-10)
             assert sol.alternative_weights.sum() == pytest.approx(1.0, abs=1e-10)
-            for (i, j), w in sol.rank_weights.items():
+            for w in (sol.rank_weights[i, j, :p.max_rank[i, j]] for i, j in p.cells()):
                 assert (np.diff(w) <= 1e-12).all()
                 assert (w >= 0).all()
 
@@ -161,7 +161,8 @@ class TestGeneralizedSolver:
 class TestAggregation:
     def test_single_cell_aggregates(self):
         p, _ = random_problem(np.random.default_rng(11), 1, 1, 4)
-        wq, wn, wm = aggregate(solve_opa(p))
+        sol = solve_opa(p)
+        wq, wn, wm = sol.expert_weights, sol.attribute_weights, sol.alternative_weights
         assert wq == pytest.approx([1.0])
         assert wn == pytest.approx([1.0])
 
@@ -212,7 +213,7 @@ class TestDecomposition:
         sol = solve_opa(p)
         expert, net = decompose(sol)
         per_rank = np.zeros((2, 5))
-        for (i, j), w in sol.rank_weights.items():
+        for (i, j), w in zip(p.cells(), sol.rank_weights.reshape(-1, 5)):
             per_rank[i] += w
         assert np.abs(expert[:, None] * net - per_rank).max() <= 1e-12
 
