@@ -3,11 +3,17 @@
 Subcommands: ``solve`` (full two-stage pipeline), ``opa`` (rankings only),
 ``elicit`` (first stage of one cell), ``metrics`` (consensus report from a
 solution report), ``sensitivity`` (expert-rank permutation sweep), ``verify``
-(closed forms against the LP solver).  Reports are deterministic: stable key
-order and floats at 12 significant digits.
+(closed forms against the LP solver).  Reports are deterministic: sorted
+keys, two-space indent, ASCII-escaped strings, and each float rounded to 12
+significant digits and written as the shortest string that reads back as
+the rounded value; NaN and infinities are written ``NaN`` and
+``(-)Infinity``.
 
 Exit codes: 0 success, 1 failed verification, 2 validation error,
-3 infeasible preference context, 4 numeric failure.
+3 infeasible preference context, 4 numeric failure.  Exit 2 also covers an
+input that cannot be read (a directory, not UTF-8), an output path that
+cannot be written (a missing directory) and a solution report given to
+``metrics`` that lacks a key; the message names the path or the key.
 """
 
 import argparse
@@ -16,6 +22,7 @@ import io
 import json
 import sys
 from dataclasses import dataclass
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 import numpy as np
@@ -76,27 +83,90 @@ def _fmt(x):
     return format(float(x), ".12g")
 
 
-def _round_floats(obj):
+def _float_texts(values):
+    """JSON texts of floats rounded to 12 significant digits, formatted in one call.
+
+    A 12-digit decimal is its own shortest round-trip string, so ``%.12g``
+    is the answer, with ``.0`` appended when it has neither a point nor an
+    exponent.  The exceptions take the exact route through the rounded
+    float: NaN and infinities, anything ``%g`` writes with a positive
+    exponent (``repr`` switches to exponents only at 1e16, and
+    ``999999999999.5`` rounds up to ``1e+12``), and exponents that start with
+    ``e-3``, which include the subnormals' (their shortest string can be
+    shorter than 12 digits: ``5e-324`` formats as ``4.94065645841e-324``).
+    """
+    text = ",".join(["%.12g"] * len(values)) % tuple(values)
+    texts = text.split(",")
+    if (text.count(".") == len(texts) and "n" not in text and "e+" not in text
+            and "e-3" not in text):
+        return texts
+    exact = []
+    for s in texts:
+        if "n" in s or "e+" in s or "e-3" in s:
+            s = json.dumps(float(s))
+        elif "." not in s and "e" not in s:
+            s += ".0"
+        exact.append(s)
+    return exact
+
+
+def _report_text(obj, nl="\n"):
+    """Indented JSON text of a report, floats at 12 significant digits.
+
+    The layout is that of ``json.dumps(obj, indent=2, sort_keys=True)``
+    (ASCII-escaped strings, ``NaN``/``Infinity``, tuples as lists, numpy
+    scalars as their Python values); ``nl`` is the newline plus the indent
+    of the current nesting level.
+    """
+    if isinstance(obj, str):
+        return encode_basestring_ascii(obj)
     if isinstance(obj, float):
-        return float(_fmt(obj))
+        return _float_texts((obj,))[0]
     if isinstance(obj, dict):
-        return {k: _round_floats(v) for k, v in obj.items()}
+        if not obj:
+            return "{}"
+        inner = nl + "  "
+        keys = sorted(obj)
+        texts = _item_texts([obj[k] for k in keys], inner)
+        items = [f"{k}: {t}" for k, t in zip(map(encode_basestring_ascii, keys), texts)]
+        return "{" + inner + ("," + inner).join(items) + nl + "}"
     if isinstance(obj, (list, tuple)):
-        return [_round_floats(v) for v in obj]
+        if not obj:
+            return "[]"
+        inner = nl + "  "
+        return "[" + inner + ("," + inner).join(_item_texts(obj, inner)) + nl + "]"
+    if obj is None:
+        return "null"
+    if obj is True:
+        return "true"
+    if obj is False:
+        return "false"
+    if isinstance(obj, int):
+        return int.__repr__(obj)
     if isinstance(obj, (np.floating, np.integer, np.bool_)):
-        return _round_floats(obj.item())
-    return obj
+        return _report_text(obj.item(), nl)
+    raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
+
+
+def _item_texts(values, nl):
+    """Texts of a container's values; a leaf of floats is formatted in one call."""
+    if {*map(type, values)} == {float}:
+        return _float_texts(values)
+    return [_report_text(v, nl) for v in values]
 
 
 def _write_text(text, path):
     if path is None:
         sys.stdout.write(text)
-    else:
+        return
+    try:
         Path(path).write_text(text)
+    except OSError as exc:
+        raise ValidationError(str(path), f"cannot write output ({exc.strerror})")
 
 
 def _write_json(doc, path):
-    _write_text(json.dumps(_round_floats(doc), indent=2, sort_keys=True) + "\n", path)
+    _write_text(_report_text(doc) + "\n", path)
 
 
 def _write_csv(rows, path):
@@ -111,6 +181,10 @@ def _load_json(path):
         return json.loads(Path(path).read_text())
     except FileNotFoundError:
         raise ValidationError(str(path), "input file not found")
+    except OSError as exc:
+        raise ValidationError(str(path), f"cannot read input ({exc.strerror})")
+    except UnicodeDecodeError as exc:
+        raise ValidationError(str(path), f"not UTF-8 text ({exc.reason} at byte {exc.start})")
     except json.JSONDecodeError as exc:
         raise ValidationError(str(path), f"not valid JSON ({exc})")
 
@@ -202,7 +276,10 @@ def _cmd_metrics(config):
     report = _load_json(config.input)
     if not isinstance(report, dict) or report.get("kind") != "solution":
         raise ValidationError(str(config.input), "expected a solution report document")
-    solution = report_to_solution(report)
+    try:
+        solution = report_to_solution(report)
+    except KeyError as exc:
+        raise ValidationError(str(config.input), f"solution report lacks key {exc.args[0]!r}")
     cons = consensus_report(solution)
     out = {"kind": "consensus", **cons.to_dict(solution.problem)}
     _write_json(out, config.output)

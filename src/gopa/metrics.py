@@ -36,12 +36,32 @@ def psd(contributions, aggregate):
 
 
 def ranks_from_weights(values, tol=1e-12):
-    """Midranks of values sorted in descending order (rank 1 = largest).
+    """Midranks along the last axis, in descending order (rank 1 = largest).
 
-    Values whose gap is at most ``tol`` share the average of their positions.
+    A tie group starts at a value and takes every following value whose gap
+    to that first value is at most ``tol``; its members share the average of
+    their positions.  All rows are ranked in one pass that groups by chained
+    gaps; only rows where a chained group spans more than ``tol`` are walked
+    group by group.
     """
     v = np.asarray(values, dtype=float)
-    order = np.argsort(-v, kind="stable")
+    rows = v.reshape(-1, v.shape[-1])
+    order = np.argsort(-rows, axis=1, kind="stable")
+    desc = np.take_along_axis(rows, order, axis=1)
+    starts = np.ones(rows.shape, dtype=bool)
+    starts[:, 1:] = ~(desc[:, :-1] - desc[:, 1:] <= tol)
+    first = np.maximum.accumulate(np.where(starts, np.arange(rows.shape[1]), 0), axis=1)
+    sorted_ranks = first + 0.5 * (_run_sizes(starts) - 1) + 1.0
+    ranks = np.empty(rows.shape)
+    np.put_along_axis(ranks, order, sorted_ranks, axis=1)
+    spans = np.take_along_axis(desc, first, axis=1) - desc
+    for row in np.flatnonzero(~(spans <= tol).all(axis=1)):
+        ranks[row] = _ranks_by_anchor(rows[row], order[row], tol)
+    return ranks.reshape(v.shape)
+
+
+def _ranks_by_anchor(v, order, tol):
+    """Midranks of one row, grouping by the gap to each group's first value."""
     ranks = np.empty(v.size)
     pos = 0
     while pos < v.size:
@@ -53,10 +73,21 @@ def ranks_from_weights(values, tol=1e-12):
     return ranks
 
 
-def _tie_term(row):
-    """Per-rater tie correction: sum of t^3 - t over tie groups."""
-    _, counts = np.unique(np.round(np.asarray(row, dtype=float), 9), return_counts=True)
-    return float((counts.astype(float) ** 3 - counts).sum())
+def _tie_terms(ranks):
+    """Per-row tie correction: sum of t^3 - t over groups of equal 9-digit-rounded values."""
+    r = np.sort(np.round(ranks, 9), axis=1)
+    starts = np.ones(r.shape, dtype=bool)
+    starts[:, 1:] = r[:, 1:] != r[:, :-1]
+    sizes = _run_sizes(starts).astype(float)
+    # each member of a group of t adds t^2 - 1, so the group adds t^3 - t
+    return (sizes ** 2 - 1.0).sum(axis=1)
+
+
+def _run_sizes(starts):
+    """Length of the run each entry belongs to; runs begin where ``starts``
+    is True, and every row must start one."""
+    ids = np.cumsum(starts.ravel()) - 1
+    return np.bincount(ids)[ids].reshape(starts.shape)
 
 
 def kendall_w(ranks, tie_sizes=None):
@@ -77,7 +108,7 @@ def kendall_w(ranks, tie_sizes=None):
     sums = r.sum(axis=0)
     s = ((sums - sums.mean()) ** 2).sum()
     if tie_sizes is None:
-        correction = sum(_tie_term(row) for row in r)
+        correction = sum(_tie_terms(r).tolist())
     else:
         correction = sum(float(sum(t ** 3 - t for t in groups)) for groups in tie_sizes)
     denom = n_raters ** 2 * (n_items ** 3 - n_items) - n_raters * correction
@@ -266,16 +297,15 @@ def consensus_report(solution):
     psd_alt = np.array([psd(w_ik[:, k], solution.alternative_weights[k])
                         for k in range(problem.n_alternatives)])
 
-    attr_ranks = np.vstack([ranks_from_weights(w_ij[i]) for i in range(n_experts)])
-    rho_attr = kendall_w(attr_ranks)
+    rho_attr = kendall_w(ranks_from_weights(w_ij))
     lcl_attr = confidence_level(rho_attr, n_experts, problem.n_attributes)
 
+    # (J, I, K): the alternative ranks each expert gives under attribute j
+    alt_ranks = ranks_from_weights(solution.weights.transpose(1, 0, 2))
     rho_alt = np.empty(problem.n_attributes)
     lcl_alt = np.empty(problem.n_attributes)
     for j in range(problem.n_attributes):
-        alt_ranks = np.vstack([ranks_from_weights(solution.weights[i, j])
-                               for i in range(n_experts)])
-        rho_alt[j] = kendall_w(alt_ranks)
+        rho_alt[j] = kendall_w(alt_ranks[j])
         lcl_alt[j] = confidence_level(rho_alt[j], n_experts, problem.n_alternatives)
 
     global_level = gcl(lcl_attr, solution.attribute_weights, lcl_alt)

@@ -6,6 +6,7 @@ The single input document is a JSON object with keys ``experts``,
 validation and safe to share across threads.
 """
 
+import itertools
 from dataclasses import dataclass, field
 from types import MappingProxyType
 
@@ -228,33 +229,37 @@ def validate_problem(raw):
         if extra:
             raise ValidationError(f"attribute_ranks.{eid}", f"unknown attribute ids {sorted(extra)}")
 
-    r = np.zeros((I, J, K), dtype=int)
     alt_doc = raw.get("alternative_ranks")
     if not isinstance(alt_doc, dict):
         raise ValidationError("alternative_ranks", "expected an object keyed by expert id")
-    for i, eid in enumerate(expert_ids):
-        erow = alt_doc.get(eid)
-        if not isinstance(erow, dict):
-            raise ValidationError(f"alternative_ranks.{eid}", "missing expert entry")
-        extra = set(erow) - set(attribute_ids)
-        if extra:
-            raise ValidationError(f"alternative_ranks.{eid}",
-                                  f"unknown attribute ids {sorted(extra)}")
-        for j, aid in enumerate(attribute_ids):
-            cell = erow.get(aid)
-            if not isinstance(cell, dict):
-                raise ValidationError(f"alternative_ranks.{eid}.{aid}", "missing cell entry")
-            extra = set(cell) - set(alternative_ids)
+    known = set(alternative_ids)
+    entries = []   # raw rank entries, cell by cell in expert-then-attribute order
+    try:
+        for eid in expert_ids:
+            erow = alt_doc.get(eid)
+            if not isinstance(erow, dict):
+                raise ValidationError(f"alternative_ranks.{eid}", "missing expert entry")
+            extra = set(erow) - set(attribute_ids)
             if extra:
-                raise ValidationError(f"alternative_ranks.{eid}.{aid}",
-                                      f"unknown alternative ids {sorted(extra)}")
-            for k, mid in enumerate(alternative_ids):
-                if mid in cell and cell[mid] is not None:
-                    path = f"alternative_ranks.{eid}.{aid}.{mid}"
-                    rank = _positive_int(cell[mid], path)
-                    if rank > K:
-                        raise ValidationError(path, f"rank {rank} exceeds the {K} alternatives")
-                    r[i, j, k] = rank
+                raise ValidationError(f"alternative_ranks.{eid}",
+                                      f"unknown attribute ids {sorted(extra)}")
+            for aid in attribute_ids:
+                cell = erow.get(aid)
+                if not isinstance(cell, dict):
+                    raise ValidationError(f"alternative_ranks.{eid}.{aid}", "missing cell entry")
+                extra = set(cell) - known
+                if extra:
+                    raise ValidationError(f"alternative_ranks.{eid}.{aid}",
+                                          f"unknown alternative ids {sorted(extra)}")
+                entries += map(cell.get, alternative_ids)
+    except ValidationError:
+        # a bad rank in an earlier cell is reported first
+        _rank_entries(entries, expert_ids, attribute_ids, alternative_ids)
+        raise
+    r = _rank_array(entries, K)
+    if r is None:
+        r = _rank_entries(entries, expert_ids, attribute_ids, alternative_ids)
+    r = r.reshape(I, J, K)
 
     max_rank = r.max(axis=2)
     if not max_rank.all():
@@ -279,6 +284,35 @@ def validate_problem(raw):
         has_duplicates=has_dups,
         has_missing=has_missing,
     )
+
+
+def _rank_array(entries, K):
+    """Rank entries (ints, ``None`` for excluded) as an int array with 0 for
+    excluded, or None when some entry is not an int in ``1 .. K``."""
+    if not {*map(type, entries)} <= {int, type(None)}:
+        return None
+    try:
+        ranks = np.array(entries, dtype=float)   # None -> NaN
+    except OverflowError:   # an int beyond the float range
+        return None
+    if ((ranks < 1) | (ranks > K)).any():
+        return None
+    return np.nan_to_num(ranks, nan=0.0).astype(int)
+
+
+def _rank_entries(entries, expert_ids, attribute_ids, alternative_ids):
+    """Check rank entries one by one; raises `ValidationError` at the first bad one."""
+    K = len(alternative_ids)
+    r = np.zeros(len(entries), dtype=int)
+    names = itertools.product(expert_ids, attribute_ids, alternative_ids)
+    for n, ((eid, aid, mid), value) in enumerate(zip(names, entries)):
+        if value is not None:
+            path = f"alternative_ranks.{eid}.{aid}.{mid}"
+            rank = _positive_int(value, path)
+            if rank > K:
+                raise ValidationError(path, f"rank {rank} exceeds the {K} alternatives")
+            r[n] = rank
+    return r
 
 
 def _id_list(doc, path):

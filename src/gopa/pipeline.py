@@ -85,11 +85,10 @@ def solution_report(solution, method, orientation="reversed", bound_mode="equali
         "attributes": dict(zip(p.attribute_ids, solution.attribute_weights.tolist())),
         "alternatives": dict(zip(p.alternative_ids, solution.alternative_weights.tolist())),
         "cell_weights": {
-            eid: {aid: {mid: float(solution.weights[i, j, k])
-                        for k, mid in enumerate(p.alternative_ids)
-                        if p.alternative_ranks[i, j, k] > 0}
-                  for j, aid in enumerate(p.attribute_ids)}
-            for i, eid in enumerate(p.expert_ids)
+            eid: {aid: {mid: w for mid, w, rank in zip(p.alternative_ids, w_ij, r_ij) if rank > 0}
+                  for aid, w_ij, r_ij in zip(p.attribute_ids, w_i, r_i)}
+            for eid, w_i, r_i in zip(p.expert_ids, solution.weights.tolist(),
+                                     p.alternative_ranks.tolist())
         },
         "rank_weights": _by_cell(p, solution.rank_weights),
         "flags": {

@@ -5,6 +5,8 @@ vectorized grid search over the feasible polytope, integrals come from scipy
 quadrature, and concordance is evaluated from its defining sums.
 """
 
+import json
+
 import numpy as np
 import scipy.linalg
 
@@ -177,6 +179,48 @@ def kendall_bruteforce(ranks):
     sums = r.sum(axis=0)
     s = ((sums - sums.sum() / n_items) ** 2).sum()
     return 12.0 * s / (n_raters ** 2 * (n_items ** 3 - n_items))
+
+
+def midranks_loop(values, tol=1e-12):
+    """Midranks of one vector, descending, walked group by group.
+
+    A group runs on while the gap to its first value is at most ``tol``.
+    """
+    v = np.asarray(values, dtype=float)
+    order = np.argsort(-v, kind="stable")
+    ranks = np.empty(v.size)
+    pos = 0
+    while pos < v.size:
+        end = pos
+        while end + 1 < v.size and v[order[pos]] - v[order[end + 1]] <= tol:
+            end += 1
+        ranks[order[pos:end + 1]] = 0.5 * (pos + end) + 1.0
+        pos = end + 1
+    return ranks
+
+
+def tie_term_unique(row):
+    """Per-rater tie correction from `np.unique` counts of the 9-digit-rounded row."""
+    _, counts = np.unique(np.round(np.asarray(row, dtype=float), 9), return_counts=True)
+    return float((counts.astype(float) ** 3 - counts).sum())
+
+
+def _round_floats(obj):
+    if isinstance(obj, float):
+        return float(format(obj, ".12g"))
+    if isinstance(obj, dict):
+        return {k: _round_floats(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_round_floats(v) for v in obj]
+    if isinstance(obj, (np.floating, np.integer, np.bool_)):
+        return _round_floats(obj.item())
+    return obj
+
+
+def legacy_report_text(doc):
+    """Report bytes of the stdlib encoder: each float rounded through 12
+    significant digits, then ``json.dumps(indent=2, sort_keys=True)``."""
+    return json.dumps(_round_floats(doc), indent=2, sort_keys=True) + "\n"
 
 
 # --- random input generators -------------------------------------------------

@@ -118,6 +118,30 @@ class TestExitCodes:
         path = write_doc(tmp_path, clean_doc)
         assert main(["solve", str(path), "--tol", "-1"]) == 2
 
+    def test_directory_input(self, tmp_path, capsys):
+        assert main(["opa", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"invalid input: {tmp_path}: cannot read input")
+
+    def test_non_utf8_input(self, tmp_path, capsys):
+        path = tmp_path / "latin1.json"
+        path.write_bytes('{"experts": "café"}'.encode("latin-1"))
+        assert main(["opa", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"invalid input: {path}: not UTF-8 text")
+
+    def test_output_into_missing_directory(self, tmp_path, clean_doc, capsys):
+        out = tmp_path / "missing" / "report.json"
+        assert main(["opa", str(write_doc(tmp_path, clean_doc)), "-o", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"invalid input: {out}: cannot write output")
+
+    def test_solution_report_without_ids(self, tmp_path, capsys):
+        path = write_doc(tmp_path, {"kind": "solution"})
+        assert main(["metrics", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"invalid input: {path}: solution report lacks key 'ids'")
+
     def test_numeric_failure_names_cell_and_iterations(self, tmp_path, clean_doc, capsys,
                                                        monkeypatch):
         monkeypatch.setattr(gopa.projection, "_BUDGET", 1)

@@ -4,6 +4,7 @@ import scipy.stats
 
 from gopa.exceptions import DegenerateError, DomainError, ShapeError
 from gopa.metrics import (
+    _tie_terms,
     confidence_level,
     consensus_reject,
     consensus_report,
@@ -18,7 +19,7 @@ from gopa.metrics import (
 from gopa.solver import solve_gopa, solve_opa
 from gopa.structures import surrogate_weights
 
-from oracles import kendall_bruteforce, random_problem
+from oracles import kendall_bruteforce, midranks_loop, random_problem, tie_term_unique
 
 
 class TestPsd:
@@ -50,6 +51,53 @@ class TestRanksFromWeights:
 
     def test_all_tied(self):
         assert ranks_from_weights([0.2, 0.2, 0.2]).tolist() == [2.0, 2.0, 2.0]
+
+    @staticmethod
+    def assert_rows_match_loop(rows, tol=1e-12):
+        batched = ranks_from_weights(rows, tol)
+        assert batched.shape == rows.shape
+        n = rows.shape[-1]
+        for got, row in zip(batched.reshape(-1, n), rows.reshape(-1, n)):
+            assert got.tolist() == midranks_loop(row, tol).tolist()
+
+    def test_random_rows_match_loop(self):
+        rng = np.random.default_rng(40)
+        for n in (1, 2, 5, 30):
+            self.assert_rows_match_loop(rng.random((4, 7, n)))
+
+    def test_exact_ties_match_loop(self):
+        rng = np.random.default_rng(41)
+        rows = rng.integers(0, 4, size=(50, 12)) / 7.0
+        rows[0] = 0.25
+        self.assert_rows_match_loop(rows)
+
+    def test_near_tie_chains_longer_than_tol_match_loop(self):
+        # consecutive gaps of 0.6 tol chain into groups that span up to 4.2 tol,
+        # where the rule "gap to the group's first value" splits them
+        rng = np.random.default_rng(42)
+        tol = 1e-12
+        steps = rng.choice([0.0, 0.6 * tol, 0.6 * tol, 5 * tol], size=(60, 8))
+        rows = 0.5 - np.cumsum(steps, axis=1)
+        rows = np.take_along_axis(rows, rng.permuted(np.tile(np.arange(8), (60, 1)), axis=1),
+                                  axis=1)
+        rows[1] = 0.5 - 0.6 * tol * np.arange(8)
+        assert ranks_from_weights(rows[1], tol).tolist() == [1.5, 1.5, 3.5, 3.5, 5.5, 5.5,
+                                                             7.5, 7.5]
+        self.assert_rows_match_loop(rows, tol)
+        self.assert_rows_match_loop(rows * 1e9, 1e-3)
+
+    def test_nan_rows_match_loop(self):
+        rows = np.array([[0.3, np.nan, 0.3, 0.1], [np.nan, np.nan, 0.0, 0.0]])
+        self.assert_rows_match_loop(rows)
+
+
+class TestTieCorrection:
+    def test_matches_unique_counts_per_row(self):
+        rng = np.random.default_rng(43)
+        ranks = ranks_from_weights(rng.integers(0, 5, size=(30, 9)) / 3.0)
+        expected = [tie_term_unique(row) for row in ranks]
+        assert min(expected) > 0
+        assert _tie_terms(ranks).tolist() == expected
 
 
 class TestKendall:

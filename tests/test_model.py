@@ -117,6 +117,79 @@ class TestValidateProblem:
             validate_problem(doc)
 
 
+def grid_doc():
+    """Gap-free 2 x 2 x 3 document whose cells all rank A1 > A2 > A3."""
+    experts = ["E1", "E2"]
+    attributes = ["C1", "C2"]
+    alternatives = ["A1", "A2", "A3"]
+    return {
+        "experts": [{"id": e, "rank": 1} for e in experts],
+        "attributes": attributes,
+        "alternatives": alternatives,
+        "attribute_ranks": {e: {a: 1 for a in attributes} for e in experts},
+        "alternative_ranks": {e: {a: {m: k + 1 for k, m in enumerate(alternatives)}
+                                  for a in attributes} for e in experts},
+    }
+
+
+# Each bad entry of a 3-alternative document with the message the per-entry
+# check gives for it.
+BAD_RANKS = {
+    "zero": (0, "rank must be >= 1, got 0"),
+    "negative": (-1, "rank must be >= 1, got -1"),
+    "bool": (True, "expected a positive integer, got True"),
+    "float": (2.0, "expected a positive integer, got 2.0"),
+    "string": ("2", "expected a positive integer, got '2'"),
+    "above_k": (4, "rank 4 exceeds the 3 alternatives"),
+    "beyond_int64": (2 ** 70, f"rank {2 ** 70} exceeds the 3 alternatives"),
+    "beyond_float": (2 ** 1100, f"rank {2 ** 1100} exceeds the 3 alternatives"),
+}
+
+
+class TestRankEntryErrors:
+    """The first bad rank entry in document order is the one reported."""
+
+    @pytest.mark.parametrize("value, message", BAD_RANKS.values(), ids=BAD_RANKS.keys())
+    @pytest.mark.parametrize("cell", [("E1", "C1"), ("E2", "C2")], ids=["first", "last"])
+    @pytest.mark.parametrize("later", [False, True], ids=["alone", "with_later"])
+    def test_first_bad_entry(self, value, message, cell, later):
+        doc = grid_doc()
+        eid, aid = cell
+        doc["alternative_ranks"][eid][aid]["A1"] = value
+        if later:
+            doc["alternative_ranks"]["E2"]["C2"]["A3"] = 0
+        with pytest.raises(ValidationError) as info:
+            validate_problem(doc)
+        assert type(info.value) is ValidationError
+        assert info.value.path == f"alternative_ranks.{eid}.{aid}.A1"
+        assert str(info.value) == f"alternative_ranks.{eid}.{aid}.A1: {message}"
+
+    def test_bad_rank_precedes_later_structural_error(self):
+        doc = grid_doc()
+        doc["alternative_ranks"]["E1"]["C2"]["A2"] = 0
+        doc["alternative_ranks"]["E2"]["C1"] = None
+        with pytest.raises(ValidationError, match=r"^alternative_ranks\.E1\.C2\.A2: rank"):
+            validate_problem(doc)
+
+    def test_structural_error_precedes_later_bad_rank(self):
+        doc = grid_doc()
+        doc["alternative_ranks"]["E1"]["C2"]["B9"] = 1
+        doc["alternative_ranks"]["E2"]["C1"]["A2"] = 0
+        with pytest.raises(ValidationError,
+                           match=r"^alternative_ranks\.E1\.C2: unknown alternative ids"):
+            validate_problem(doc)
+
+    def test_none_means_excluded(self):
+        doc = grid_doc()
+        doc["alternative_ranks"]["E1"]["C1"]["A1"] = None
+        del doc["alternative_ranks"]["E2"]["C2"]["A3"]
+        p = validate_problem(doc)
+        assert p.alternative_ranks[0, 0].tolist() == [0, 2, 3]
+        assert p.alternative_ranks[1, 1].tolist() == [1, 2, 0]
+        assert p.alternative_ranks.dtype == np.int64
+        assert p.has_missing[0, 0] and p.has_missing[1, 1]
+
+
 class TestValidateContext:
     def test_empty_context_is_unbiased(self):
         p = validate_problem(minimal_doc())
