@@ -12,8 +12,9 @@ the rounded value; NaN and infinities are written ``NaN`` and
 Exit codes: 0 success, 1 failed verification, 2 validation error,
 3 infeasible preference context, 4 numeric failure.  Exit 2 also covers an
 input that cannot be read (a directory, not UTF-8), an output path that
-cannot be written (a missing directory) and a solution report given to
-``metrics`` that lacks a key; the message names the path or the key.
+cannot be written (a missing directory, a ``--csv`` path that is a file)
+and a solution report given to ``metrics`` that lacks a key or holds a
+malformed field; the message names the path and the key or the fault.
 """
 
 import argparse
@@ -176,6 +177,15 @@ def _write_csv(rows, path):
     _write_text(buf.getvalue(), path)
 
 
+def _csv_dir(path):
+    """The ``--csv`` directory, created with its parents if missing."""
+    try:
+        Path(path).mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ValidationError(str(path), f"cannot write output ({exc.strerror})")
+    return Path(path)
+
+
 def _load_json(path):
     try:
         return json.loads(Path(path).read_text())
@@ -215,8 +225,7 @@ def _cmd_solve(config, command):
     report = solution_report(solution, method, config.orientation, config.bound_mode)
     _write_json(report, config.output)
     if config.csv_dir is not None:
-        out = Path(config.csv_dir)
-        out.mkdir(parents=True, exist_ok=True)
+        out = _csv_dir(config.csv_dir)
         _write_csv(_weights_csv(report), out / "weights.csv")
         if "utilities" in report:
             _write_csv(_utilities_csv(report), out / "utilities.csv")
@@ -280,12 +289,12 @@ def _cmd_metrics(config):
         solution = report_to_solution(report)
     except KeyError as exc:
         raise ValidationError(str(config.input), f"solution report lacks key {exc.args[0]!r}")
+    except (TypeError, AttributeError, ValueError) as exc:
+        raise ValidationError(str(config.input), f"malformed solution report ({exc})")
     cons = consensus_report(solution)
     out = {"kind": "consensus", **cons.to_dict(solution.problem)}
     _write_json(out, config.output)
     if config.csv_dir is not None:
-        outdir = Path(config.csv_dir)
-        outdir.mkdir(parents=True, exist_ok=True)
         rows = [("section", "id", "psd", "kendall", "lcl", "label")]
         for j, aid in enumerate(solution.problem.attribute_ids):
             rows.append(("attributes", aid, _fmt(cons.psd_attributes[j]),
@@ -293,7 +302,7 @@ def _cmd_metrics(config):
                          _fmt(cons.lcl_alternatives[j]), cons.label_alternatives[j]))
         for k, mid in enumerate(solution.problem.alternative_ids):
             rows.append(("alternatives", mid, _fmt(cons.psd_alternatives[k]), "", "", ""))
-        _write_csv(rows, outdir / "metrics.csv")
+        _write_csv(rows, _csv_dir(config.csv_dir) / "metrics.csv")
     return 0
 
 

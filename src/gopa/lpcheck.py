@@ -1,4 +1,4 @@
-"""Small dense-tableau simplex solver and LP builders used for verification.
+"""Two-phase dense-tableau simplex (Bland's rule) and LP builders for verification.
 
 The production path computes weights in closed form; this module rebuilds the
 same programs as explicit LPs so the closed forms can be cross-checked, and it
@@ -13,7 +13,8 @@ from .exceptions import DimensionError, InfeasibleStage2, NumericFailure
 from .model import pack_utilities
 from .solver import harmonic_coefficients
 
-PIVOT_TOL = 1e-9
+TOL = 1e-9              # pivot and reduced-cost tolerance
+INFEASIBLE_TOL = 1e-7   # largest phase-I artificial sum of a feasible program
 
 
 @dataclass(frozen=True)
@@ -54,124 +55,71 @@ class LPResult:
     x: np.ndarray = None
 
 
-def solve_lp(lp, tol=PIVOT_TOL, max_iter=None):
-    """Solve an LP with the Big-M dense-tableau simplex under Bland's rule.
+def solve_lp(lp):
+    """Solve an LP with a two-phase dense-tableau simplex under Bland's rule.
 
-    Bland's pivoting (lowest eligible index) makes the run deterministic and
-    cycle-free.  The returned vertex is refined against the original data by
-    re-solving the final basis, so Big-M rounding does not leak into results.
-
-    Returns
-    -------
-    LPResult
+    Every row of ``[A | slacks | b]`` (free variables split in two, rows with
+    ``b < 0`` negated) gets one artificial.  Phase I maximizes minus their sum;
+    a sum left above `INFEASIBLE_TOL` means the program is infeasible.  An
+    artificial still basic at zero is pivoted onto a structural column, or its
+    row is dropped as redundant, and phase II maximizes the objective.  The
+    lowest eligible column enters and ratio ties leave by lowest basis index,
+    so runs are deterministic and cannot cycle.
     """
-    c0 = lp.objective
-    a0 = lp.lhs
-    b0 = lp.rhs
-    m = b0.size
-    free = np.zeros(c0.size, dtype=bool) if lp.free is None else np.asarray(lp.free, dtype=bool)
+    c = lp.objective
+    m = lp.rhs.size
+    split = np.flatnonzero(np.zeros(c.size, dtype=bool) if lp.free is None else lp.free)
+    senses = np.asarray(lp.senses)
+    slacks = np.diag(1.0 * (senses == "<=") - (senses == ">="))[:, senses != "="]
+    rows = np.hstack([lp.lhs, -lp.lhs[:, split], slacks, lp.rhs[:, None]])
+    rows[lp.rhs < 0] *= -1.0
+    n = rows.shape[1] - 1
+    tab = np.hstack([rows[:, :n], np.eye(m), rows[:, n:]])
+    basis = np.arange(n, n + m)
 
-    # split free variables into positive/negative parts
-    split = np.flatnonzero(free)
-    c = np.concatenate([c0, -c0[split]])
-    a = np.hstack([a0, -a0[:, split]])
-    n = c.size
-
-    senses = list(lp.senses)
-    b = b0.copy()
-    a = a.copy()
-    for i in range(m):
-        if b[i] < 0:
-            a[i] *= -1.0
-            b[i] = -b[i]
-            senses[i] = {"<=": ">=", ">=": "<=", "=": "="}[senses[i]]
-
-    # slack / surplus / artificial columns
-    cols = [a]
-    basis = [-1] * m
-    extra = 0
-    for i, sense in enumerate(senses):
-        if sense == "<=":
-            col = np.zeros((m, 1))
-            col[i, 0] = 1.0
-            cols.append(col)
-            basis[i] = n + extra
-            extra += 1
-        elif sense == ">=":
-            col = np.zeros((m, 1))
-            col[i, 0] = -1.0
-            cols.append(col)
-            extra += 1
-    art_start = n + extra
-    for i, sense in enumerate(senses):
-        if basis[i] == -1:  # '=' rows and '>=' rows need an artificial
-            col = np.zeros((m, 1))
-            col[i, 0] = 1.0
-            cols.append(col)
-            basis[i] = n + extra
-            extra += 1
-    tab_a = np.hstack(cols)
-    total = n + extra
-
-    big_m = 1e6 * max(1.0, np.abs(c).max(initial=0.0), np.abs(b).max(initial=0.0),
-                      np.abs(a).max(initial=0.0))
-    c_ext = np.zeros(total)
-    c_ext[:n] = c
-    c_ext[art_start:] = -big_m
-
-    tab = np.hstack([tab_a, b[:, None]])
-    if max_iter is None:
-        max_iter = 200 * (m + total) + 5000
-
-    for _ in range(max_iter):
-        cb = c_ext[basis]
-        reduced = cb @ tab[:, :total] - c_ext
-        entering = -1
-        for j in range(total):
-            if reduced[j] < -tol:
-                entering = j
-                break
-        if entering < 0:
-            break
-        ratios = np.full(m, np.inf)
-        col = tab[:, entering]
-        positive = col > tol
-        ratios[positive] = tab[positive, total] / col[positive]
-        best = ratios.min()
-        if not np.isfinite(best):
-            return LPResult(status="unbounded")
-        leaving = -1
-        for i in range(m):  # Bland: lowest basis-variable index among ties
-            if positive[i] and ratios[i] <= best + tol:
-                if leaving < 0 or basis[i] < basis[leaving]:
-                    leaving = i
-        pivot = tab[leaving, entering]
-        tab[leaving] /= pivot
-        for i in range(m):
-            if i != leaving and abs(tab[i, entering]) > 0:
-                tab[i] -= tab[i, entering] * tab[leaving]
-        basis[leaving] = entering
-    else:
-        raise NumericFailure("simplex iteration budget exhausted")
-
-    x_tab = np.zeros(total)
-    x_tab[basis] = tab[:, total]
-    if any(bi >= art_start and x_tab[bi] > 1e-7 for bi in basis):
+    _simplex(tab, basis, np.repeat([0.0, -1.0], [n, m]))
+    if tab[basis >= n, -1].sum() > INFEASIBLE_TOL:
         return LPResult(status="infeasible")
+    for row in np.flatnonzero(basis >= n):
+        col = np.argmax(np.abs(tab[row, :n]))
+        if abs(tab[row, col]) > TOL:
+            _pivot(tab, basis, row, col)
+    keep = basis < n    # an artificial with no structural entry left marks a redundant row
+    tab = np.hstack([tab[keep, :n], tab[keep, -1:]])
+    basis = basis[keep]
 
-    # refine the vertex on the original data to strip Big-M rounding
-    basis_mat = tab_a[:, basis]
-    try:
-        xb = np.linalg.solve(basis_mat, b)
-    except np.linalg.LinAlgError:
-        xb, *_ = np.linalg.lstsq(basis_mat, b, rcond=None)
-    if np.isfinite(xb).all() and np.abs(basis_mat @ xb - b).max() <= 1e-6:
-        x_tab = np.zeros(total)
-        x_tab[basis] = xb
+    if not _simplex(tab, basis, np.concatenate([c, -c[split], np.zeros(slacks.shape[1])])):
+        return LPResult(status="unbounded")
+    values = np.zeros(n)
+    values[basis] = tab[:, -1]
+    x = values[:c.size]
+    x[split] -= values[c.size:c.size + split.size]
+    return LPResult(status="optimal", value=float(c @ x), x=x)
 
-    x = x_tab[:c0.size].copy()
-    x[split] -= x_tab[c0.size:n]
-    return LPResult(status="optimal", value=float(c0 @ x), x=x)
+
+def _simplex(tab, basis, cost):
+    """Pivot ``tab`` (rows ``[A | b]``) to a maximum of ``cost``; False if unbounded."""
+    m = tab.shape[0]
+    for _ in range(50 * (m + cost.size) + 1000):
+        entering = np.flatnonzero(cost[basis] @ tab[:, :-1] - cost < -TOL)
+        if entering.size == 0:
+            return True
+        col = tab[:, entering[0]]
+        positive = np.flatnonzero(col > TOL)
+        if positive.size == 0:
+            return False
+        ratios = tab[positive, -1] / col[positive]
+        ties = positive[ratios <= ratios.min() + TOL]
+        _pivot(tab, basis, ties[np.argmin(basis[ties])], entering[0])
+    raise NumericFailure("simplex iteration budget exhausted")
+
+
+def _pivot(tab, basis, row, col):
+    """Make ``col`` basic in ``row`` by one rank-one elimination."""
+    pivot_row = tab[row] / tab[row, col]
+    tab -= np.outer(tab[:, col], pivot_row)
+    tab[row] = pivot_row
+    basis[row] = col
 
 
 # --- builders for the weight programs ---------------------------------------

@@ -90,12 +90,11 @@ def _run_sizes(starts):
     return np.bincount(ids)[ids].reshape(starts.shape)
 
 
-def kendall_w(ranks, tie_sizes=None):
+def kendall_w(ranks):
     """Kendall coefficient of concordance of a raters-by-items rank matrix.
 
-    Ranks must be midranks when ties are present.  Tie groups default to the
-    repeated values in each row; pass ``tie_sizes`` (one iterable of group
-    sizes per rater) to override.
+    Ranks must be midranks when ties are present; the tie groups are the
+    repeated values in each row.
 
     Returns
     -------
@@ -107,10 +106,7 @@ def kendall_w(ranks, tie_sizes=None):
     n_raters, n_items = r.shape
     sums = r.sum(axis=0)
     s = ((sums - sums.mean()) ** 2).sum()
-    if tie_sizes is None:
-        correction = sum(_tie_terms(r).tolist())
-    else:
-        correction = sum(float(sum(t ** 3 - t for t in groups)) for groups in tie_sizes)
+    correction = sum(_tie_terms(r).tolist())
     denom = n_raters ** 2 * (n_items ** 3 - n_items) - n_raters * correction
     if denom <= 0:
         raise DegenerateError("every rater ties every item; concordance undefined")

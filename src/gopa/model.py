@@ -406,16 +406,16 @@ def validate_context(ctx_doc, problem):
     return PreferenceContext(cells=MappingProxyType(cells))
 
 
-def validate_structures(doc, problem, default_kind="roc"):
+def validate_structures(doc, problem):
     """Validate the ``structures`` section (a default plus per-cell overrides)."""
     if doc is None:
-        return StructureMap(default=UtilityStructure(kind=default_kind))
+        return StructureMap(default=UtilityStructure(kind="roc"))
     if not isinstance(doc, dict):
         raise ValidationError("structures", "expected an object")
     bad = set(doc) - {"default", "cells"}
     if bad:
         raise ValidationError("structures", f"unknown keys {sorted(bad)}")
-    default = UtilityStructure(kind=default_kind)
+    default = UtilityStructure(kind="roc")
     if "default" in doc:
         default = UtilityStructure.from_dict(doc["default"], "structures.default")
     cells = {}

@@ -13,6 +13,8 @@ import numpy as np
 from .exceptions import DecompositionUnsupported, UtilityShapeError
 from .model import pack_utilities
 
+UTILITY_TOL = 1e-8   # slack of the sum, sign and monotonicity checks on utilities
+
 
 @dataclass(frozen=True)
 class WeightSolution:
@@ -101,7 +103,7 @@ def solve_opa(problem):
     return _assemble(problem, harmonic_coefficients(problem))
 
 
-def solve_gopa(problem, utilities, tol=1e-8):
+def solve_gopa(problem, utilities):
     """Closed-form weights for elicited per-cell utilities.
 
     Parameters
@@ -115,14 +117,14 @@ def solve_gopa(problem, utilities, tol=1e-8):
     ------
     UtilityShapeError
         If a cell's utilities are missing, not normalized, or increase with
-        rank beyond ``tol``.
+        rank beyond `UTILITY_TOL`.
     """
     u = pack_utilities(problem, utilities)
     sums = u.sum(axis=2)
     # padding holds 0: it adds nothing to a sum and cannot rise after a cell's last rank
-    for failed, message in ((np.abs(sums - 1.0) > tol, "utilities sum to {:.12g}"),
-                            ((u < -tol).any(axis=2), "utilities must be nonnegative"),
-                            ((np.diff(u, axis=2) > tol).any(axis=2),
+    for failed, message in ((np.abs(sums - 1.0) > UTILITY_TOL, "utilities sum to {:.12g}"),
+                            ((u < -UTILITY_TOL).any(axis=2), "utilities must be nonnegative"),
+                            ((np.diff(u, axis=2) > UTILITY_TOL).any(axis=2),
                              "utilities increase with rank; pass them post-orientation")):
         if failed.any():
             i, j = np.argwhere(failed)[0]

@@ -142,6 +142,25 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith(f"invalid input: {path}: solution report lacks key 'ids'")
 
+    @pytest.mark.parametrize("report", [{"kind": "solution", "ids": []},
+                                        {"kind": "solution", "objective": "abc",
+                                         "ids": {"experts": [], "attributes": [],
+                                                 "alternatives": []},
+                                         "cell_weights": {}}])
+    def test_malformed_solution_report(self, tmp_path, capsys, report):
+        path = write_doc(tmp_path, report)
+        assert main(["metrics", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"invalid input: {path}: malformed solution report (")
+
+    def test_csv_dir_is_a_file(self, tmp_path, clean_doc, capsys):
+        taken = tmp_path / "taken"
+        taken.write_text("")
+        path = write_doc(tmp_path, clean_doc)
+        assert main(["opa", str(path), "-o", str(tmp_path / "r.json"), "--csv", str(taken)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"invalid input: {taken}: cannot write output (File exists)")
+
     def test_numeric_failure_names_cell_and_iterations(self, tmp_path, clean_doc, capsys,
                                                        monkeypatch):
         monkeypatch.setattr(gopa.projection, "_BUDGET", 1)

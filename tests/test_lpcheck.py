@@ -1,6 +1,9 @@
 import numpy as np
 import pytest
+import scipy.optimize
 
+import gopa.lpcheck
+from gopa.cli import _random_document, _random_utilities, main
 from gopa.exceptions import DimensionError, InfeasibleStage2
 from gopa.lpcheck import (
     LinearProgram,
@@ -9,7 +12,7 @@ from gopa.lpcheck import (
     solve_lp,
     verify_efficiency,
 )
-from gopa.model import validate_problem
+from gopa.model import load_document, validate_problem
 from gopa.solver import solve_gopa, solve_opa
 from gopa.structures import surrogate_weights
 
@@ -39,6 +42,16 @@ class TestSimplex:
         res = solve_lp(lp)
         assert res.status == "optimal"
         assert res.value == pytest.approx(2.0, abs=1e-12)
+
+    def test_redundant_equality_row_is_dropped(self):
+        # the second row doubles the first: its artificial stays basic at zero
+        # after phase I with no structural entry left to pivot on
+        lp = LinearProgram(objective=[1.0, 2.0], lhs=[[1.0, 1.0], [2.0, 2.0], [0.0, 1.0]],
+                           rhs=[2.0, 4.0, 1.5], senses=("=", "=", "<="))
+        res = solve_lp(lp)
+        assert res.status == "optimal"
+        assert res.value == pytest.approx(3.5, abs=1e-12)
+        assert res.x == pytest.approx([0.5, 1.5], abs=1e-12)
 
     def test_degenerate_does_not_cycle(self):
         # classic degenerate vertex; Bland's rule must terminate
@@ -142,3 +155,58 @@ class TestEfficiency:
         assert total == pytest.approx(1.0, abs=1e-8)
         for w in (weights[i, j, :p.max_rank[i, j]] for i, j in p.cells()):
             assert (w >= -1e-10).all()
+
+
+def highs(lp):
+    """Status and value of ``lp`` from scipy's HiGHS, the second LP engine."""
+    senses = np.asarray(lp.senses)
+    eq = senses == "="
+    sign = np.where(senses == ">=", -1.0, 1.0)   # a >= row as a <= row
+    free = (False,) * lp.objective.size if lp.free is None else lp.free
+    res = scipy.optimize.linprog(
+        -lp.objective, A_ub=(sign[:, None] * lp.lhs)[~eq], b_ub=(sign * lp.rhs)[~eq],
+        A_eq=lp.lhs[eq], b_eq=lp.rhs[eq],
+        bounds=[(None, None) if f else (0.0, None) for f in free], method="highs")
+    status = {0: "optimal", 2: "infeasible", 3: "unbounded"}[res.status]
+    return status, (-res.fun if status == "optimal" else None)
+
+
+class TestSecondEngine:
+    """`solve_lp` against HiGHS on the programs `verify --random` builds."""
+
+    @pytest.mark.parametrize("seed", [0, 1, 2, 24003])
+    def test_random_verify_programs(self, seed, monkeypatch):
+        efficiency = []
+
+        def record(lp):
+            efficiency.append(lp)
+            return solve_lp(lp)
+
+        monkeypatch.setattr(gopa.lpcheck, "solve_lp", record)
+        rng = np.random.default_rng(seed)
+        for _ in range(20):
+            problem, _, _ = load_document(_random_document(rng))
+            utilities = _random_utilities(problem, rng)
+            z = solve_opa(problem).objective
+            for scale in (1.0, 1.1):
+                try:
+                    verify_efficiency(problem, scale * z)
+                except InfeasibleStage2:
+                    pass
+            programs = [build_opa_lp(problem), build_gopa_lp(problem, utilities)]
+            for lp in programs + efficiency:
+                ours = solve_lp(lp)
+                status, value = highs(lp)
+                assert ours.status == status
+                if status == "optimal":
+                    assert ours.value == pytest.approx(value, abs=1e-9)
+            if not problem.has_internal_gaps:
+                assert solve_lp(efficiency[1]).status == "infeasible"
+                assert highs(efficiency[1])[0] == "infeasible"
+            efficiency.clear()
+
+
+def test_verify_random_seed_24003_passes(tmp_path):
+    # instance 18 (3 x 2 x 6, gap-free) has an infeasible efficiency program at 1.1 z*
+    assert main(["verify", "--random", "20", "--seed", "24003",
+                 "-o", str(tmp_path / "verify.json")]) == 0

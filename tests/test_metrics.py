@@ -137,12 +137,6 @@ class TestKendall:
         expected = 12 * s / (9 * (27 - 3) - 3 * correction)
         assert kendall_w(ranks) == pytest.approx(expected, abs=1e-14)
 
-    def test_explicit_tie_sizes(self):
-        ranks = np.array([[1.5, 1.5, 3.0], [1.0, 2.0, 3.0]])
-        auto = kendall_w(ranks)
-        explicit = kendall_w(ranks, tie_sizes=[[2, 1], [1, 1, 1]])
-        assert auto == pytest.approx(explicit, abs=1e-14)
-
     def test_all_tied_rejected(self):
         with pytest.raises(DegenerateError):
             kendall_w([[1.5, 1.5], [1.5, 1.5]])
