@@ -15,6 +15,8 @@ input that cannot be read (a directory, not UTF-8), an output path that
 cannot be written (a missing directory, a ``--csv`` path that is a file)
 and a solution report given to ``metrics`` that lacks a key or holds a
 malformed field; the message names the path and the key or the fault.
+A bad flag value is exit 2 too: argparse checks every flag, and `main`
+returns its exit code rather than raising ``SystemExit``.
 """
 
 import argparse
@@ -22,7 +24,6 @@ import csv
 import io
 import json
 import sys
-from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
@@ -50,34 +51,6 @@ from .pipeline import (
 from .sensitivity import permutation_stats
 from .solver import solve_gopa, solve_opa
 from .structures import surrogate_weights, target_density
-
-
-@dataclass
-class RunConfig:
-    """Parsed invocation: subcommand plus every flag that shapes a run."""
-
-    command: str
-    input: str = None
-    output: str = None
-    csv_dir: str = None
-    orientation: str = "reversed"
-    bound_mode: str = "equality"
-    tol: float = 1e-8
-    method: str = "gopa"
-    cell: str = None
-    samples: int = None
-    dump_target: bool = False
-    raw: str = None
-    random: int = None
-    seed: int = 0
-
-    def __post_init__(self):
-        if self.orientation not in ("reversed", "literal"):
-            raise ValidationError("orientation", f"unknown value {self.orientation!r}")
-        if self.bound_mode not in ("equality", "inequality"):
-            raise ValidationError("bound-mode", f"unknown value {self.bound_mode!r}")
-        if not self.tol > 0:
-            raise ValidationError("tol", "tolerance must be positive")
 
 
 def _fmt(x):
@@ -216,8 +189,8 @@ def _utilities_csv(report):
     return rows
 
 
-def _cmd_solve(config, command):
-    method = "gopa" if command == "solve" else "opa"
+def _cmd_solve(config):
+    method = "gopa" if config.command == "solve" else "opa"
     doc = _load_json(config.input)
     solution, _, _ = solve_document(doc, method=method,
                                     orientation=config.orientation,
@@ -241,8 +214,6 @@ def _find_cell(problem, label):
 
 
 def _cmd_elicit(config):
-    if config.cell is None:
-        raise ValidationError("--cell", "elicit requires --cell EXPERT_ID,ATTRIBUTE_ID")
     doc = _load_json(config.input)
     problem, context, structures = load_document(doc)
     i, j = _find_cell(problem, config.cell)
@@ -424,20 +395,78 @@ def _cmd_verify(config):
     return 0 if ok else 1
 
 
-def run(config):
-    """Execute one configured run; returns the process exit code."""
+def _flag_type(convert, accept, expected):
+    """An argparse ``type`` that converts a flag's text and refuses what ``accept`` rejects."""
+    def parse(text):
+        try:
+            value = convert(text)
+        except ValueError:
+            value = None
+        if value is None or not accept(value):
+            raise argparse.ArgumentTypeError(f"expected {expected}, got {text!r}")
+        return value
+    return parse
+
+
+_positive_float = _flag_type(float, lambda x: x > 0, "a positive number")
+_nonnegative_int = _flag_type(int, lambda n: n >= 0, "an integer >= 0")
+
+
+def _parser():
+    parser = argparse.ArgumentParser(prog="gopa",
+                                     description="Ordinal weight elicitation pipeline")
+    sub = parser.add_subparsers(dest="command", required=True)
+
+    def command(name, handler, summary, needs_input=True):
+        p = sub.add_parser(name, help=summary)
+        p.set_defaults(handler=handler)
+        if needs_input:
+            p.add_argument("input", help="input document (JSON)")
+        p.add_argument("-o", "--output", default=None, help="output path (default stdout)")
+        p.add_argument("--orientation", default="reversed",
+                       choices=("reversed", "literal"))
+        p.add_argument("--bound-mode", default="equality",
+                       choices=("equality", "inequality"), dest="bound_mode")
+        p.add_argument("--tol", type=_positive_float, default=1e-8)
+        return p
+
+    p = command("solve", _cmd_solve, "full pipeline: elicit utilities, then weights")
+    p.add_argument("--csv", dest="csv_dir", default=None,
+                   help="directory for weights.csv and utilities.csv")
+
+    p = command("opa", _cmd_solve, "weights from rankings alone")
+    p.add_argument("--csv", dest="csv_dir", default=None)
+
+    p = command("elicit", _cmd_elicit, "first-stage utilities of one cell")
+    p.add_argument("--cell", required=True, help="EXPERT_ID,ATTRIBUTE_ID")
+    p.add_argument("--samples", type=_nonnegative_int, default=None,
+                   help="sample the solved density curve at N+1 points")
+    p.add_argument("--dump-target", action="store_true", dest="dump_target",
+                   help="emit the target structure instead of solving")
+
+    p = command("metrics", _cmd_metrics, "consensus report from a solution report")
+    p.add_argument("--csv", dest="csv_dir", default=None)
+
+    p = command("sensitivity", _cmd_sensitivity, "expert-rank permutation statistics (CSV)")
+    p.add_argument("--method", default="gopa", choices=("gopa", "opa"))
+    p.add_argument("--raw", default=None, help="also write per-scenario weights here")
+
+    p = command("verify", _cmd_verify, "closed forms against the LP solver", needs_input=False)
+    p.add_argument("input", nargs="?", default=None)
+    p.add_argument("--random", type=_nonnegative_int, default=None, metavar="N",
+                   help="check N random instances instead of an input file")
+    p.add_argument("--seed", type=_nonnegative_int, default=0)
+    return parser
+
+
+def main(argv=None):
+    """Run one subcommand; returns the process exit code."""
     try:
-        if config.command in ("solve", "opa"):
-            return _cmd_solve(config, config.command)
-        if config.command == "elicit":
-            return _cmd_elicit(config)
-        if config.command == "metrics":
-            return _cmd_metrics(config)
-        if config.command == "sensitivity":
-            return _cmd_sensitivity(config)
-        if config.command == "verify":
-            return _cmd_verify(config)
-        raise ValidationError("command", f"unknown subcommand {config.command!r}")
+        config = _parser().parse_args(argv)
+    except SystemExit as exc:   # a bad flag (2) or --help (0); argparse printed why
+        return exc.code
+    try:
+        return config.handler(config)
     except InfeasibleContext as exc:
         print(f"infeasible preference context: {exc}", file=sys.stderr)
         return 3
@@ -450,66 +479,6 @@ def run(config):
     except GopaError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-
-
-def _parser():
-    parser = argparse.ArgumentParser(prog="gopa",
-                                     description="Ordinal weight elicitation pipeline")
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p, needs_input=True):
-        if needs_input:
-            p.add_argument("input", help="input document (JSON)")
-        p.add_argument("-o", "--output", default=None, help="output path (default stdout)")
-        p.add_argument("--orientation", default="reversed",
-                       choices=("reversed", "literal"))
-        p.add_argument("--bound-mode", default="equality",
-                       choices=("equality", "inequality"), dest="bound_mode")
-        p.add_argument("--tol", type=float, default=1e-8)
-
-    p = sub.add_parser("solve", help="full pipeline: elicit utilities, then weights")
-    common(p)
-    p.add_argument("--csv", dest="csv_dir", default=None,
-                   help="directory for weights.csv and utilities.csv")
-
-    p = sub.add_parser("opa", help="weights from rankings alone")
-    common(p)
-    p.add_argument("--csv", dest="csv_dir", default=None)
-
-    p = sub.add_parser("elicit", help="first-stage utilities of one cell")
-    common(p)
-    p.add_argument("--cell", required=True, help="EXPERT_ID,ATTRIBUTE_ID")
-    p.add_argument("--samples", type=int, default=None,
-                   help="sample the solved density curve at N+1 points")
-    p.add_argument("--dump-target", action="store_true", dest="dump_target",
-                   help="emit the target structure instead of solving")
-
-    p = sub.add_parser("metrics", help="consensus report from a solution report")
-    common(p)
-    p.add_argument("--csv", dest="csv_dir", default=None)
-
-    p = sub.add_parser("sensitivity", help="expert-rank permutation statistics (CSV)")
-    common(p)
-    p.add_argument("--method", default="gopa", choices=("gopa", "opa"))
-    p.add_argument("--raw", default=None, help="also write per-scenario weights here")
-
-    p = sub.add_parser("verify", help="closed forms against the LP solver")
-    common(p, needs_input=False)
-    p.add_argument("input", nargs="?", default=None)
-    p.add_argument("--random", type=int, default=None, metavar="N",
-                   help="check N random instances instead of an input file")
-    p.add_argument("--seed", type=int, default=0)
-    return parser
-
-
-def main(argv=None):
-    args = vars(_parser().parse_args(argv))
-    try:
-        config = RunConfig(**args)
-    except ValidationError as exc:
-        print(f"invalid input: {exc}", file=sys.stderr)
-        return 2
-    return run(config)
 
 
 if __name__ == "__main__":

@@ -44,22 +44,18 @@ class PiecewiseDensity:
 
     ``scales[s]`` multiplies the target density on the open segment between
     ``breakpoints[s]`` and ``breakpoints[s + 1]``; ``masses[s]`` is the
-    utility mass carried by that segment.  ``multipliers`` and ``log_scale``
-    expose the dual solution for diagnostics.
+    utility mass carried by that segment.
     """
 
     target: object
     breakpoints: np.ndarray
     scales: np.ndarray
     masses: np.ndarray
-    multipliers: np.ndarray
-    log_scale: float
 
     def __post_init__(self):
         self.breakpoints.setflags(write=False)
         self.scales.setflags(write=False)
         self.masses.setflags(write=False)
-        self.multipliers.setflags(write=False)
 
     @property
     def size(self):
@@ -147,14 +143,10 @@ def elicit_continuous(target, ctx, size, bound_mode="equality"):
     rows, rhs, is_bound = _cumulative_rows(ctx, pts)
     # bound rows come last, so in inequality mode they are the ">=" rows
     n_eq = rows.shape[0] - (int(is_bound.sum()) if bound_mode == "inequality" else 0)
-    q, y, pinned = project(m, rows, rhs, n_eq, "cumulative constraints admit no density")
+    q, pinned = project(m, rows, rhs, n_eq, "cumulative constraints admit no density")
     if pinned.any():
         raise InfeasibleContext("constraints force zero density on a segment")
-    scales = q / m
-    log_scale = float(-1.0 - np.log(scales[0]) + (rows.T @ y)[0]) if rows.size \
-        else float(-1.0)
-    return PiecewiseDensity(target=target, breakpoints=pts, scales=scales,
-                            masses=q, multipliers=-y, log_scale=log_scale)
+    return PiecewiseDensity(target=target, breakpoints=pts, scales=q / m, masses=q)
 
 
 def risk_preference(density, x):

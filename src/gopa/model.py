@@ -20,7 +20,7 @@ from .exceptions import (
     UtilityShapeError,
     ValidationError,
 )
-from .structures import UtilityStructure
+from .structures import UtilityStructure, finite
 
 
 def _positive_int(value, path):
@@ -214,44 +214,21 @@ def validate_problem(raw):
     I, J, K = len(expert_ids), len(attribute_ids), len(alternative_ids)
 
     s = np.zeros((I, J), dtype=int)
-    attr_doc = raw.get("attribute_ranks")
-    if not isinstance(attr_doc, dict):
-        raise ValidationError("attribute_ranks", "expected an object keyed by expert id")
-    for i, eid in enumerate(expert_ids):
-        row = attr_doc.get(eid)
-        if not isinstance(row, dict):
-            raise ValidationError(f"attribute_ranks.{eid}", "missing expert entry")
-        for j, aid in enumerate(attribute_ids):
-            if aid not in row:
-                raise ValidationError(f"attribute_ranks.{eid}.{aid}", "missing attribute rank")
-            s[i, j] = _positive_int(row[aid], f"attribute_ranks.{eid}.{aid}")
-        extra = set(row) - set(attribute_ids)
-        if extra:
-            raise ValidationError(f"attribute_ranks.{eid}", f"unknown attribute ids {sorted(extra)}")
+    for i, j, path, value in _cells(raw.get("attribute_ranks"), "attribute_ranks",
+                                    expert_ids, attribute_ids, "missing attribute rank"):
+        s[i, j] = _positive_int(value, path)
 
-    alt_doc = raw.get("alternative_ranks")
-    if not isinstance(alt_doc, dict):
-        raise ValidationError("alternative_ranks", "expected an object keyed by expert id")
     known = set(alternative_ids)
     entries = []   # raw rank entries, cell by cell in expert-then-attribute order
     try:
-        for eid in expert_ids:
-            erow = alt_doc.get(eid)
-            if not isinstance(erow, dict):
-                raise ValidationError(f"alternative_ranks.{eid}", "missing expert entry")
-            extra = set(erow) - set(attribute_ids)
-            if extra:
-                raise ValidationError(f"alternative_ranks.{eid}",
-                                      f"unknown attribute ids {sorted(extra)}")
-            for aid in attribute_ids:
-                cell = erow.get(aid)
-                if not isinstance(cell, dict):
-                    raise ValidationError(f"alternative_ranks.{eid}.{aid}", "missing cell entry")
-                extra = set(cell) - known
-                if extra:
-                    raise ValidationError(f"alternative_ranks.{eid}.{aid}",
-                                          f"unknown alternative ids {sorted(extra)}")
-                entries += map(cell.get, alternative_ids)
+        for _, _, path, cell in _cells(raw.get("alternative_ranks"), "alternative_ranks",
+                                       expert_ids, attribute_ids, "missing cell entry"):
+            if not isinstance(cell, dict):
+                raise ValidationError(path, "missing cell entry")
+            if not known.issuperset(cell):
+                raise ValidationError(path,
+                                      f"unknown alternative ids {sorted(cell.keys() - known)}")
+            entries += map(cell.get, alternative_ids)
     except ValidationError:
         # a bad rank in an earlier cell is reported first
         _rank_entries(entries, expert_ids, attribute_ids, alternative_ids)
@@ -324,6 +301,45 @@ def _id_list(doc, path):
     return ids
 
 
+def _cells(doc, path, expert_ids, attribute_ids, missing=None):
+    """Walk an ``expert id -> attribute id -> entry`` section of the document.
+
+    The section and each of its rows must be objects keyed by known ids.
+    Yields ``(i, j, path, entry)`` for every cell a row holds, expert by expert
+    in attribute order.  Without ``missing`` the section and its rows are
+    optional (absent or ``null`` means empty); with it every expert needs a
+    row, and an absent cell raises `ValidationError` with that message.
+    """
+    if doc is None and missing is None:
+        return
+    if not isinstance(doc, dict):
+        raise ValidationError(path, "expected an object keyed by expert id")
+    unknown = sorted(doc.keys() - set(expert_ids))
+    # a required section reports a missing row first: renaming an expert in
+    # `experts` leaves one row missing and one unknown
+    if unknown and missing is None:
+        raise ValidationError(path, f"unknown expert ids {unknown}")
+    attributes = set(attribute_ids)
+    for i, eid in enumerate(expert_ids):
+        row = doc.get(eid)
+        if row is None:
+            if missing is None:
+                continue
+            raise ValidationError(f"{path}.{eid}", "missing expert entry")
+        if not isinstance(row, dict):
+            raise ValidationError(f"{path}.{eid}", "expected an object keyed by attribute id")
+        if not attributes.issuperset(row):
+            raise ValidationError(f"{path}.{eid}",
+                                  f"unknown attribute ids {sorted(row.keys() - attributes)}")
+        for j, aid in enumerate(attribute_ids):
+            if aid in row:
+                yield i, j, f"{path}.{eid}.{aid}", row[aid]
+            elif missing is not None:
+                raise ValidationError(f"{path}.{eid}.{aid}", missing)
+    if unknown:
+        raise ValidationError(path, f"unknown expert ids {unknown}")
+
+
 def _constraint_list(doc, path, coeff_key, kij, allow_wildcard=False):
     """Parse one constraint list, returning sorted (rank, coefficient) pairs."""
     if doc is None:
@@ -336,14 +352,14 @@ def _constraint_list(doc, path, coeff_key, kij, allow_wildcard=False):
         ipath = f"{path}[{n}]"
         if not isinstance(item, dict) or "rank" not in item or coeff_key not in item:
             raise ValidationError(ipath, f"expected an object with 'rank' and {coeff_key!r}")
-        coeff = item[coeff_key]
+        coeff, cpath = item[coeff_key], f"{ipath}.{coeff_key}"
         if not isinstance(coeff, (int, float)) or isinstance(coeff, bool):
-            raise ValidationError(f"{ipath}.{coeff_key}", "coefficient must be a number")
-        coeff = float(coeff)
+            raise ValidationError(cpath, "coefficient must be a number")
         if coeff_key == "alpha" and not coeff > 0:
-            raise SignError(f"{ipath}.alpha", "ratio coefficient must be > 0")
+            raise SignError(cpath, "ratio coefficient must be > 0")
         if coeff_key in ("beta", "gamma") and coeff < 0:
-            raise SignError(f"{ipath}.{coeff_key}", "coefficient must be >= 0")
+            raise SignError(cpath, "coefficient must be >= 0")
+        coeff = finite(coeff, cpath)
         rank = item["rank"]
         if allow_wildcard and rank == "*":
             ranks = range(1, kij + 1)
@@ -367,42 +383,25 @@ def validate_context(ctx_doc, problem):
     Missing entries mean the unbiased (empty) context for that cell.
     A lower bound may use ``"rank": "*"`` to apply to every rank of the cell.
     """
-    if ctx_doc is None:
-        return PreferenceContext()
-    if not isinstance(ctx_doc, dict):
-        raise ValidationError("contexts", "expected an object keyed by expert id")
-    extra = set(ctx_doc) - set(problem.expert_ids)
-    if extra:
-        raise ValidationError("contexts", f"unknown expert ids {sorted(extra)}")
     cells = {}
-    for i, eid in enumerate(problem.expert_ids):
-        erow = ctx_doc.get(eid)
-        if erow is None:
+    for i, j, path, cdoc in _cells(ctx_doc, "contexts", problem.expert_ids,
+                                   problem.attribute_ids):
+        if cdoc is None:
             continue
-        if not isinstance(erow, dict):
-            raise ValidationError(f"contexts.{eid}", "expected an object keyed by attribute id")
-        bad = set(erow) - set(problem.attribute_ids)
+        if not isinstance(cdoc, dict):
+            raise ValidationError(path, "expected an object")
+        bad = set(cdoc) - set(EMPTY_CELL_CONTEXT_FIELDS)
         if bad:
-            raise ValidationError(f"contexts.{eid}", f"unknown attribute ids {sorted(bad)}")
-        for j, aid in enumerate(problem.attribute_ids):
-            cdoc = erow.get(aid)
-            if cdoc is None:
-                continue
-            path = f"contexts.{eid}.{aid}"
-            if not isinstance(cdoc, dict):
-                raise ValidationError(path, "expected an object")
-            bad = set(cdoc) - set(EMPTY_CELL_CONTEXT_FIELDS)
-            if bad:
-                raise ValidationError(path, f"unknown constraint kinds {sorted(bad)}")
-            kij = int(problem.max_rank[i, j])
-            cell = CellContext(
-                ratio=_constraint_list(cdoc.get("ratio"), f"{path}.ratio", "alpha", kij),
-                absdiff=_constraint_list(cdoc.get("absdiff"), f"{path}.absdiff", "beta", kij),
-                lowerbound=_constraint_list(cdoc.get("lowerbound"), f"{path}.lowerbound",
-                                            "gamma", kij, allow_wildcard=True),
-            )
-            if not cell.is_empty:
-                cells[(i, j)] = cell
+            raise ValidationError(path, f"unknown constraint kinds {sorted(bad)}")
+        kij = int(problem.max_rank[i, j])
+        cell = CellContext(
+            ratio=_constraint_list(cdoc.get("ratio"), f"{path}.ratio", "alpha", kij),
+            absdiff=_constraint_list(cdoc.get("absdiff"), f"{path}.absdiff", "beta", kij),
+            lowerbound=_constraint_list(cdoc.get("lowerbound"), f"{path}.lowerbound",
+                                        "gamma", kij, allow_wildcard=True),
+        )
+        if not cell.is_empty:
+            cells[(i, j)] = cell
     return PreferenceContext(cells=MappingProxyType(cells))
 
 
@@ -418,26 +417,9 @@ def validate_structures(doc, problem):
     default = UtilityStructure(kind="roc")
     if "default" in doc:
         default = UtilityStructure.from_dict(doc["default"], "structures.default")
-    cells = {}
-    cell_doc = doc.get("cells")
-    if cell_doc is not None:
-        if not isinstance(cell_doc, dict):
-            raise ValidationError("structures.cells", "expected an object keyed by expert id")
-        bad = set(cell_doc) - set(problem.expert_ids)
-        if bad:
-            raise ValidationError("structures.cells", f"unknown expert ids {sorted(bad)}")
-        for i, eid in enumerate(problem.expert_ids):
-            erow = cell_doc.get(eid)
-            if erow is None:
-                continue
-            bad = set(erow) - set(problem.attribute_ids)
-            if bad:
-                raise ValidationError(f"structures.cells.{eid}",
-                                      f"unknown attribute ids {sorted(bad)}")
-            for j, aid in enumerate(problem.attribute_ids):
-                if aid in erow:
-                    cells[(i, j)] = UtilityStructure.from_dict(
-                        erow[aid], f"structures.cells.{eid}.{aid}")
+    cells = {(i, j): UtilityStructure.from_dict(entry, path)
+             for i, j, path, entry in _cells(doc.get("cells"), "structures.cells",
+                                             problem.expert_ids, problem.attribute_ids)}
     return StructureMap(default=default, cells=MappingProxyType(cells))
 
 

@@ -140,6 +140,8 @@ def report_to_solution(report):
     weights = np.array([[[cells[eid][aid].get(mid, 0.0) for mid in shim.alternative_ids]
                          for aid in shim.attribute_ids]
                         for eid in shim.expert_ids], dtype=float)
+    if not np.isfinite(weights).all():
+        raise ValueError("cell weights must be finite numbers")
     return WeightSolution(
         problem=shim,
         objective=float(report["objective"]),

@@ -127,14 +127,14 @@ def project(base, rows, rhs, n_eq, empty_message):
 
     `positive_support` runs only when the projection fails or ends with a
     coordinate at most `NEAR_ZERO`, at most once per round, and each further
-    round pins at least one more coordinate.  Returns ``(x, y, pinned)``;
+    round pins at least one more coordinate.  Returns ``(x, pinned)``;
     raises `InfeasibleContext` with ``empty_message`` for an empty polytope.
     """
     keep = np.ones(base.size, dtype=bool)
     while True:
         failure = None
         try:
-            x, y = kl_project(base[keep], rows[:, keep], rhs, n_eq)
+            x, _ = kl_project(base[keep], rows[:, keep], rhs, n_eq)
             if x.min() > NEAR_ZERO:
                 break
         except NumericFailure as exc:
@@ -149,4 +149,4 @@ def project(base, rows, rhs, n_eq, empty_message):
         keep[np.flatnonzero(keep)[~support]] = False
     full = np.zeros(base.size)
     full[keep] = x
-    return full, y, ~keep
+    return full, ~keep

@@ -7,6 +7,7 @@ with closed-form segment integrals.
 
 from dataclasses import dataclass
 import math
+import sys
 
 import numpy as np
 
@@ -14,6 +15,8 @@ from .exceptions import DomainError, ValidationError
 
 DISCRETE_KINDS = ("rs", "ref", "rr", "sr", "roc", "uniform")
 CONTINUOUS_KINDS = ("neutral", "hara", "crra", "cara", "sshape")
+PARAMETERS = ("exponent", "alpha", "beta", "gamma", "a", "steepness")
+_FLOAT_MAX = sys.float_info.max
 
 DEFAULT_REF_EXPONENT = 1.17
 DEFAULT_SSHAPE_STEEPNESS = 1.0
@@ -79,11 +82,26 @@ class UtilityStructure:
     def from_dict(cls, doc, path="structures"):
         if not isinstance(doc, dict) or "kind" not in doc:
             raise ValidationError(path, "structure must be an object with a 'kind' key")
-        known = {"kind", "exponent", "alpha", "beta", "gamma", "a", "steepness"}
-        extra = set(doc) - known
+        extra = set(doc) - {"kind", *PARAMETERS}
         if extra:
             raise ValidationError(path, f"unknown structure keys {sorted(extra)}")
-        return cls(**doc)
+        for name, value in doc.items():   # the checks of __post_init__ compare numbers
+            if name != "kind" and not isinstance(value, (int, float)):
+                raise ValidationError(f"{path}.{name}", "expected a finite number")
+        structure = cls(**doc)
+        for name, value in doc.items():   # a bool, NaN or an infinity those checks let through
+            if name != "kind":
+                finite(value, f"{path}.{name}")
+        return structure
+
+
+def finite(value, path):
+    """``value`` as a float; raises `ValidationError` at ``path`` unless it is a
+    finite int or float (a bool is not, nor is an int beyond the float range)."""
+    if (isinstance(value, bool) or not isinstance(value, (int, float))
+            or not -_FLOAT_MAX <= value <= _FLOAT_MAX):
+        raise ValidationError(path, "expected a finite number")
+    return float(value)
 
 
 def surrogate_weights(kind, size, exponent=DEFAULT_REF_EXPONENT):

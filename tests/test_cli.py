@@ -283,3 +283,63 @@ def test_console_script_runs():
                             env={**os.environ, "PYTHONPATH": path})
     assert result.returncode == 0
     assert '"pass": true' in result.stdout
+
+
+class TestInputBoundary:
+    """Bad flags and bad documents end in exit 2 inside `main`."""
+
+    @pytest.mark.parametrize("argv", [
+        ["verify", "--random", "-3"],
+        ["verify", "--random", "2", "--seed", "-1"],
+        ["verify", "--random", "2", "--tol", "nan"],
+        ["verify", "--random", "x"],
+    ])
+    def test_bad_count_or_tolerance(self, argv, capsys):
+        assert main(argv) == 2
+        assert "error: argument" in capsys.readouterr().err
+
+    def test_negative_samples_on_continuous_cell(self, tmp_path, clean_doc):
+        path = write_doc(tmp_path, clean_doc)
+        assert main(["elicit", str(path), "--cell", "E2,C2", "--samples", "-3"]) == 2
+        assert main(["elicit", str(path), "--cell", "E2,C2", "--dump-target",
+                     "--samples", "-3"]) == 2
+
+    def test_bad_choice_returns_instead_of_raising(self, tmp_path, clean_doc):
+        path = write_doc(tmp_path, clean_doc)
+        assert main(["solve", str(path), "--orientation", "sideways"]) == 2
+
+    def test_help_returns_zero(self, capsys):
+        assert main(["--help"]) == 0
+        assert "usage: gopa" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("edit, where", [
+        (lambda d: d["attribute_ranks"].update(E9=d["attribute_ranks"]["E1"]),
+         "attribute_ranks: unknown expert ids"),
+        (lambda d: d["alternative_ranks"].update(E9=d["alternative_ranks"]["E1"]),
+         "alternative_ranks: unknown expert ids"),
+        (lambda d: d["structures"]["cells"].update(E2=[]), "structures.cells.E2: expected"),
+        (lambda d: d["structures"]["cells"]["E3"]["C1"].update(a="0.5"),
+         "structures.cells.E3.C1.a: expected a finite number"),
+        (lambda d: d["structures"]["cells"]["E2"]["C2"].update(beta=float("nan")),
+         "structures.cells.E2.C2.beta: expected a finite number"),
+        (lambda d: d["contexts"]["E1"]["C1"]["ratio"][0].update(alpha=float("inf")),
+         "contexts.E1.C1.ratio[0].alpha: expected a finite number"),
+    ], ids=["attribute_row", "alternative_row", "structure_row", "structure_text",
+            "structure_nan", "context_inf"])
+    def test_document_faults(self, tmp_path, clean_doc, capsys, edit, where):
+        edit(clean_doc)
+        path = write_doc(tmp_path, clean_doc)
+        assert main(["opa", str(path), "-o", str(tmp_path / "r.json")]) == 2
+        assert capsys.readouterr().err.startswith(f"invalid input: {where}")
+
+    @pytest.mark.parametrize("weight", [None, float("nan"), float("inf")])
+    def test_non_finite_cell_weight(self, tmp_path, clean_doc, capsys, weight):
+        report = tmp_path / "report.json"
+        assert main(["opa", str(write_doc(tmp_path, clean_doc)), "-o", str(report)]) == 0
+        doc = json.loads(report.read_text())
+        doc["cell_weights"]["E1"]["C1"]["A1"] = weight
+        report.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert main(["metrics", str(report), "-o", str(tmp_path / "m.json")]) == 2
+        assert capsys.readouterr().err == (f"invalid input: {report}: malformed solution "
+                                           "report (cell weights must be finite numbers)\n")

@@ -277,3 +277,83 @@ class TestRoundTrip:
         assert ctx2.cell(0, 0) == ctx.cell(0, 0)
         assert structures2.cell(1, 1) == structures.cell(1, 1)
         assert problem_to_dict(problem2, ctx2, structures2) == doc2
+
+
+class TestSectionWalk:
+    """One walk checks every ``expert id -> attribute id -> entry`` section."""
+
+    @pytest.mark.parametrize("section", ["attribute_ranks", "alternative_ranks"])
+    def test_unknown_expert_row_rejected(self, section):
+        doc = grid_doc()
+        doc[section]["E9"] = doc[section]["E1"]
+        with pytest.raises(ValidationError) as info:
+            validate_problem(doc)
+        assert str(info.value) == f"{section}: unknown expert ids ['E9']"
+
+    def test_renamed_expert_reports_its_missing_row(self):
+        doc = grid_doc()
+        doc["experts"][0]["id"] = "E7"
+        with pytest.raises(ValidationError) as info:
+            validate_problem(doc)
+        assert str(info.value) == "attribute_ranks.E7: missing expert entry"
+
+    @pytest.mark.parametrize("section", ["attribute_ranks", "alternative_ranks"])
+    def test_non_object_expert_row_rejected(self, section):
+        doc = grid_doc()
+        doc[section]["E2"] = ["C1", "C2"]
+        with pytest.raises(ValidationError) as info:
+            validate_problem(doc)
+        assert info.value.path == f"{section}.E2"
+
+    @pytest.mark.parametrize("row", [[], ["C1"], "C1", 5], ids=["empty", "list", "text", "number"])
+    def test_non_object_structure_row_rejected(self, row):
+        p = validate_problem(grid_doc())
+        with pytest.raises(ValidationError) as info:
+            validate_structures({"cells": {"E1": row}}, p)
+        assert str(info.value) == "structures.cells.E1: expected an object keyed by attribute id"
+
+    def test_absent_rows_and_cells_are_optional(self):
+        p = validate_problem(grid_doc())
+        sm = validate_structures({"cells": {"E1": None, "E2": {"C2": {"kind": "rr"}}}}, p)
+        assert dict(sm.cells) == {(1, 1): sm.cell(1, 1)} and sm.cell(1, 1).kind == "rr"
+        ctx = validate_context({"E1": None, "E2": {"C1": None}}, p)
+        assert ctx.is_empty
+
+    def test_null_structure_override_rejected(self):
+        p = validate_problem(grid_doc())
+        with pytest.raises(ValidationError) as info:
+            validate_structures({"cells": {"E2": {"C1": None}}}, p)
+        assert info.value.path == "structures.cells.E2.C1"
+
+    @pytest.mark.parametrize("value", ["1", None, True, [], float("nan"), float("inf"),
+                                       2 ** 1100],
+                             ids=["text", "null", "bool", "list", "nan", "inf", "huge"])
+    def test_structure_parameter_must_be_finite(self, value):
+        p = validate_problem(grid_doc())
+        override = {"kind": "hara", "alpha": 2.0, "beta": value, "gamma": 1.5}
+        with pytest.raises(ValidationError) as info:
+            validate_structures({"cells": {"E1": {"C2": override}}}, p)
+        assert str(info.value) == "structures.cells.E1.C2.beta: expected a finite number"
+
+    def test_parameter_checks_of_a_kind_come_first(self):
+        p = validate_problem(grid_doc())
+        with pytest.raises(ValidationError) as info:
+            validate_structures({"default": {"kind": "crra", "gamma": float("nan")}}, p)
+        assert str(info.value) == "structures.gamma: crra gamma must lie in (0, 1)"
+
+    # a NaN ratio fails its sign check first (below)
+    @pytest.mark.parametrize("kind, key, value", [
+        pytest.param(kind, key, value, id=f"{kind}-{name}")
+        for kind, key in [("ratio", "alpha"), ("absdiff", "beta"), ("lowerbound", "gamma")]
+        for name, value in [("nan", float("nan")), ("inf", float("inf")), ("huge", 2 ** 1100)]
+        if (kind, name) != ("ratio", "nan")])
+    def test_context_coefficient_must_be_finite(self, kind, key, value):
+        p = validate_problem(grid_doc())
+        with pytest.raises(ValidationError) as info:
+            validate_context({"E2": {"C1": {kind: [{"rank": 1, key: value}]}}}, p)
+        assert str(info.value) == f"contexts.E2.C1.{kind}[0].{key}: expected a finite number"
+
+    def test_nan_ratio_keeps_its_sign_error(self):
+        p = validate_problem(grid_doc())
+        with pytest.raises(SignError):
+            validate_context({"E1": {"C1": {"ratio": [{"rank": 1, "alpha": float("nan")}]}}}, p)
