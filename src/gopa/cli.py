@@ -24,6 +24,7 @@ import csv
 import io
 import json
 import sys
+from functools import cache
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
@@ -412,6 +413,7 @@ _positive_float = _flag_type(float, lambda x: x > 0, "a positive number")
 _nonnegative_int = _flag_type(int, lambda n: n >= 0, "an integer >= 0")
 
 
+@cache   # built once per process: parse_args leaves the parser unchanged
 def _parser():
     parser = argparse.ArgumentParser(prog="gopa",
                                      description="Ordinal weight elicitation pipeline")

@@ -5,9 +5,9 @@ subject to constraints on its cumulative distribution.  Because every
 constraint acts through the CDF at integer ranks, the optimum rescales the
 target by a constant factor on each segment between breakpoints, so the
 problem reduces to the KL projection of `gopa.projection` with the target's
-segment masses ``m`` as base.  Newton steps on the dual multipliers, one per
-constraint, give the masses ``m * exp(rows.T @ y) / Z``; in inequality mode a
-working set decides which floors bind.  A linear program runs only when that
+segment masses ``m`` as base.  Projected Newton steps on the dual multipliers, one
+per constraint, give the masses ``m * exp(rows.T @ y) / Z``, with the floor
+multipliers of inequality mode kept nonnegative.  A linear program runs only when that
 iteration fails or leaves a segment mass near zero, to tell an infeasible
 context, or one that empties a segment, from a numeric failure.
 

@@ -4,9 +4,9 @@ Finds the per-rank utility vector closest in KL divergence to a surrogate
 target subject to the cell's preference constraints (ratios and differences
 between consecutive ranks, per-rank lower bounds, rank dominance, and
 normalization): the KL projection of `gopa.projection` with the surrogate as
-base.  Newton steps on the dual multipliers, one per constraint, give
-``u = v * exp(rows.T @ y) / Z``; a working set decides which lower-bound and
-rank-order rows bind.  A linear program runs only when that iteration fails or
+base.  Projected Newton steps on the dual multipliers, one per constraint, give
+``u = v * exp(rows.T @ y) / Z`` with the lower-bound and rank-order multipliers
+kept nonnegative.  A linear program runs only when that iteration fails or
 leaves a utility near zero, to tell an infeasible context from ranks forced to
 zero utility, which are pinned there before the projection runs again.
 """

@@ -23,11 +23,13 @@ from .exceptions import (
 from .structures import UtilityStructure, finite
 
 
-def _positive_int(value, path):
+def _positive_int(value, path, top=2 ** 63 - 1, bound="the int64 range"):
     if isinstance(value, bool) or not isinstance(value, int):
         raise ValidationError(path, f"expected a positive integer, got {value!r}")
     if value < 1:
         raise ValidationError(path, f"rank must be >= 1, got {value}")
+    if value > top:
+        raise ValidationError(path, f"rank {value} exceeds {bound}")
     return value
 
 
@@ -285,10 +287,7 @@ def _rank_entries(entries, expert_ids, attribute_ids, alternative_ids):
     for n, ((eid, aid, mid), value) in enumerate(zip(names, entries)):
         if value is not None:
             path = f"alternative_ranks.{eid}.{aid}.{mid}"
-            rank = _positive_int(value, path)
-            if rank > K:
-                raise ValidationError(path, f"rank {rank} exceeds the {K} alternatives")
-            r[n] = rank
+            r[n] = _positive_int(value, path, K, f"the {K} alternatives")
     return r
 
 

@@ -137,10 +137,11 @@ def report_to_solution(report):
     ids = report["ids"]
     shim = _Ids(tuple(ids["experts"]), tuple(ids["attributes"]), tuple(ids["alternatives"]))
     cells = report["cell_weights"]
-    weights = np.array([[[cells[eid][aid].get(mid, 0.0) for mid in shim.alternative_ids]
-                         for aid in shim.attribute_ids]
-                        for eid in shim.expert_ids], dtype=float)
-    if not np.isfinite(weights).all():
+    values = [cells[eid][aid].get(mid, 0.0) for eid in shim.expert_ids
+              for aid in shim.attribute_ids for mid in shim.alternative_ids]
+    weights = np.array(values, dtype=float).reshape(len(shim.expert_ids), len(shim.attribute_ids), -1)
+    # by type too: np.array(..., dtype=float) reads a text "0.5" or true as a number
+    if not set(map(type, values)) <= {int, float} or not np.isfinite(weights).all():
         raise ValueError("cell weights must be finite numbers")
     return WeightSolution(
         problem=shim,

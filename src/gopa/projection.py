@@ -1,12 +1,11 @@
 """KL projection onto a polytope of distributions, the core of both stage-1 cells.
 
 The polytope is ``{x >= 0 : sum(x) = 1, rows[:n_eq] @ x = rhs[:n_eq],
-rows[n_eq:] @ x >= rhs[n_eq:]}`` and the projection minimizes
-``sum(x log(x / base))`` over it (Csiszar 1975).  `kl_project` solves the dual:
-``x = base * exp(rows.T @ y) / Z`` keeps x positive and normalized, and the
-multipliers ``y`` minimize the convex ``log Z(y) - y @ rhs``, whose gradient is
-the row residual and whose Hessian is the covariance of the rows under x.
-`project` adds the only linear program of stage 1, run when the dual fails.
+rows[n_eq:] @ x >= rhs[n_eq:]}``; the projection minimizes ``sum(x log(x / base))`` over
+it (Csiszar 1975).  `kl_project` solves the dual: ``x = base * exp(rows.T @ y) / Z``, and
+the multipliers minimize the convex ``log Z(y) - y @ rhs`` over ``y[n_eq:] >= 0``, with
+the row residual as gradient and the rows' covariance under x as Hessian.  `project`
+adds the only linear program of stage 1, run when the dual fails.
 """
 
 import numpy as np
@@ -17,30 +16,25 @@ RESIDUAL_TOL = 1e-12    # row residual at convergence
 NEAR_ZERO = 1e-9        # a coordinate this small may be forced to zero
 _MERIT_TOL = 1e-7       # below this residual take plain Newton steps
 _EIG_CUT = 1e-12        # relative eigenvalue cut of the pseudo-inverse
-_BUDGET = 500           # iterations over all working sets
+_EPS = 1e-3             # multipliers this small may be fixed at zero
+_BUDGET = 500           # projected Newton iterations
 
 
 def _primal(log_base, exponent):
     e = log_base + exponent
     shift = e.max()
     x = np.exp(e - shift)
-    z = x.sum()
-    return x / z, shift + np.log(z)
-
-
-def _merit(log_base, sub, target, y_work):
-    return _primal(log_base, sub.T @ y_work)[1] - y_work @ target
+    return x / (z := x.sum()), shift + np.log(z)
 
 
 def kl_project(base, rows, rhs, n_eq):
-    """Project ``base`` onto the polytope by Newton steps on the dual.
+    """Project ``base`` onto the polytope by projected Newton steps on the dual.
 
-    Steps use the eigen pseudo-inverse of the Hessian, so redundant rows cost
-    nothing; an Armijo search on the dual merit runs while the residual is
-    above `_MERIT_TOL`.  The working set holds the equality rows and the
-    inequality rows whose multipliers may grow: once its rows hold, the most
-    violated other row joins it, and a step that would turn a multiplier
-    negative stops at zero and drops that row.
+    Inequality multipliers are bounded below by zero (Bertsekas 1982).  Each step
+    fixes at zero those within ``min(_EPS, residual)`` of zero whose gradient points
+    out of the orthant, takes an eigen pseudo-inverse Newton step in the rest (so
+    redundant rows cost nothing) and projects onto ``y >= 0``, so many rows enter or
+    leave at once.  An Armijo search runs while the residual is above `_MERIT_TOL`.
 
     Returns ``(x, y)``: x is proportional to ``base * exp(rows.T @ y)`` and
     inequality multipliers are nonnegative.  Raises `NumericFailure`, naming
@@ -48,51 +42,55 @@ def kl_project(base, rows, rhs, n_eq):
     """
     log_base = np.log(base / base.sum())
     y = np.zeros(rows.shape[0])
-    work = np.arange(rows.shape[0]) < n_eq
+    lower = np.where(np.arange(y.size) < n_eq, -np.inf, 0.0)
     for it in range(_BUDGET):
-        sub, target = rows[work], rhs[work]
-        x, log_z = _primal(log_base, sub.T @ y[work])
-        moment = sub @ x
-        grad = moment - target
-        res = np.abs(grad).max(initial=0.0)
+        x, log_z = _primal(log_base, rows.T @ y)
+        grad = rows @ x - rhs
+        room = y - lower
+        # y minus its projected gradient step: zero exactly at the optimum
+        res = np.abs(np.minimum(room, grad)).max(initial=0.0)
         if res <= RESIDUAL_TOL:
-            slack = np.where(work[n_eq:], np.inf, rows[n_eq:] @ x - rhs[n_eq:])
-            if slack.min(initial=np.inf) >= -RESIDUAL_TOL:
-                return x, y
-            work[n_eq + np.argmin(slack)] = True
-            continue
-        w, vec = np.linalg.eigh((sub * x) @ sub.T - np.outer(moment, moment))
-        null = w <= _EIG_CUT * np.abs(w).max()
-        ray = vec[:, null] @ (vec[:, null].T @ grad)
-        if np.abs(ray).max(initial=0.0) > RESIDUAL_TOL:
-            # the working rows contradict each other: x stays put and the merit
+            if it:   # one more step with the last Hessian: x is then exact to rounding
+                y[free] += vec[:, k:] @ (-(vec[:, k:].T @ grad[free]) / w[k:])
+                y = np.maximum(y, lower)
+                x = _primal(log_base, rows.T @ y)[0]
+            return x, y
+        fixed = (room <= min(_EPS, res)) & (grad > 0.0)
+        while True:
+            free = ~fixed
+            sub = rows[free]
+            w, vec = np.linalg.eigh((sub * x) @ sub.T - np.outer(sub @ x, sub @ x))
+            # eigh sorts w, so the null space is the leading columns of vec
+            k = np.searchsorted(w, _EIG_CUT * np.abs(w).max(initial=0.0), side="right")
+            coef = vec.T @ grad[free]
+            ray = vec[:, :k] @ coef[:k]
+            contradict = np.abs(ray).max(initial=0.0) > RESIDUAL_TOL
+            # fix the multipliers at zero that the ray would push below it
+            if not contradict or not (stuck := (room[free] <= 0.0) & (ray > 0.0)).any():
+                break
+            fixed[np.flatnonzero(free)[stuck]] = True
+        if contradict:
+            # the free rows contradict each other: x stays put and the merit
             # falls without bound along -ray, until a multiplier reaches zero
-            step, alpha = -ray, np.inf
-        else:
-            step = -(vec[:, ~null] / w[~null]) @ (vec[:, ~null].T @ grad)
-            alpha = 1.0
-            if res > _MERIT_TOL:
-                # inside the quadratic basin the merit is flat at float
-                # resolution, so plain Newton steps are taken there
-                merit, slope = log_z - y[work] @ target, grad @ step
-                while alpha >= 1e-15 and _merit(log_base, sub, target, y[work] + alpha * step) \
-                        > merit + 1e-4 * alpha * slope:
-                    alpha *= 0.5
-                if alpha < 1e-15:
+            limit = np.divide(room[free], ray, out=np.full(ray.size, np.inf), where=ray > 0.0)
+            if limit.min() == np.inf:
+                break
+            y[free] -= limit.min() * ray
+            y[np.flatnonzero(free)[np.argmin(limit)]] = 0.0
+            continue
+        step = -y * fixed   # fixed multipliers fall to zero at a full step
+        step[free] = vec[:, k:] @ (-coef[k:] / w[k:])
+        alpha = 1.0
+        if res > _MERIT_TOL:   # below it the merit is flat at float resolution
+            merit, slope = log_z - y @ rhs, grad @ step
+            while alpha >= 1e-15:
+                trial = np.maximum(y + alpha * step, lower)
+                if _primal(log_base, rows.T @ trial)[1] - trial @ rhs <= merit + 1e-4 * alpha * slope:
                     break
-        idx = np.flatnonzero(work)
-        shrinking = (idx >= n_eq) & (step < 0.0)
-        limit = -y[idx[shrinking]] / step[shrinking]
-        if limit.min(initial=np.inf) < alpha:
-            # the merit is convex along the step, so stopping short still descends
-            block = idx[shrinking][np.argmin(limit)]
-            y[idx] += limit.min() * step
-            y[block] = 0.0
-            work[block] = False
-        elif alpha < np.inf:
-            y[idx] += alpha * step
-        else:
-            break
+                alpha *= 0.5
+            else:
+                break
+        y = np.maximum(y + alpha * step, lower)
     raise NumericFailure(f"KL projection did not converge after {it + 1} iterations "
                          f"(residual {res:.3g})")
 

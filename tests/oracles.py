@@ -11,6 +11,7 @@ import numpy as np
 import scipy.linalg
 
 from gopa.elicit_discrete import discrete_constraint_system
+from gopa.exceptions import NumericFailure
 from gopa.lpcheck import LinearProgram, solve_lp
 from gopa.model import CellContext, validate_problem
 
@@ -221,6 +222,115 @@ def legacy_report_text(doc):
     """Report bytes of the stdlib encoder: each float rounded through 12
     significant digits, then ``json.dumps(indent=2, sort_keys=True)``."""
     return json.dumps(_round_floats(doc), indent=2, sort_keys=True) + "\n"
+
+
+def _ws_primal(log_base, exponent):
+    e = log_base + exponent
+    shift = e.max()
+    x = np.exp(e - shift)
+    z = x.sum()
+    return x / z, shift + np.log(z)
+
+
+def _ws_merit(log_base, sub, target, y_work):
+    return _ws_primal(log_base, sub.T @ y_work)[1] - y_work @ target
+
+
+def working_set_kl_project(base, rows, rhs, n_eq):
+    """The earlier stage-1 core, kept as a reference for `gopa.projection.kl_project`.
+
+    Dual Newton steps on a working set: the equality rows and the inequality
+    rows whose multipliers may grow.  Once the working rows hold, the most
+    violated other row joins, one row at a time, and a step that would turn a
+    multiplier negative stops at zero and drops that row.  Returns ``(x, y)``
+    or raises `NumericFailure`.
+    """
+    log_base = np.log(base / base.sum())
+    y = np.zeros(rows.shape[0])
+    work = np.arange(rows.shape[0]) < n_eq
+    for it in range(500):
+        sub, target = rows[work], rhs[work]
+        x, log_z = _ws_primal(log_base, sub.T @ y[work])
+        moment = sub @ x
+        grad = moment - target
+        res = np.abs(grad).max(initial=0.0)
+        if res <= 1e-12:
+            slack = np.where(work[n_eq:], np.inf, rows[n_eq:] @ x - rhs[n_eq:])
+            if slack.min(initial=np.inf) >= -1e-12:
+                return x, y
+            work[n_eq + np.argmin(slack)] = True
+            continue
+        w, vec = np.linalg.eigh((sub * x) @ sub.T - np.outer(moment, moment))
+        null = w <= 1e-12 * np.abs(w).max()
+        ray = vec[:, null] @ (vec[:, null].T @ grad)
+        if np.abs(ray).max(initial=0.0) > 1e-12:
+            # the working rows contradict each other: x stays put and the merit
+            # falls without bound along -ray, until a multiplier reaches zero
+            step, alpha = -ray, np.inf
+        else:
+            step = -(vec[:, ~null] / w[~null]) @ (vec[:, ~null].T @ grad)
+            alpha = 1.0
+            if res > 1e-7:
+                # inside the quadratic basin the merit is flat at float
+                # resolution, so plain Newton steps are taken there
+                merit, slope = log_z - y[work] @ target, grad @ step
+                while alpha >= 1e-15 and _ws_merit(log_base, sub, target, y[work] + alpha * step) \
+                        > merit + 1e-4 * alpha * slope:
+                    alpha *= 0.5
+                if alpha < 1e-15:
+                    break
+        idx = np.flatnonzero(work)
+        shrinking = (idx >= n_eq) & (step < 0.0)
+        limit = -y[idx[shrinking]] / step[shrinking]
+        if limit.min(initial=np.inf) < alpha:
+            # the merit is convex along the step, so stopping short still descends
+            block = idx[shrinking][np.argmin(limit)]
+            y[idx] += limit.min() * step
+            y[block] = 0.0
+            work[block] = False
+        elif alpha < np.inf:
+            y[idx] += alpha * step
+        else:
+            break
+    raise NumericFailure(f"KL projection did not converge after {it + 1} iterations "
+                         f"(residual {res:.3g})")
+
+
+def newton_refine(base, rows, rhs, n_eq, y):
+    """x after one exact Newton step from multipliers ``y`` on their active rows.
+
+    The active rows are the equality rows and the inequality rows with a
+    positive multiplier.  Two solutions that each hold the rows to 1e-12 can
+    still differ by more than 1e-12 where the rows are badly conditioned; one
+    step from either leaves x exact to rounding, so two cores can be compared
+    at 1e-12 without loosening the comparison.
+    """
+    log_base = np.log(base / base.sum())
+    active = (np.arange(y.size) < n_eq) | (y > 0.0)
+    x, _ = _ws_primal(log_base, rows.T @ y)
+    sub = rows[active]
+    hess = (sub * x) @ sub.T - np.outer(sub @ x, sub @ x)
+    y = y.copy()
+    y[active] -= np.linalg.pinv(hess, rcond=1e-12, hermitian=True) @ (sub @ x - rhs[active])
+    return _ws_primal(log_base, rows.T @ y)[0]
+
+
+def isotonic_kl_projection(base):
+    """KL projection of ``base`` onto nonincreasing distributions, in closed form.
+
+    Pool adjacent violators of ``log(base)`` (Robertson, Wright & Dykstra
+    1988): each pool takes the geometric mean of its base, then the vector is
+    normalized.
+    """
+    pools = []   # [sum of log base, count]
+    for value in np.log(np.asarray(base, dtype=float)):
+        pools.append([value, 1])
+        while len(pools) > 1 and pools[-2][0] / pools[-2][1] < pools[-1][0] / pools[-1][1]:
+            total, count = pools.pop()
+            pools[-1][0] += total
+            pools[-1][1] += count
+    u = np.concatenate([np.full(count, np.exp(total / count)) for total, count in pools])
+    return u / u.sum()
 
 
 # --- random input generators -------------------------------------------------

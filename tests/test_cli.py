@@ -285,6 +285,30 @@ def test_console_script_runs():
     assert '"pass": true' in result.stdout
 
 
+class TestRepeatedCalls:
+    """`main` builds its parser once per process; one call leaves nothing to the next."""
+
+    def test_bad_flag_then_good_call(self, tmp_path, clean_doc, capsys):
+        path = write_doc(tmp_path, clean_doc)
+        assert main(["solve", str(path), "--orientation", "literal", "--bound-mode",
+                     "inequality", "--tol", "-1"]) == 2
+        assert "error: argument --tol" in capsys.readouterr().err
+        out = tmp_path / "report.json"
+        assert main(["solve", str(path), "-o", str(out)]) == 0
+        report = json.loads(out.read_text())
+        assert (report["orientation"], report["bound_mode"]) == ("reversed", "equality")
+
+    def test_csv_dir_does_not_carry_over(self, tmp_path, clean_doc):
+        path = write_doc(tmp_path, clean_doc)
+        csv_dir = tmp_path / "csv"
+        assert main(["solve", str(path), "-o", str(tmp_path / "s.json"),
+                     "--csv", str(csv_dir)]) == 0
+        for written in csv_dir.iterdir():
+            written.unlink()
+        assert main(["opa", str(path), "-o", str(tmp_path / "o.json")]) == 0
+        assert list(csv_dir.iterdir()) == []
+
+
 class TestInputBoundary:
     """Bad flags and bad documents end in exit 2 inside `main`."""
 
@@ -332,7 +356,7 @@ class TestInputBoundary:
         assert main(["opa", str(path), "-o", str(tmp_path / "r.json")]) == 2
         assert capsys.readouterr().err.startswith(f"invalid input: {where}")
 
-    @pytest.mark.parametrize("weight", [None, float("nan"), float("inf")])
+    @pytest.mark.parametrize("weight", [None, float("nan"), float("inf"), "0.5", True])
     def test_non_finite_cell_weight(self, tmp_path, clean_doc, capsys, weight):
         report = tmp_path / "report.json"
         assert main(["opa", str(write_doc(tmp_path, clean_doc)), "-o", str(report)]) == 0

@@ -64,6 +64,24 @@ class TestValidateProblem:
         with pytest.raises(ValidationError):
             validate_problem(cell_doc([1, 5], n_alternatives=2))
 
+    @pytest.mark.parametrize("section", ["experts", "attribute_ranks"])
+    @pytest.mark.parametrize("rank, accepted", [(2 ** 63 - 1, True), (2 ** 63, False),
+                                                (2 ** 70, False)])
+    def test_expert_and_attribute_ranks_within_int64(self, section, rank, accepted):
+        doc = minimal_doc()
+        if section == "experts":
+            doc["experts"][0]["rank"] = rank
+            path = "experts[0].rank"
+        else:
+            doc["attribute_ranks"]["E1"]["C1"] = rank
+            path = "attribute_ranks.E1.C1"
+        if accepted:
+            validate_problem(doc)
+            return
+        with pytest.raises(ValidationError) as info:
+            validate_problem(doc)
+        assert str(info.value) == f"{path}: rank {rank} exceeds the int64 range"
+
     def test_excluded_alternative_is_legal(self):
         p = validate_problem(cell_doc([1, None, 2]))
         assert p.alternative_ranks[0, 0].tolist() == [1, 0, 2]
