@@ -11,7 +11,7 @@ import numpy as np
 
 from .exceptions import DimensionError, InfeasibleStage2, NumericFailure
 from .model import pack_utilities
-from .solver import harmonic_coefficients
+from .solver import harmonic_coefficients, rank_products
 
 TOL = 1e-9              # pivot and reduced-cost tolerance
 INFEASIBLE_TOL = 1e-7   # largest phase-I artificial sum of a feasible program
@@ -127,7 +127,7 @@ def _pivot(tab, basis, row, col):
 
 def _flat_cells(problem):
     """Per weight variable ``padded[rank_mask]``: its cell's ``t_i * s_ij`` and its rank."""
-    ts = (problem.expert_ranks[:, None] * problem.attribute_ranks).astype(float)
+    ts = rank_products(problem)
     mask = problem.rank_mask
     return np.broadcast_to(ts[..., None], mask.shape)[mask], np.nonzero(mask)[2] + 1
 

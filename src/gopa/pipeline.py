@@ -16,6 +16,10 @@ def elicit_utilities(problem, context, structures, orientation="reversed",
                      bound_mode="equality"):
     """Run the first stage for every cell.
 
+    Cells that share their validated (structure, size, context) are solved
+    once per call: they get the same read-only utility array and, when
+    continuous, the same density.
+
     Returns
     -------
     (utilities, densities)
@@ -23,28 +27,39 @@ def elicit_utilities(problem, context, structures, orientation="reversed",
         ``densities`` holds the solved ``PiecewiseDensity`` of continuous
         cells for inspection.
 
-    Errors from a cell are re-raised with the offending cell named.
+    Errors from a cell are re-raised with the first offending cell (in
+    ``problem.cells()`` order) named.
     """
+    # local to the call: a process-wide cache would grow with every document
+    solved = {}
     utilities = {}
     densities = {}
     for i, j in problem.cells():
-        eid = problem.expert_ids[i]
-        aid = problem.attribute_ids[j]
-        kij = int(problem.max_rank[i, j])
-        ctx = context.cell(i, j)
-        structure = structures.cell(i, j)
-        try:
-            if structure.is_discrete:
-                target = surrogate_weights(structure, kij)
-                utilities[(i, j)] = elicit_discrete(target, ctx, kij)
-            else:
-                density = elicit_continuous(target_density(structure, kij), ctx, kij,
-                                            bound_mode=bound_mode)
-                densities[(i, j)] = density
-                utilities[(i, j)] = cumulative_utilities(density, orientation=orientation)
-        except (InfeasibleContext, NumericFailure) as exc:
-            raise type(exc)(f"cell ({eid}, {aid}): {exc}") from exc
+        key = (structures.cell(i, j), int(problem.max_rank[i, j]), context.cell(i, j))
+        cell = solved.get(key)
+        if cell is None:
+            try:
+                cell = solved[key] = _elicit_cell(*key, orientation, bound_mode)
+            except (InfeasibleContext, NumericFailure) as exc:
+                eid, aid = problem.expert_ids[i], problem.attribute_ids[j]
+                raise type(exc)(f"cell ({eid}, {aid}): {exc}") from exc
+        utilities[(i, j)], density = cell
+        if density is not None:
+            densities[(i, j)] = density
     return utilities, densities
+
+
+def _elicit_cell(structure, size, ctx, orientation, bound_mode):
+    """One cell's read-only utilities and, for a continuous structure, its density."""
+    if structure.is_discrete:
+        u = elicit_discrete(surrogate_weights(structure, size), ctx, size)
+        density = None
+    else:
+        density = elicit_continuous(target_density(structure, size), ctx, size,
+                                    bound_mode=bound_mode)
+        u = cumulative_utilities(density, orientation=orientation)
+    u.setflags(write=False)
+    return u, density
 
 
 def solve_document(doc, method="gopa", orientation="reversed", bound_mode="equality"):

@@ -63,9 +63,18 @@ def harmonic_coefficients(problem):
     return coefficients
 
 
+def rank_products(problem):
+    """Per-cell products ``t_i * s_ij`` of expert and attribute ranks, as floats.
+
+    The ranks are converted before they are multiplied: an int64 product
+    wraps silently once it reaches 2**63.
+    """
+    return problem.expert_ranks.astype(float)[:, None] * problem.attribute_ranks
+
+
 def _assemble(problem, coefficients, utilities=None):
     """Common assembly of padded coefficients: z*, per-rank weights, mapping, aggregation."""
-    ts = (problem.expert_ranks[:, None] * problem.attribute_ranks).astype(float)
+    ts = rank_products(problem)
     products = problem.rank_counts * coefficients
     cell_sums = np.empty(ts.shape)
     # numpy sums pairwise, so padding a cell's ranks, or summing the cells in

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
-from gopa import projection
+from gopa import pipeline, projection
+from gopa.elicit_continuous import cumulative_utilities, elicit_continuous
+from gopa.elicit_discrete import elicit_discrete
 from gopa.exceptions import InfeasibleContext, NumericFailure
 from gopa.model import load_document
 from gopa.pipeline import (
@@ -10,6 +12,7 @@ from gopa.pipeline import (
     solution_report,
     solve_document,
 )
+from gopa.structures import surrogate_weights, target_density
 
 from oracles import random_problem
 
@@ -58,6 +61,104 @@ class TestSolveDocument:
         for cell in rev:
             if cell != (1, 1):
                 assert np.abs(rev[cell] - lit[cell]).max() == 0.0
+
+
+def repeated_cells_document():
+    """Six experts by two attributes whose cells repeat and nearly repeat.
+
+    C1 is ``roc`` and C2 ``cara``.  E1 and E2 share a context in each column,
+    E3 repeats it (at 4 ranks in C1, at 5 in C2), E4 changes one coefficient
+    (C1) or has 3 ranks (C2), and E5 and E6 are empty: 4 discrete and 3
+    continuous (structure, size, context) keys over 12 cells.
+    """
+    alternatives = ["A1", "A2", "A3", "A4", "A5"]
+    experts = [f"E{i}" for i in range(1, 7)]
+    full = {m: r for m, r in zip(alternatives, [2, 1, 4, 3, 5])}
+    ranks = {e: {"C1": full, "C2": full} for e in experts}
+    ranks["E3"] = {"C1": {"A1": 1, "A2": 2, "A3": 3, "A4": 4}, "C2": full}
+    ranks["E4"] = {"C1": full, "C2": {"A1": 1, "A2": 2, "A3": 3}}
+    shared = {"ratio": [{"rank": 1, "alpha": 1.5}], "lowerbound": [{"rank": 3, "gamma": 0.1}]}
+    nudged = {"ratio": [{"rank": 1, "alpha": 1.5}], "lowerbound": [{"rank": 3, "gamma": 0.12}]}
+    cdf = {"ratio": [{"rank": 2, "alpha": 2.0}], "lowerbound": [{"rank": 2, "gamma": 0.3}]}
+    return {
+        "experts": [{"id": e, "rank": n} for n, e in enumerate(experts, 1)],
+        "attributes": ["C1", "C2"],
+        "alternatives": alternatives,
+        "attribute_ranks": {e: {"C1": 1, "C2": 2} for e in experts},
+        "alternative_ranks": ranks,
+        "contexts": {"E1": {"C1": shared, "C2": cdf}, "E2": {"C1": shared, "C2": cdf},
+                     "E3": {"C1": shared, "C2": cdf}, "E4": {"C1": nudged, "C2": cdf}},
+        "structures": {"default": {"kind": "roc"},
+                       "cells": {e: {"C2": {"kind": "cara", "a": 0.4}} for e in experts}},
+    }
+
+
+class TestSharedCells:
+    @pytest.mark.parametrize("bound_mode", ["equality", "inequality"])
+    @pytest.mark.parametrize("orientation", ["reversed", "literal"])
+    def test_each_cell_equals_its_own_solve(self, orientation, bound_mode):
+        problem, context, structures = load_document(repeated_cells_document())
+        utilities, densities = elicit_utilities(problem, context, structures,
+                                                orientation=orientation,
+                                                bound_mode=bound_mode)
+        assert sorted(utilities) == list(problem.cells())
+        assert sorted(densities) == [(i, 1) for i in range(6)]
+        for i, j in problem.cells():
+            structure, ctx = structures.cell(i, j), context.cell(i, j)
+            kij = int(problem.max_rank[i, j])
+            if structure.is_discrete:
+                direct = elicit_discrete(surrogate_weights(structure, kij), ctx, kij)
+            else:
+                density = elicit_continuous(target_density(structure, kij), ctx, kij,
+                                            bound_mode=bound_mode)
+                direct = cumulative_utilities(density, orientation=orientation)
+                assert (densities[(i, j)].masses == density.masses).all()
+            assert utilities[(i, j)].shape == direct.shape
+            assert (utilities[(i, j)] == direct).all(), (i, j)
+
+    def test_each_key_is_solved_once_per_call(self, monkeypatch):
+        calls = {"discrete": 0, "continuous": 0}
+
+        def counted(name, solve):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return solve(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(pipeline, "elicit_discrete",
+                            counted("discrete", pipeline.elicit_discrete))
+        monkeypatch.setattr(pipeline, "elicit_continuous",
+                            counted("continuous", pipeline.elicit_continuous))
+        problem, context, structures = load_document(repeated_cells_document())
+        utilities, densities = elicit_utilities(problem, context, structures)
+        assert calls == {"discrete": 4, "continuous": 3}
+        assert utilities[(0, 0)] is utilities[(1, 0)]
+        assert utilities[(4, 0)] is utilities[(5, 0)]
+        assert densities[(0, 1)] is densities[(1, 1)] is densities[(2, 1)]
+        for u in utilities.values():
+            assert not u.flags.writeable
+        with pytest.raises(ValueError):
+            utilities[(0, 0)][0] = 1.0
+        again, _ = elicit_utilities(problem, context, structures)
+        assert calls == {"discrete": 8, "continuous": 6}
+        assert again[(0, 0)] is not utilities[(0, 0)]
+
+    @pytest.mark.parametrize("error, contexts, budget", [
+        (InfeasibleContext, {"lowerbound": [{"rank": "*", "gamma": 0.9}]}, None),
+        (NumericFailure, {"ratio": [{"rank": 1, "alpha": 1.4}]}, 1),
+    ])
+    def test_shared_failure_names_first_cell(self, monkeypatch, error, contexts, budget):
+        if budget is not None:
+            monkeypatch.setattr(projection, "_BUDGET", budget)
+        doc = document()
+        # (E1, C2) comes before (E2, C1) in expert-then-attribute order only
+        doc["contexts"] = {"E2": {"C1": contexts}, "E1": {"C2": contexts}}
+        problem, context, structures = load_document(doc)
+        assert context.cell(1, 0) == context.cell(0, 1)
+        assert structures.cell(1, 0) == structures.cell(0, 1)
+        assert problem.max_rank[1, 0] == problem.max_rank[0, 1]
+        with pytest.raises(error, match=r"^cell \(E1, C2\): "):
+            elicit_utilities(problem, context, structures)
 
 
 class TestIrregularCells:

@@ -4,6 +4,7 @@ import pytest
 from gopa.exceptions import DecompositionUnsupported, UtilityShapeError
 from gopa.lpcheck import build_gopa_lp, build_opa_lp
 from gopa.model import validate_problem
+from gopa.pipeline import solve_document
 from gopa.solver import decompose, solve_gopa, solve_opa
 from gopa.structures import surrogate_weights
 
@@ -196,6 +197,24 @@ class TestAggregation:
         for i in range(2):
             ranks = p.attribute_ranks[i]
             assert per_expert[i] == pytest.approx(rr[ranks - 1], abs=1e-12)
+
+    @pytest.mark.parametrize("method", ["gopa", "opa"])
+    def test_rank_products_beyond_int64_do_not_wrap(self, method):
+        # 2**32 * 2**32 wraps to 0 in int64: the weights came out [nan, 0]
+        big = 2 ** 32
+        doc = {
+            "experts": [{"id": "E1", "rank": big}, {"id": "E2", "rank": 1}],
+            "attributes": ["C1"],
+            "alternatives": ["A1", "A2"],
+            "attribute_ranks": {"E1": {"C1": big}, "E2": {"C1": 1}},
+            "alternative_ranks": {"E1": {"C1": {"A1": 1, "A2": 2}},
+                                  "E2": {"C1": {"A1": 2, "A2": 1}}},
+        }
+        sol, _, _ = solve_document(doc, method=method)
+        assert np.isfinite(sol.weights).all() and sol.objective > 0
+        assert sol.expert_weights.sum() == pytest.approx(1.0, abs=1e-15)
+        assert sol.expert_weights == pytest.approx([2.0 ** -64, 1.0], rel=1e-12)
+        assert build_opa_lp(sol.problem).lhs.diagonal()[:2].tolist() == [-2.0 ** 64] * 2
 
 
 class TestDecomposition:
