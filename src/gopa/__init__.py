@@ -4,8 +4,9 @@ rankings and partial preference information.
 The pipeline has two stages: per-cell utilities are elicited by minimizing
 cross-entropy to a global utility structure under the cell's preference
 constraints, then expert, attribute, and alternative weights follow in closed
-form.  A two-phase simplex (Bland's rule) double-checks the closed forms,
-and consensus and sensitivity statistics qualify the group outcome.
+form.  A two-phase simplex, the package's one LP engine, tells an empty
+preference context from ranks it forces to zero and double-checks the closed
+forms, and consensus and sensitivity statistics qualify the group outcome.
 """
 
 from .elicit_continuous import (

@@ -410,6 +410,7 @@ def _flag_type(convert, accept, expected):
 
 
 _positive_float = _flag_type(float, lambda x: x > 0, "a positive number")
+_positive_int = _flag_type(int, lambda n: n >= 1, "an integer >= 1")
 _nonnegative_int = _flag_type(int, lambda n: n >= 0, "an integer >= 0")
 
 
@@ -419,17 +420,17 @@ def _parser():
                                      description="Ordinal weight elicitation pipeline")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def command(name, handler, summary, needs_input=True):
+    def command(name, handler, summary, needs_input=True, elicitation_flags=True):
         p = sub.add_parser(name, help=summary)
         p.set_defaults(handler=handler)
         if needs_input:
             p.add_argument("input", help="input document (JSON)")
         p.add_argument("-o", "--output", default=None, help="output path (default stdout)")
-        p.add_argument("--orientation", default="reversed",
-                       choices=("reversed", "literal"))
-        p.add_argument("--bound-mode", default="equality",
-                       choices=("equality", "inequality"), dest="bound_mode")
-        p.add_argument("--tol", type=_positive_float, default=1e-8)
+        if elicitation_flags:
+            p.add_argument("--orientation", default="reversed",
+                           choices=("reversed", "literal"))
+            p.add_argument("--bound-mode", default="equality",
+                           choices=("equality", "inequality"), dest="bound_mode")
         return p
 
     p = command("solve", _cmd_solve, "full pipeline: elicit utilities, then weights")
@@ -441,12 +442,13 @@ def _parser():
 
     p = command("elicit", _cmd_elicit, "first-stage utilities of one cell")
     p.add_argument("--cell", required=True, help="EXPERT_ID,ATTRIBUTE_ID")
-    p.add_argument("--samples", type=_nonnegative_int, default=None,
+    p.add_argument("--samples", type=_positive_int, default=None,
                    help="sample the solved density curve at N+1 points")
     p.add_argument("--dump-target", action="store_true", dest="dump_target",
                    help="emit the target structure instead of solving")
 
-    p = command("metrics", _cmd_metrics, "consensus report from a solution report")
+    p = command("metrics", _cmd_metrics, "consensus report from a solution report",
+                elicitation_flags=False)
     p.add_argument("--csv", dest="csv_dir", default=None)
 
     p = command("sensitivity", _cmd_sensitivity, "expert-rank permutation statistics (CSV)")
@@ -455,9 +457,10 @@ def _parser():
 
     p = command("verify", _cmd_verify, "closed forms against the LP solver", needs_input=False)
     p.add_argument("input", nargs="?", default=None)
-    p.add_argument("--random", type=_nonnegative_int, default=None, metavar="N",
+    p.add_argument("--random", type=_positive_int, default=None, metavar="N",
                    help="check N random instances instead of an input file")
     p.add_argument("--seed", type=_nonnegative_int, default=0)
+    p.add_argument("--tol", type=_positive_float, default=1e-8)
     return parser
 
 

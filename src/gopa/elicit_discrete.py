@@ -82,7 +82,9 @@ def kkt_residual_discrete(u, target, ctx, active_tol=_ACTIVE_TOL):
     Fits multipliers for the equality constraints (free sign) and the active
     inequality constraints (nonnegative) by least squares and returns the
     max-norm of the remaining gradient.  Zero within tolerance exactly when
-    ``u`` is the constrained KL minimizer.
+    ``u`` is the constrained KL minimizer.  It is the package's one use of
+    scipy: `perfbench/checks.py` calls it inside traced runs, where a fit on
+    the package's simplex would be timed as `lpcheck` work.
     """
     import scipy.optimize   # here, not at the top: it is most of the package's import time
 

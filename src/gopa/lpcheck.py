@@ -1,5 +1,6 @@
-"""Two-phase dense-tableau simplex (Bland's rule) and LP builders for verification.
+"""Two-phase dense-tableau simplex, the package's one LP engine, and the LP builders.
 
+Stage 1 runs it on the support program of `gopa.projection.positive_support`.
 The production path computes weights in closed form; this module rebuilds the
 same programs as explicit LPs so the closed forms can be cross-checked, and it
 realizes the two-stage efficiency program.
@@ -26,7 +27,6 @@ class LinearProgram:
     rhs: np.ndarray
     senses: tuple
     free: tuple = None      # per-variable flags, None = all nonnegative
-    names: tuple = None     # optional variable names
 
     def __post_init__(self):
         c = np.asarray(self.objective, dtype=float)
@@ -63,8 +63,8 @@ def solve_lp(lp):
     a sum left above `INFEASIBLE_TOL` means the program is infeasible.  An
     artificial still basic at zero is pivoted onto a structural column, or its
     row is dropped as redundant, and phase II maximizes the objective.  The
-    lowest eligible column enters and ratio ties leave by lowest basis index,
-    so runs are deterministic and cannot cycle.
+    lowest eligible column enters, so runs are deterministic; `_simplex` says
+    which row leaves and why runs cannot cycle.
     """
     c = lp.objective
     m = lp.rhs.size
@@ -98,8 +98,16 @@ def solve_lp(lp):
 
 
 def _simplex(tab, basis, cost):
-    """Pivot ``tab`` (rows ``[A | b]``) to a maximum of ``cost``; False if unbounded."""
+    """Pivot ``tab`` (rows ``[A | b]``) to a maximum of ``cost``; False if unbounded.
+
+    The lowest eligible column enters.  Of the rows whose ratio is within the
+    step allowed by ``b + TOL`` (Harris 1973), the largest pivot leaves, so no
+    tiny pivot is taken for a near-tie; after more than m degenerate pivots in
+    a row the lowest basis index of the ties leaves (Bland's rule), so runs
+    cannot cycle.
+    """
     m = tab.shape[0]
+    stalled = 0
     for _ in range(50 * (m + cost.size) + 1000):
         entering = np.flatnonzero(cost[basis] @ tab[:, :-1] - cost < -TOL)
         if entering.size == 0:
@@ -108,9 +116,15 @@ def _simplex(tab, basis, cost):
         positive = np.flatnonzero(col > TOL)
         if positive.size == 0:
             return False
-        ratios = tab[positive, -1] / col[positive]
-        ties = positive[ratios <= ratios.min() + TOL]
-        _pivot(tab, basis, ties[np.argmin(basis[ties])], entering[0])
+        pivots, b = col[positive], tab[positive, -1]
+        ratios = b / pivots
+        if stalled > m:
+            ties = np.flatnonzero(ratios <= ratios.min() + TOL)
+            k = ties[np.argmin(basis[positive[ties]])]
+        else:
+            k = np.argmax(np.where(ratios <= ((b + TOL) / pivots).min(), pivots, 0.0))
+        stalled = stalled + 1 if ratios[k] <= TOL else 0
+        _pivot(tab, basis, positive[k], entering[0])
     raise NumericFailure("simplex iteration budget exhausted")
 
 
@@ -150,8 +164,7 @@ def _rank_rows(problem, coefficients):
     lhs[n_w, :n_w] = problem.rank_counts[mask]
     last = np.eye(1, n_w + 1, n_w)[0]   # objective z; right side 1 of the normalization row
     return LinearProgram(objective=last, lhs=lhs, rhs=last,
-                         senses=("<=",) * n_w + ("=",), free=(False,) * n_w + (True,),
-                         names=cell_variable_names(problem))
+                         senses=("<=",) * n_w + ("=",), free=(False,) * n_w + (True,))
 
 
 def build_opa_lp(problem):

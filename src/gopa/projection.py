@@ -5,12 +5,14 @@ rows[n_eq:] @ x >= rhs[n_eq:]}``; the projection minimizes ``sum(x log(x / base)
 it (Csiszar 1975).  `kl_project` solves the dual: ``x = base * exp(rows.T @ y) / Z``, and
 the multipliers minimize the convex ``log Z(y) - y @ rhs`` over ``y[n_eq:] >= 0``, with
 the row residual as gradient and the rows' covariance under x as Hessian.  `project`
-adds the only linear program of stage 1, run when the dual fails.
+adds the only linear program of stage 1, run on the simplex of `gopa.lpcheck` when
+the dual fails or leaves a coordinate near zero.
 """
 
 import numpy as np
 
 from .exceptions import InfeasibleContext, NumericFailure
+from .lpcheck import LinearProgram, solve_lp
 
 RESIDUAL_TOL = 1e-12    # row residual at convergence
 NEAR_ZERO = 1e-9        # a coordinate this small may be forced to zero
@@ -98,26 +100,27 @@ def kl_project(base, rows, rhs, n_eq):
 def positive_support(rows, rhs, n_eq):
     """Mask of the coordinates some point of the polytope makes positive.
 
-    One HiGHS program over the homogenized polytope (``x`` with a scale
-    ``t >= 0``: ``sum(x) = t``, rows compared with ``rhs * t``) maximizes
-    ``sum(s)`` with ``0 <= s <= min(x, 1)``.  Scaling a point up saturates s on
-    its support, so the optimum has ``s = 1`` exactly where x can be positive.
-    Returns None when the polytope is empty.
+    One simplex program (`gopa.lpcheck`) over the homogenized polytope (``x``
+    with a scale ``t >= 0``: ``sum(x) = t``, rows compared with ``rhs * t``)
+    maximizes ``sum(s)`` with ``0 <= s <= min(x, 1)``, the caps ``s <= 1`` as
+    rows.  Scaling a point up saturates s on its support, so the optimum has
+    ``s = 1`` exactly where x can be positive.  Returns None when the polytope
+    is empty.  The program is feasible at zero and bounded, so any status but
+    optimal raises `NumericFailure`.
     """
-    import scipy.optimize   # here, not at the top: it is most of the package's import time
-
-    n = rows.shape[1]
-    homog = np.hstack([rows, -rhs[:, None], np.zeros_like(rows)])   # columns x, t, s
-    total = np.concatenate([np.ones(n), [-1.0], np.zeros(n)])
-    cap = np.hstack([-np.eye(n), np.zeros((n, 1)), np.eye(n)])
-    res = scipy.optimize.linprog(
-        c=np.concatenate([np.zeros(n + 1), -np.ones(n)]),
-        A_ub=np.vstack([-homog[n_eq:], cap]), b_ub=np.zeros(rows.shape[0] - n_eq + n),
-        A_eq=np.vstack([total, homog[:n_eq]]), b_eq=np.zeros(n_eq + 1),
-        bounds=[(0, None)] * (n + 1) + [(0, 1)] * n, method="highs")
-    if res.status != 0:
-        raise NumericFailure(f"support linear program failed: {res.message}")
-    return res.x[n + 1:] > 0.5 if -res.fun >= 0.5 else None
+    m, n = rows.shape
+    eye, col = np.eye(n), np.zeros((n, 1))
+    lhs = np.block([[np.ones((1, n)), -np.ones((1, 1)), np.zeros((1, n))],   # columns x, t, s
+                    [rows, -rhs[:, None], np.zeros((m, n))],
+                    [-eye, col, eye],
+                    [0.0 * eye, col, eye]])
+    res = solve_lp(LinearProgram(
+        objective=np.repeat([0.0, 1.0], [n + 1, n]), lhs=lhs,
+        rhs=np.repeat([0.0, 1.0], [1 + m + n, n]),
+        senses=("=",) * (1 + n_eq) + (">=",) * (m - n_eq) + ("<=",) * (2 * n)))
+    if res.status != "optimal":
+        raise NumericFailure(f"support linear program is {res.status}")
+    return res.x[n + 1:] > 0.5 if res.value >= 0.5 else None
 
 
 def project(base, rows, rhs, n_eq, empty_message):

@@ -333,6 +333,30 @@ def isotonic_kl_projection(base):
     return u / u.sum()
 
 
+def highs_positive_support(rows, rhs, n_eq):
+    """Support mask of the polytope by HiGHS, None when it is empty.
+
+    The same homogenized program as `gopa.projection.positive_support`
+    (columns ``x, t, s``: ``sum(x) = t``, rows against ``rhs * t``,
+    ``0 <= s <= min(x, 1)``, maximize ``sum(s)``), with the caps ``s <= 1``
+    as variable bounds.
+    """
+    import scipy.optimize
+
+    n = rows.shape[1]
+    homog = np.hstack([rows, -rhs[:, None], np.zeros_like(rows)])   # columns x, t, s
+    total = np.concatenate([np.ones(n), [-1.0], np.zeros(n)])
+    cap = np.hstack([-np.eye(n), np.zeros((n, 1)), np.eye(n)])
+    res = scipy.optimize.linprog(
+        c=np.concatenate([np.zeros(n + 1), -np.ones(n)]),
+        A_ub=np.vstack([-homog[n_eq:], cap]), b_ub=np.zeros(rows.shape[0] - n_eq + n),
+        A_eq=np.vstack([total, homog[:n_eq]]), b_eq=np.zeros(n_eq + 1),
+        bounds=[(0, None)] * (n + 1) + [(0, 1)] * n, method="highs")
+    if res.status != 0:
+        raise NumericFailure(f"support linear program failed: {res.message}")
+    return res.x[n + 1:] > 0.5 if -res.fun >= 0.5 else None
+
+
 # --- random input generators -------------------------------------------------
 
 

@@ -116,7 +116,7 @@ class TestExitCodes:
 
     def test_bad_flag_value(self, tmp_path, clean_doc):
         path = write_doc(tmp_path, clean_doc)
-        assert main(["solve", str(path), "--tol", "-1"]) == 2
+        assert main(["verify", str(path), "--tol", "-1"]) == 2
 
     def test_directory_input(self, tmp_path, capsys):
         assert main(["opa", str(tmp_path)]) == 2
@@ -273,16 +273,74 @@ class TestVerifyCommand:
         assert main(["verify"]) == 2
 
 
-def test_console_script_runs():
+def child_env():
     # The child must import the package under test, also when pytest put it on
     # sys.path itself (`pythonpath` in pyproject.toml) rather than PYTHONPATH.
     src = str(Path(gopa.__file__).resolve().parents[1])
-    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    return {**os.environ,
+            "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+
+
+def test_console_script_runs():
     result = subprocess.run([sys.executable, "-m", "gopa.cli", "verify",
-                             "--random", "2"], capture_output=True, text=True,
-                            env={**os.environ, "PYTHONPATH": path})
+                             "--random", "2"], capture_output=True, text=True, env=child_env())
     assert result.returncode == 0
     assert '"pass": true' in result.stdout
+
+
+# Runs each argv of the JSON list in argv[1] through `main` with every import of
+# scipy refused, and prints [exit code or ImportError text, stderr] per call.
+WITHOUT_SCIPY = """
+import contextlib, io, json, sys
+
+class RefuseScipy:
+    def find_spec(self, name, path=None, target=None):
+        if name == "scipy" or name.startswith("scipy."):
+            raise ModuleNotFoundError(f"No module named {name!r}")
+        return None
+
+sys.meta_path.insert(0, RefuseScipy())
+from gopa.cli import main
+
+results = []
+for argv in json.loads(sys.argv[1]):
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except ImportError as exc:
+            code = repr(exc)
+    results.append([code, err.getvalue()])
+print(json.dumps(results))
+"""
+
+
+def test_commands_run_without_scipy(tmp_path):
+    _, doc = random_problem(np.random.default_rng(5), 3, 2, 3)
+    path = write_doc(tmp_path, doc)
+    empty = write_doc(tmp_path, {**doc, "contexts": {
+        "E2": {"C1": {"lowerbound": [{"rank": "*", "gamma": 0.9}]}}}}, "empty.json")
+    forced = write_doc(tmp_path, {**doc, "contexts": {
+        "E1": {"C1": {"lowerbound": [{"rank": 1, "gamma": 1.0}]}}}}, "forced.json")
+    out = {name: str(tmp_path / name) for name in
+           ("solve.json", "opa.json", "elicit.csv", "metrics.json", "sens.csv", "verify.json")}
+    argvs = [["solve", str(empty)],
+             ["solve", str(forced), "-o", out["solve.json"]],
+             ["opa", str(path), "-o", out["opa.json"]],
+             ["elicit", str(forced), "--cell", "E1,C1", "-o", out["elicit.csv"]],
+             ["metrics", out["solve.json"], "-o", out["metrics.json"]],
+             ["sensitivity", str(path), "-o", out["sens.csv"]],
+             ["verify", str(path), "-o", out["verify.json"]]]
+    result = subprocess.run([sys.executable, "-c", WITHOUT_SCIPY, json.dumps(argvs)],
+                            capture_output=True, text=True, env=child_env())
+    assert result.returncode == 0, result.stderr
+    (code, err), *rest = json.loads(result.stdout)
+    assert code == 3 and "E2" in err and "C1" in err
+    assert [code for code, _ in rest] == [0] * len(rest)
+    report = json.loads(Path(out["solve.json"]).read_text())
+    assert report["utilities"]["E1"]["C1"] == [1.0, 0.0, 0.0]
+    rows = read_csv(out["elicit.csv"])
+    assert [float(u) for _, u in rows[1:]] == [1.0, 0.0, 0.0]
 
 
 class TestRepeatedCalls:
@@ -290,7 +348,7 @@ class TestRepeatedCalls:
 
     def test_bad_flag_then_good_call(self, tmp_path, clean_doc, capsys):
         path = write_doc(tmp_path, clean_doc)
-        assert main(["solve", str(path), "--orientation", "literal", "--bound-mode",
+        assert main(["verify", str(path), "--orientation", "literal", "--bound-mode",
                      "inequality", "--tol", "-1"]) == 2
         assert "error: argument --tol" in capsys.readouterr().err
         out = tmp_path / "report.json"
@@ -317,10 +375,26 @@ class TestInputBoundary:
         ["verify", "--random", "2", "--seed", "-1"],
         ["verify", "--random", "2", "--tol", "nan"],
         ["verify", "--random", "x"],
+        ["verify", "--random", "0"],
+        ["verify", "input.json", "--random", "0"],
+        ["elicit", "input.json", "--cell", "E2,C2", "--samples", "0"],
+        ["elicit", "input.json", "--cell", "E2,C2", "--dump-target", "--samples", "0"],
     ])
     def test_bad_count_or_tolerance(self, argv, capsys):
         assert main(argv) == 2
         assert "error: argument" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        [command, "input.json", "--tol", "1e-6"]
+        for command in ("solve", "opa", "metrics", "sensitivity")
+    ] + [
+        ["elicit", "input.json", "--cell", "E1,C1", "--tol", "1e-6"],
+        ["metrics", "report.json", "--orientation", "literal"],
+        ["metrics", "report.json", "--bound-mode", "inequality"],
+    ])
+    def test_options_only_where_read(self, argv, capsys):
+        assert main(argv) == 2
+        assert "error: unrecognized arguments" in capsys.readouterr().err
 
     def test_negative_samples_on_continuous_cell(self, tmp_path, clean_doc):
         path = write_doc(tmp_path, clean_doc)

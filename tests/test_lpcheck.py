@@ -9,6 +9,7 @@ from gopa.lpcheck import (
     LinearProgram,
     build_gopa_lp,
     build_opa_lp,
+    cell_variable_names,
     solve_lp,
     verify_efficiency,
 )
@@ -89,7 +90,8 @@ class TestBuilders:
         lp = build_opa_lp(p)
         assert lp.lhs.shape == (3, 3)  # 2 ranking rows + normalization; w1 w2 z
         assert lp.senses == ("<=", "<=", "=")
-        assert lp.names[-1] == "z"
+        names = cell_variable_names(p)
+        assert len(names) == lp.lhs.shape[1] and names[-1] == "z"
 
     def test_gap_case_normalization_counts(self):
         doc = {

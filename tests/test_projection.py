@@ -1,17 +1,58 @@
-import sys
-
 import numpy as np
 import pytest
 
-import gopa.lpcheck
-from gopa.elicit_continuous import elicit_continuous
-from gopa.elicit_discrete import elicit_discrete, kkt_residual_discrete
+import gopa.projection
+from gopa.elicit_continuous import _cumulative_rows, breakpoints, elicit_continuous
+from gopa.elicit_discrete import (
+    discrete_constraint_system,
+    elicit_discrete,
+    kkt_residual_discrete,
+)
 from gopa.exceptions import NumericFailure
 from gopa.model import CellContext
 from gopa.projection import kl_project, positive_support
 from gopa.structures import UtilityStructure, surrogate_weights, target_density
 
-from oracles import random_continuous_context, random_discrete_context
+from oracles import (
+    highs_positive_support,
+    random_continuous_context,
+    random_discrete_context,
+)
+
+# discrete cells of 30 ranks that the earlier reduction-and-barrier solvers rejected
+REJECTED_CELLS = {
+    # a difference of 6e-8 leaves a rank-order row nearly tight
+    "tiny-difference": CellContext(ratio=((17, 1.001), (20, 1.001)),
+                                   absdiff=((2, 2e-3), (11, 6e-8))),
+    # feasible (HiGHS and the returned point agree) but once called infeasible
+    "feasible-called-infeasible": CellContext(
+        ratio=((6, 1.040403686707325), (28, 1.874643312572222)),
+        absdiff=((14, 0.003203831764285181),),
+        lowerbound=((28, 0.003515113490558757),)),
+}
+
+
+def discrete_system(ctx, size):
+    """``(rows, rhs, n_eq)`` of a discrete cell, as `elicit_discrete` projects onto it."""
+    a_eq, b_eq, g, h = discrete_constraint_system(ctx, size)
+    return np.vstack([a_eq[1:], g]), np.concatenate([b_eq[1:], h]), a_eq.shape[0] - 1
+
+
+def seeded_systems():
+    """Random discrete and continuous cell systems, each also with its right side scaled up.
+
+    Continuous cells enter in both bound modes.  Scaling the right side by
+    U(1, 8) leaves the ratio rows as they are and empties some polytopes.
+    """
+    rng = np.random.default_rng(8)
+    systems = [discrete_system(ctx, 30) for ctx in REJECTED_CELLS.values()]
+    for _ in range(40):
+        size = int(rng.integers(2, 31))
+        systems.append(discrete_system(random_discrete_context(rng, size, 6)[0], size))
+        ctx, _ = random_continuous_context(rng, size, 6)
+        rows, rhs, is_bound = _cumulative_rows(ctx, breakpoints(ctx, size))
+        systems += [(rows, rhs, rows.shape[0]), (rows, rhs, int((~is_bound).sum()))]
+    return systems + [(rows, rhs * rng.uniform(1.0, 8.0), n_eq) for rows, rhs, n_eq in systems]
 
 
 class TestKLProject:
@@ -70,6 +111,32 @@ class TestPositiveSupport:
         rows = np.array([[1.0, -1.0, 0.0]])
         assert positive_support(rows, np.array([1e-7]), 1).all()
 
+    def test_agrees_with_highs(self):
+        empty = 0
+        for rows, rhs, n_eq in seeded_systems():
+            support = positive_support(rows, rhs, n_eq)
+            expected = highs_positive_support(rows, rhs, n_eq)
+            assert (support is None) == (expected is None)
+            if support is None:
+                empty += 1
+            else:
+                assert support.tolist() == expected.tolist()
+        assert 0 < empty < 200   # empty and nonempty polytopes both occur
+
+    @pytest.mark.parametrize("size", [3, 10, 30])
+    def test_forced_zero_ladder(self, size):
+        # u_r >= 1/r with rank dominance forces u = 1/r on ranks 1..r and 0 after;
+        # u_1 - u_2 = 1/size then contradicts it
+        for r in range(1, size + 1):
+            rows, rhs, n_eq = discrete_system(CellContext(lowerbound=((r, 1.0 / r),)), size)
+            support = positive_support(rows, rhs, n_eq)
+            assert support.tolist() == (np.arange(size) < r).tolist()
+            assert support.tolist() == highs_positive_support(rows, rhs, n_eq).tolist()
+            rows, rhs, n_eq = discrete_system(
+                CellContext(absdiff=((1, 1.0 / size),), lowerbound=((r, 1.0 / r),)), size)
+            assert positive_support(rows, rhs, n_eq) is None
+            assert highs_positive_support(rows, rhs, n_eq) is None
+
 
 class TestStageOneDefects:
     """Contexts that the earlier reduction-and-barrier solvers rejected."""
@@ -88,14 +155,7 @@ class TestStageOneDefects:
             assert d.cdf(float(rank)) == pytest.approx(gamma, abs=1e-10)
         assert d.cdf(6.0) == pytest.approx(1.0, abs=1e-12)
 
-    @pytest.mark.parametrize("ctx", [
-        # a difference of 6e-8 leaves a rank-order row nearly tight
-        CellContext(ratio=((17, 1.001), (20, 1.001)), absdiff=((2, 2e-3), (11, 6e-8))),
-        # feasible (HiGHS and the returned point agree) but once called infeasible
-        CellContext(ratio=((6, 1.040403686707325), (28, 1.874643312572222)),
-                    absdiff=((14, 0.003203831764285181),),
-                    lowerbound=((28, 0.003515113490558757),)),
-    ], ids=("tiny-difference", "feasible-called-infeasible"))
+    @pytest.mark.parametrize("ctx", REJECTED_CELLS.values(), ids=REJECTED_CELLS.keys())
     def test_discrete_feasible_contexts(self, ctx):
         target = surrogate_weights("uniform", 30)
         u = elicit_discrete(target, ctx, 30)
@@ -110,14 +170,14 @@ class TestStageOneDefects:
         assert kkt_residual_discrete(u, target, ctx) <= 1e-10
 
 
-def test_elicitation_runs_no_simplex(monkeypatch):
-    def refuse(*args, **kwargs):
-        raise AssertionError("stage 1 called the simplex")
+def test_support_program_runs_only_for_forced_zeros(monkeypatch):
+    calls = []
 
-    simplex = gopa.lpcheck.solve_lp
-    for name, module in list(sys.modules.items()):
-        if name.startswith("gopa") and getattr(module, "solve_lp", None) is simplex:
-            monkeypatch.setattr(module, "solve_lp", refuse)
+    def counted(*args):
+        calls.append(args)
+        return positive_support(*args)
+
+    monkeypatch.setattr(gopa.projection, "positive_support", counted)
     rng = np.random.default_rng(44)
     for _ in range(20):
         size = int(rng.integers(2, 12))
@@ -125,4 +185,7 @@ def test_elicitation_runs_no_simplex(monkeypatch):
         elicit_discrete(surrogate_weights("roc", size), ctx, size)
         ctx, _ = random_continuous_context(rng, size)
         elicit_continuous(target_density("neutral", size), ctx, size)
-
+    assert calls == []
+    u = elicit_discrete(surrogate_weights("roc", 3), CellContext(lowerbound=((1, 1.0),)), 3)
+    assert u.tolist() == [1.0, 0.0, 0.0]
+    assert len(calls) >= 1
