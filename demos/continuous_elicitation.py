@@ -37,7 +37,7 @@ for name, st in targets.items():
     print("  breakpoints   :", density.breakpoints.tolist())
     print("  segment scales:", np.round(density.scales, 4).tolist())
     print("  segment masses:", np.round(density.masses, 4).tolist())
-    carried = cumulative_utilities(density, orientation="reversed")
+    carried = cumulative_utilities(density)
     print("  per-rank utilities (best first):", np.round(carried, 4).tolist())
     x = 2.5
     print(f"  risk coefficient at x = {x}: {risk_preference(density, x):.4f}"
@@ -45,5 +45,5 @@ for name, st in targets.items():
     print()
 
 flat = elicit_continuous(target_density("neutral", SIZE), CellContext(), SIZE)
-print("sanity: flat density, no constraints, reversed orientation gives the")
+print("sanity: a flat density with no constraints gives the")
 print("rank-sum surrogate weights:", np.round(cumulative_utilities(flat), 4).tolist())

@@ -20,7 +20,7 @@ sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "tests")
 from model_helpers import case_study_problem  # noqa: E402
 
 problem, context, structures = case_study_problem(seed=0)
-utilities, _ = elicit_utilities(problem, context, structures)
+utilities = elicit_utilities(problem, context, structures)
 solution = solve_gopa(problem, utilities)
 
 print("expert weights (E1..E5):", np.round(solution.expert_weights, 4))

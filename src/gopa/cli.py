@@ -3,11 +3,11 @@
 Subcommands: ``solve`` (full two-stage pipeline), ``opa`` (rankings only),
 ``elicit`` (first stage of one cell), ``metrics`` (consensus report from a
 solution report), ``sensitivity`` (expert-rank permutation sweep), ``verify``
-(closed forms against the LP solver).  Reports are deterministic: sorted
-keys, two-space indent, ASCII-escaped strings, and each float rounded to 12
-significant digits and written as the shortest string that reads back as
-the rounded value; NaN and infinities are written ``NaN`` and
-``(-)Infinity``.
+(closed forms against the LP solver); each has only the flags it reads.
+Reports are deterministic: sorted keys, two-space indent, ASCII-escaped
+strings, and each float rounded to 12 significant digits and written as the
+shortest string that reads back as the rounded value; NaN and infinities
+are written ``NaN`` and ``(-)Infinity``.
 
 Exit codes: 0 success, 1 failed verification, 2 validation error,
 3 infeasible preference context, 4 numeric failure.  Exit 2 also covers an
@@ -30,9 +30,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .elicit_continuous import cumulative_utilities, elicit_continuous
-from .elicit_discrete import elicit_discrete
 from .exceptions import (
+    DegenerateError,
     DomainError,
     GopaError,
     InfeasibleContext,
@@ -44,6 +43,7 @@ from .lpcheck import build_gopa_lp, build_opa_lp, solve_lp, verify_efficiency
 from .metrics import consensus_report
 from .model import load_document
 from .pipeline import (
+    elicit_cell,
     elicit_utilities,
     report_to_solution,
     solution_report,
@@ -191,12 +191,12 @@ def _utilities_csv(report):
 
 
 def _cmd_solve(config):
-    method = "gopa" if config.command == "solve" else "opa"
     doc = _load_json(config.input)
-    solution, _, _ = solve_document(doc, method=method,
-                                    orientation=config.orientation,
-                                    bound_mode=config.bound_mode)
-    report = solution_report(solution, method, config.orientation, config.bound_mode)
+    if config.command == "opa":
+        report = solution_report(solve_document(doc, method="opa"), "opa")
+    else:
+        solution = solve_document(doc, bound_mode=config.bound_mode)
+        report = solution_report(solution, "gopa", config.bound_mode)
     _write_json(report, config.output)
     if config.csv_dir is not None:
         out = _csv_dir(config.csv_dir)
@@ -219,36 +219,25 @@ def _cmd_elicit(config):
     problem, context, structures = load_document(doc)
     i, j = _find_cell(problem, config.cell)
     kij = int(problem.max_rank[i, j])
-    ctx = context.cell(i, j)
     structure = structures.cell(i, j)
-
-    if structure.is_discrete:
+    if structure.is_discrete and config.samples:
+        raise ValidationError("--samples", "curve sampling applies to continuous cells")
+    xs = np.linspace(0.0, kij, (config.samples or 200) + 1)
+    if config.dump_target and structure.is_discrete:
         target = surrogate_weights(structure, kij)
-        if config.dump_target:
-            rows = [("rank", "target")] + [(r + 1, _fmt(v)) for r, v in enumerate(target)]
-        elif config.samples:
-            raise ValidationError("--samples", "curve sampling applies to continuous cells")
-        else:
-            u = elicit_discrete(target, ctx, kij)
-            rows = [("rank", "utility")] + [(r + 1, _fmt(v)) for r, v in enumerate(u)]
-        _write_csv(rows, config.output)
-        return 0
-
-    density_target = target_density(structure, kij)
-    if config.dump_target:
-        n = config.samples or 200
-        xs = np.linspace(0.0, kij, n + 1)
-        rows = [("x", "target")] + [(_fmt(x), _fmt(density_target.value(x))) for x in xs]
-        _write_csv(rows, config.output)
-        return 0
-    solved = elicit_continuous(density_target, ctx, kij, bound_mode=config.bound_mode)
-    if config.samples:
-        xs = np.linspace(0.0, kij, config.samples + 1)
-        rows = [("x", "density", "cdf")]
-        rows += [(_fmt(x), _fmt(solved.value(x)), _fmt(solved.cdf(x))) for x in xs]
+        rows = [("rank", "target")] + [(r + 1, _fmt(v)) for r, v in enumerate(target)]
+    elif config.dump_target:
+        target = target_density(structure, kij)
+        rows = [("x", "target")] + [(_fmt(x), _fmt(target.value(x))) for x in xs]
     else:
-        u = cumulative_utilities(solved, orientation=config.orientation)
-        rows = [("rank", "utility")] + [(r + 1, _fmt(v)) for r, v in enumerate(u)]
+        u, density = elicit_cell(structure, kij, context.cell(i, j), config.bound_mode)
+        if config.samples:
+            rows = [("x", "density", "cdf")]
+            rows += [(_fmt(x), _fmt(density.value(x)), _fmt(density.cdf(x))) for x in xs]
+        else:
+            if density is not None and config.orientation == "literal":
+                u = u[::-1]   # increasing in rank, as the density accumulates
+            rows = [("rank", "utility")] + [(r + 1, _fmt(v)) for r, v in enumerate(u)]
     _write_csv(rows, config.output)
     return 0
 
@@ -263,7 +252,10 @@ def _cmd_metrics(config):
         raise ValidationError(str(config.input), f"solution report lacks key {exc.args[0]!r}")
     except (TypeError, AttributeError, ValueError) as exc:
         raise ValidationError(str(config.input), f"malformed solution report ({exc})")
-    cons = consensus_report(solution)
+    try:
+        cons = consensus_report(solution)
+    except DegenerateError as exc:
+        raise DegenerateError(f"{config.input}: {exc}") from exc
     out = {"kind": "consensus", **cons.to_dict(solution.problem)}
     _write_json(out, config.output)
     if config.csv_dir is not None:
@@ -283,9 +275,8 @@ def _cmd_sensitivity(config):
     problem, context, structures = load_document(doc)
     utilities = None
     if config.method == "gopa":
-        utilities, _ = elicit_utilities(problem, context, structures,
-                                        orientation=config.orientation,
-                                        bound_mode=config.bound_mode)
+        utilities = elicit_utilities(problem, context, structures,
+                                     bound_mode=config.bound_mode)
     stats = permutation_stats(problem, utilities)
     rows = [("section", "id", "mean", "skewness", "kurtosis", "cv", "min", "max")]
     for section in ("experts", "attributes", "alternatives"):
@@ -335,7 +326,7 @@ def _check_instance(problem, utilities, tol):
     return checks
 
 
-def _random_document(rng, allow_irregular=True):
+def _random_document(rng):
     n_e = int(rng.integers(1, 4))
     n_a = int(rng.integers(1, 4))
     n_m = int(rng.integers(2, 7))
@@ -350,7 +341,7 @@ def _random_document(rng, allow_irregular=True):
     for e in experts:
         alternative_ranks[e["id"]] = {}
         for a in attributes:
-            if allow_irregular and rng.random() < 0.4:
+            if rng.random() < 0.4:
                 present = sorted(rng.choice(n_m, size=int(rng.integers(1, n_m + 1)),
                                             replace=False))
                 ranks = {alternatives[k]: int(rng.integers(1, n_m + 1)) for k in present}
@@ -385,9 +376,8 @@ def _cmd_verify(config):
             raise ValidationError("input", "verify needs an input file or --random N")
         doc = _load_json(config.input)
         problem, context, structures = load_document(doc)
-        utilities, _ = elicit_utilities(problem, context, structures,
-                                        orientation=config.orientation,
-                                        bound_mode=config.bound_mode)
+        utilities = elicit_utilities(problem, context, structures,
+                                     bound_mode=config.bound_mode)
         checks = _check_instance(problem, utilities, config.tol)
         summary["instances"].append({"instance": str(config.input), "checks": checks})
     ok = all(c["pass"] for inst in summary["instances"] for c in inst["checks"])
@@ -420,15 +410,13 @@ def _parser():
                                      description="Ordinal weight elicitation pipeline")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def command(name, handler, summary, needs_input=True, elicitation_flags=True):
+    def command(name, handler, summary, needs_input=True, elicits=True):
         p = sub.add_parser(name, help=summary)
         p.set_defaults(handler=handler)
         if needs_input:
             p.add_argument("input", help="input document (JSON)")
         p.add_argument("-o", "--output", default=None, help="output path (default stdout)")
-        if elicitation_flags:
-            p.add_argument("--orientation", default="reversed",
-                           choices=("reversed", "literal"))
+        if elicits:
             p.add_argument("--bound-mode", default="equality",
                            choices=("equality", "inequality"), dest="bound_mode")
         return p
@@ -437,7 +425,7 @@ def _parser():
     p.add_argument("--csv", dest="csv_dir", default=None,
                    help="directory for weights.csv and utilities.csv")
 
-    p = command("opa", _cmd_solve, "weights from rankings alone")
+    p = command("opa", _cmd_solve, "weights from rankings alone", elicits=False)
     p.add_argument("--csv", dest="csv_dir", default=None)
 
     p = command("elicit", _cmd_elicit, "first-stage utilities of one cell")
@@ -446,9 +434,11 @@ def _parser():
                    help="sample the solved density curve at N+1 points")
     p.add_argument("--dump-target", action="store_true", dest="dump_target",
                    help="emit the target structure instead of solving")
+    p.add_argument("--orientation", default="reversed", choices=("reversed", "literal"),
+                   help="literal: a continuous cell's utilities increasing in rank")
 
     p = command("metrics", _cmd_metrics, "consensus report from a solution report",
-                elicitation_flags=False)
+                elicits=False)
     p.add_argument("--csv", dest="csv_dir", default=None)
 
     p = command("sensitivity", _cmd_sensitivity, "expert-rank permutation statistics (CSV)")

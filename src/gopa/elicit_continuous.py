@@ -164,19 +164,13 @@ def risk_preference(density, x):
     return density.target.risk_coefficient(x)
 
 
-def cumulative_utilities(density, orientation="reversed"):
-    """Per-rank utilities induced by a solved density.
+def cumulative_utilities(density):
+    """Per-rank utilities induced by a solved density, nonincreasing in rank.
 
-    Rank ``r`` accumulates the density of the reflected argument over
-    ``[0, r]``; the vector is normalized over ranks.  The literal orientation
-    is increasing in rank, so the default ``reversed`` orientation flips it to
-    honor rank dominance (rank 1 gets the largest value).  With a uniform
-    density the reversed vector equals the rank-sum surrogate weights.
+    Rank ``r`` gets ``1 - F(r - 1)``, the density's mass on ``[r - 1, K]``,
+    normalized over ranks, so rank 1 gets the largest value as rank
+    dominance requires.  With a uniform density the vector equals the
+    rank-sum surrogate weights.
     """
     tail = 1.0 - density.cdf(np.arange(density.size)[::-1])    # 1 - F(K - r), r = 1 .. K
-    literal = tail / tail.sum()
-    if orientation == "literal":
-        return literal
-    if orientation == "reversed":
-        return literal[::-1].copy()
-    raise ValueError(f"unknown orientation {orientation!r}")
+    return (tail / tail.sum())[::-1].copy()

@@ -76,7 +76,7 @@ def entropy_max_discrete(ctx, size):
     return elicit_discrete(np.full(size, 1.0 / size), ctx, size)
 
 
-def kkt_residual_discrete(u, target, ctx, active_tol=_ACTIVE_TOL):
+def kkt_residual_discrete(u, target, ctx):
     """Stationarity residual of a feasible utility vector.
 
     Fits multipliers for the equality constraints (free sign) and the active
@@ -97,7 +97,7 @@ def kkt_residual_discrete(u, target, ctx, active_tol=_ACTIVE_TOL):
     grad = np.log(u[mask] / v[mask]) + 1.0
     cols = [a_eq[:, mask].T]
     n_eq = a_eq.shape[0]
-    active = np.flatnonzero(g @ u - h <= active_tol) if g.size else np.zeros(0, dtype=int)
+    active = np.flatnonzero(g @ u - h <= _ACTIVE_TOL) if g.size else np.zeros(0, dtype=int)
     if active.size:
         cols.append(g[active][:, mask].T)
     mat = np.hstack(cols)

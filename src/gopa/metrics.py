@@ -278,13 +278,19 @@ class ConsensusReport:
 def consensus_report(solution):
     """Build the full consensus report of a weight solution.
 
-    Requires at least two experts.  Ranks are derived from weights in
-    descending order with midranks for exact ties.
+    Requires at least two experts, and enough attributes and alternatives
+    for the F approximation: ``items - 1 - 2/experts > 0`` (its ``v1``).
+    Ranks are derived from weights in descending order with midranks for
+    exact ties.
     """
     problem = solution.problem
     n_experts = problem.n_experts
-    if n_experts < 2:
-        raise DegenerateError("consensus diagnostics need at least two experts")
+    for section, items in (("attributes", problem.n_attributes),
+                           ("alternatives", problem.n_alternatives)):
+        if n_experts < 2 or items - 1.0 - 2.0 / n_experts <= 0:
+            raise DegenerateError(f"consensus diagnostics need 2 or more experts and "
+                                  f"{section} - 1 - 2/experts > 0; got {n_experts} "
+                                  f"experts and {items} {section}")
 
     w_ij = solution.expert_attribute_weights()
     w_ik = solution.expert_alternative_weights()

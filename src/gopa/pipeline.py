@@ -12,84 +12,74 @@ from .solver import WeightSolution, solve_gopa, solve_opa
 from .structures import surrogate_weights, target_density
 
 
-def elicit_utilities(problem, context, structures, orientation="reversed",
-                     bound_mode="equality"):
+def elicit_utilities(problem, context, structures, bound_mode="equality"):
     """Run the first stage for every cell.
 
-    Cells that share their validated (structure, size, context) are solved
-    once per call: they get the same read-only utility array and, when
-    continuous, the same density.
-
-    Returns
-    -------
-    (utilities, densities)
-        ``utilities`` maps ``(i, j)`` to the per-rank utility vector;
-        ``densities`` holds the solved ``PiecewiseDensity`` of continuous
-        cells for inspection.
-
-    Errors from a cell are re-raised with the first offending cell (in
-    ``problem.cells()`` order) named.
+    Returns ``(i, j) -> `` the cell's per-rank utility vector.  Cells that
+    share their validated (structure, size, context) are solved once per call
+    and get the same read-only array.  Errors from a cell are re-raised with
+    the first offending cell (in ``problem.cells()`` order) named.
     """
     # local to the call: a process-wide cache would grow with every document
     solved = {}
     utilities = {}
-    densities = {}
     for i, j in problem.cells():
         key = (structures.cell(i, j), int(problem.max_rank[i, j]), context.cell(i, j))
-        cell = solved.get(key)
-        if cell is None:
+        u = solved.get(key)
+        if u is None:
             try:
-                cell = solved[key] = _elicit_cell(*key, orientation, bound_mode)
+                u = solved[key] = elicit_cell(*key, bound_mode)[0]
             except (InfeasibleContext, NumericFailure) as exc:
                 eid, aid = problem.expert_ids[i], problem.attribute_ids[j]
                 raise type(exc)(f"cell ({eid}, {aid}): {exc}") from exc
-        utilities[(i, j)], density = cell
-        if density is not None:
-            densities[(i, j)] = density
-    return utilities, densities
+        utilities[(i, j)] = u
+    return utilities
 
 
-def _elicit_cell(structure, size, ctx, orientation, bound_mode):
-    """One cell's read-only utilities and, for a continuous structure, its density."""
+def elicit_cell(structure, size, ctx, bound_mode="equality"):
+    """First stage of one cell: ``(utilities, density)``.
+
+    The utilities are read-only, nonincreasing in rank and sum to 1.  A
+    discrete structure projects its surrogate weights and has no density; a
+    continuous one solves its `PiecewiseDensity` and maps it to ranks with
+    `cumulative_utilities`.
+    """
     if structure.is_discrete:
         u = elicit_discrete(surrogate_weights(structure, size), ctx, size)
         density = None
     else:
         density = elicit_continuous(target_density(structure, size), ctx, size,
                                     bound_mode=bound_mode)
-        u = cumulative_utilities(density, orientation=orientation)
+        u = cumulative_utilities(density)
     u.setflags(write=False)
     return u, density
 
 
-def solve_document(doc, method="gopa", orientation="reversed", bound_mode="equality"):
-    """Validate a document and run the selected pipeline.
+def solve_document(doc, method="gopa", bound_mode="equality"):
+    """Validate a document and run the selected pipeline; returns the `WeightSolution`.
 
     ``method="opa"`` ignores contexts and structures and uses rankings alone;
-    ``method="gopa"`` elicits utilities per cell first.
-
-    Returns
-    -------
-    (solution, utilities, densities)
+    ``method="gopa"`` elicits utilities per cell first (they are in
+    ``solution.utilities``).
     """
     problem, context, structures = load_document(doc)
     if method == "opa":
-        return solve_opa(problem), None, {}
+        return solve_opa(problem)
     if method != "gopa":
         raise ValueError(f"unknown method {method!r}")
-    utilities, densities = elicit_utilities(problem, context, structures,
-                                            orientation=orientation, bound_mode=bound_mode)
-    return solve_gopa(problem, utilities), utilities, densities
+    return solve_gopa(problem, elicit_utilities(problem, context, structures,
+                                                bound_mode=bound_mode))
 
 
-def solution_report(solution, method, orientation="reversed", bound_mode="equality"):
-    """Serialize a solution into the report document consumed downstream."""
+def solution_report(solution, method, bound_mode="equality"):
+    """Serialize a solution into the report document consumed downstream.
+
+    ``bound_mode`` is written only into a report that holds utilities.
+    """
     p = solution.problem
     report = {
         "kind": "solution",
         "method": method,
-        "orientation": orientation,
-        "bound_mode": bound_mode,
         "objective": solution.objective,
         "ids": {
             "experts": list(p.expert_ids),
@@ -117,6 +107,7 @@ def solution_report(solution, method, orientation="reversed", bound_mode="equali
         },
     }
     if solution.utilities is not None:
+        report["bound_mode"] = bound_mode
         report["utilities"] = _by_cell(p, solution.utilities)
     return report
 

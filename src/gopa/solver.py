@@ -134,7 +134,7 @@ def solve_gopa(problem, utilities):
     for failed, message in ((np.abs(sums - 1.0) > UTILITY_TOL, "utilities sum to {:.12g}"),
                             ((u < -UTILITY_TOL).any(axis=2), "utilities must be nonnegative"),
                             ((np.diff(u, axis=2) > UTILITY_TOL).any(axis=2),
-                             "utilities increase with rank; pass them post-orientation")):
+                             "utilities increase with rank")):
         if failed.any():
             i, j = np.argwhere(failed)[0]
             raise UtilityShapeError(f"cell ({i}, {j}) " + message.format(sums[i, j]))

@@ -15,7 +15,12 @@ from .exceptions import DomainError, ValidationError
 
 DISCRETE_KINDS = ("rs", "ref", "rr", "sr", "roc", "uniform")
 CONTINUOUS_KINDS = ("neutral", "hara", "crra", "cara", "sshape")
-PARAMETERS = ("exponent", "alpha", "beta", "gamma", "a", "steepness")
+# the parameters each kind reads; a structure object may hold only these
+KIND_PARAMETERS = {
+    "rs": (), "ref": ("exponent",), "rr": (), "sr": (), "roc": (), "uniform": (),
+    "neutral": (), "hara": ("alpha", "beta", "gamma"), "crra": ("alpha", "gamma"),
+    "cara": ("a",), "sshape": ("steepness",),
+}
 _FLOAT_MAX = sys.float_info.max
 
 DEFAULT_REF_EXPONENT = 1.17
@@ -65,26 +70,20 @@ class UtilityStructure:
         return self.kind in DISCRETE_KINDS
 
     def to_dict(self):
-        out = {"kind": self.kind}
-        if self.kind == "ref":
-            out["exponent"] = self.exponent
-        elif self.kind == "hara":
-            out.update(alpha=self.alpha, beta=self.beta, gamma=self.gamma)
-        elif self.kind == "crra":
-            out.update(alpha=self.alpha, gamma=self.gamma)
-        elif self.kind == "cara":
-            out["a"] = self.a
-        elif self.kind == "sshape":
-            out["steepness"] = self.steepness
-        return out
+        return {"kind": self.kind, **{name: getattr(self, name)
+                                      for name in KIND_PARAMETERS[self.kind]}}
 
     @classmethod
     def from_dict(cls, doc, path="structures"):
         if not isinstance(doc, dict) or "kind" not in doc:
             raise ValidationError(path, "structure must be an object with a 'kind' key")
-        extra = set(doc) - {"kind", *PARAMETERS}
-        if extra:
-            raise ValidationError(path, f"unknown structure keys {sorted(extra)}")
+        kind = doc["kind"]
+        if not isinstance(kind, str) or kind not in KIND_PARAMETERS:
+            raise ValidationError(f"{path}.kind", f"unknown kind {kind!r}")
+        unread = sorted(set(doc) - {"kind", *KIND_PARAMETERS[kind]})
+        if unread:
+            raise ValidationError(f"{path}.{unread[0]}",
+                                  f"kind {kind!r} reads no parameter {unread[0]!r}")
         for name, value in doc.items():   # the checks of __post_init__ compare numbers
             if name != "kind" and not isinstance(value, (int, float)):
                 raise ValidationError(f"{path}.{name}", "expected a finite number")

@@ -165,12 +165,11 @@ def point_cdf(density, x):
     return cum[s] + density.scales[s] * density.target.integral(density.breakpoints[s], x)
 
 
-def cumulative_utilities_by_rank(density, orientation="reversed"):
+def cumulative_utilities_by_rank(density):
     """Per-rank utilities from one `point_cdf` call per rank."""
     size = density.size
     tail = np.array([1.0 - point_cdf(density, size - r) for r in range(1, size + 1)])
-    literal = tail / tail.sum()
-    return literal if orientation == "literal" else literal[::-1].copy()
+    return (tail / tail.sum())[::-1].copy()
 
 
 def kendall_bruteforce(ranks):

@@ -68,7 +68,7 @@ def test_criterion_01_case_study_expert_weights_any_structures():
         for seed in (0, 1):
             problem, context, structures = case_study_problem(seed)
             start = time.perf_counter()
-            utilities, _ = elicit_utilities(problem, context, structures)
+            utilities = elicit_utilities(problem, context, structures)
             solution = solve_gopa(problem, utilities)
             elapsed = time.perf_counter() - start
             assert np.abs(solution.expert_weights - CASE_EXPERT_WEIGHTS).max() <= 5e-5
@@ -185,12 +185,12 @@ def test_criterion_06_degenerations():
             ranks = equal.attribute_ranks[i]
             assert np.abs(per_expert[i] - rr[ranks - 1]).max() <= 1e-12
 
-        # (d) flat density, empty context, reversed orientation: rank-sum weights
+        # (d) flat density, empty context: rank-sum weights
         for size in range(1, 11):
             density = elicit_continuous(target_density("neutral", size),
                                         CellContext(), size)
-            reversed_vec = cumulative_utilities(density, orientation="reversed")
-            assert np.abs(reversed_vec - surrogate_weights("rs", size)).max() <= 1e-10
+            u = cumulative_utilities(density)
+            assert np.abs(u - surrogate_weights("rs", size)).max() <= 1e-10
 
 
 def test_criterion_07_discrete_elicitation_optimality():

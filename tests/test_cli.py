@@ -85,8 +85,43 @@ class TestSolve:
             for key in a[section]:
                 assert abs(a[section][key] - b[section][key]) <= 1e-12
 
+    def test_report_echoes_bound_mode_only_with_utilities(self, tmp_path, clean_doc):
+        path = write_doc(tmp_path, clean_doc)
+        out_solve, out_opa = tmp_path / "solve.json", tmp_path / "opa.json"
+        assert main(["solve", str(path), "--bound-mode", "inequality",
+                     "-o", str(out_solve)]) == 0
+        assert main(["opa", str(path), "-o", str(out_opa)]) == 0
+        solved = json.loads(out_solve.read_text())
+        assert solved["bound_mode"] == "inequality" and "utilities" in solved
+        assert "orientation" not in solved
+        ordinal = json.loads(out_opa.read_text())
+        assert not {"bound_mode", "orientation", "utilities"} & set(ordinal)
+
 
 class TestOrientationFlag:
+    def test_each_cell_equals_its_solve_report(self, tmp_path, clean_doc, capsys):
+        path = write_doc(tmp_path, clean_doc)
+        out = tmp_path / "report.json"
+        assert main(["solve", str(path), "-o", str(out)]) == 0
+        report = json.loads(out.read_text())
+        continuous = {("E2", "C2"), ("E3", "C1")}
+        for eid in report["ids"]["experts"]:
+            for aid in report["ids"]["attributes"]:
+                capsys.readouterr()
+                rows = {}
+                for orientation in ("reversed", "literal"):
+                    assert main(["elicit", str(path), "--cell", f"{eid},{aid}",
+                                 "--orientation", orientation]) == 0
+                    rows[orientation] = [float(r.split(",")[1]) for r in
+                                         capsys.readouterr().out.strip().splitlines()[1:]]
+                expected = report["utilities"][eid][aid]
+                assert rows["reversed"] == expected, (eid, aid)
+                if (eid, aid) in continuous:
+                    assert expected[0] > expected[-1]
+                    assert rows["literal"] == expected[::-1], (eid, aid)
+                else:
+                    assert rows["literal"] == expected, (eid, aid)
+
     def test_literal_reverses_continuous_cell_vector(self, tmp_path, clean_doc, capsys):
         path = write_doc(tmp_path, clean_doc)
         assert main(["elicit", str(path), "--cell", "E2,C2"]) == 0
@@ -210,6 +245,12 @@ class TestElicitCommand:
         path = write_doc(tmp_path, clean_doc)
         assert main(["elicit", str(path), "--cell", "E9,C1"]) == 2
 
+    @pytest.mark.parametrize("flags", [["--samples", "5"], ["--dump-target", "--samples", "5"]])
+    def test_samples_on_discrete_cell(self, tmp_path, clean_doc, capsys, flags):
+        path = write_doc(tmp_path, clean_doc)
+        assert main(["elicit", str(path), "--cell", "E1,C1", *flags]) == 2
+        assert "--samples: curve sampling applies to continuous cells" in capsys.readouterr().err
+
 
 class TestMetricsCommand:
     def test_consensus_from_report(self, tmp_path, clean_doc):
@@ -228,6 +269,20 @@ class TestMetricsCommand:
     def test_rejects_non_report_input(self, tmp_path, clean_doc):
         path = write_doc(tmp_path, clean_doc)
         assert main(["metrics", str(path)]) == 2
+
+    @pytest.mark.parametrize("shape, code", [((3, 1, 3), 2), ((2, 2, 3), 2), ((3, 2, 2), 0)],
+                             ids=["3x1x3", "2x2x3", "3x2x2"])
+    def test_small_panels(self, tmp_path, capsys, shape, code):
+        _, doc = random_problem(np.random.default_rng(23), *shape)
+        report = tmp_path / "report.json"
+        assert main(["solve", str(write_doc(tmp_path, doc)), "-o", str(report)]) == 0
+        assert main(["metrics", str(report), "-o", str(tmp_path / "m.json")]) == code
+        if code:
+            n_experts, n_attributes, _ = shape
+            assert capsys.readouterr().err == (
+                f"error: {report}: consensus diagnostics need 2 or more experts and "
+                f"attributes - 1 - 2/experts > 0; got {n_experts} experts and "
+                f"{n_attributes} attributes\n")
 
 
 class TestSensitivityCommand:
@@ -348,13 +403,12 @@ class TestRepeatedCalls:
 
     def test_bad_flag_then_good_call(self, tmp_path, clean_doc, capsys):
         path = write_doc(tmp_path, clean_doc)
-        assert main(["verify", str(path), "--orientation", "literal", "--bound-mode",
-                     "inequality", "--tol", "-1"]) == 2
+        assert main(["verify", str(path), "--bound-mode", "inequality", "--tol", "-1"]) == 2
         assert "error: argument --tol" in capsys.readouterr().err
         out = tmp_path / "report.json"
         assert main(["solve", str(path), "-o", str(out)]) == 0
         report = json.loads(out.read_text())
-        assert (report["orientation"], report["bound_mode"]) == ("reversed", "equality")
+        assert report["bound_mode"] == "equality" and "orientation" not in report
 
     def test_csv_dir_does_not_carry_over(self, tmp_path, clean_doc):
         path = write_doc(tmp_path, clean_doc)
@@ -391,6 +445,11 @@ class TestInputBoundary:
         ["elicit", "input.json", "--cell", "E1,C1", "--tol", "1e-6"],
         ["metrics", "report.json", "--orientation", "literal"],
         ["metrics", "report.json", "--bound-mode", "inequality"],
+    ] + [
+        [command, "input.json", "--orientation", "literal"]
+        for command in ("solve", "opa", "sensitivity", "verify")
+    ] + [
+        ["opa", "input.json", "--bound-mode", "inequality"],
     ])
     def test_options_only_where_read(self, argv, capsys):
         assert main(argv) == 2
@@ -404,7 +463,8 @@ class TestInputBoundary:
 
     def test_bad_choice_returns_instead_of_raising(self, tmp_path, clean_doc):
         path = write_doc(tmp_path, clean_doc)
-        assert main(["solve", str(path), "--orientation", "sideways"]) == 2
+        assert main(["solve", str(path), "--bound-mode", "sideways"]) == 2
+        assert main(["elicit", str(path), "--cell", "E2,C2", "--orientation", "sideways"]) == 2
 
     def test_help_returns_zero(self, capsys):
         assert main(["--help"]) == 0
@@ -422,8 +482,12 @@ class TestInputBoundary:
          "structures.cells.E2.C2.beta: expected a finite number"),
         (lambda d: d["contexts"]["E1"]["C1"]["ratio"][0].update(alpha=float("inf")),
          "contexts.E1.C1.ratio[0].alpha: expected a finite number"),
+        (lambda d: d["structures"]["cells"]["E3"]["C1"].update(alpha=3),
+         "structures.cells.E3.C1.alpha: kind 'cara' reads no parameter 'alpha'"),
+        (lambda d: d["structures"]["default"].update(alpha=3),
+         "structures.default.alpha: kind 'roc' reads no parameter 'alpha'"),
     ], ids=["attribute_row", "alternative_row", "structure_row", "structure_text",
-            "structure_nan", "context_inf"])
+            "structure_nan", "context_inf", "structure_unread", "default_unread"])
     def test_document_faults(self, tmp_path, clean_doc, capsys, edit, where):
         edit(clean_doc)
         path = write_doc(tmp_path, clean_doc)

@@ -184,11 +184,9 @@ class TestRiskPreference:
 
 class TestCumulativeUtilities:
     def test_two_rank_uniform_orientations(self):
+        # rank r gets 1 - F(r - 1): 1 and 1/2, normalized; never the increasing [1/3, 2/3]
         d = elicit_continuous(target_density("neutral", 2), CellContext(), 2)
-        assert cumulative_utilities(d, orientation="literal") == \
-            pytest.approx([1.0 / 3.0, 2.0 / 3.0], abs=1e-14)
-        assert cumulative_utilities(d, orientation="reversed") == \
-            pytest.approx([2.0 / 3.0, 1.0 / 3.0], abs=1e-14)
+        assert cumulative_utilities(d) == pytest.approx([2.0 / 3.0, 1.0 / 3.0], abs=1e-14)
 
     @pytest.mark.parametrize("size", range(1, 11))
     def test_uniform_reversed_equals_rank_sum(self, size):

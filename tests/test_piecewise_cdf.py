@@ -38,9 +38,8 @@ def test_array_cdf_equals_pointwise_cdf(structure):
 @pytest.mark.parametrize("structure", CONTINUOUS, ids=lambda s: s.kind)
 def test_cumulative_utilities_equal_rank_loop(structure):
     for _, density in solved_densities(structure):
-        for orientation in ("reversed", "literal"):
-            assert (bits(cumulative_utilities(density, orientation=orientation))
-                    == bits(cumulative_utilities_by_rank(density, orientation)))
+        assert (bits(cumulative_utilities(density))
+                == bits(cumulative_utilities_by_rank(density)))
 
 
 def test_scalar_cdf_is_a_scalar():

@@ -12,6 +12,7 @@ from gopa.pipeline import (
     solution_report,
     solve_document,
 )
+from gopa.solver import solve_gopa
 from gopa.structures import surrogate_weights, target_density
 
 from oracles import random_problem
@@ -28,15 +29,14 @@ def document(seed=0):
 
 class TestSolveDocument:
     def test_gopa_runs_and_normalizes(self):
-        solution, utilities, densities = solve_document(document())
+        solution = solve_document(document())
         assert solution.expert_weights.sum() == pytest.approx(1.0, abs=1e-10)
-        assert len(utilities) == 6
-        assert list(densities) == [(1, 1)]  # the single continuous cell
+        assert solution.utilities.shape == (3, 2, 5)
+        assert np.abs(solution.utilities.sum(axis=2) - 1.0).max() <= 1e-12
 
     def test_opa_ignores_contexts(self):
-        solution, utilities, densities = solve_document(document(), method="opa")
-        assert utilities is None
-        assert densities == {}
+        solution = solve_document(document(), method="opa")
+        assert solution.utilities is None
 
     def test_infeasible_cell_is_named(self):
         doc = document()
@@ -52,15 +52,6 @@ class TestSolveDocument:
         with pytest.raises(NumericFailure, match=r"cell \(E3, C2\): KL projection did not "
                                                  r"converge after 1 iterations \(residual"):
             solve_document(doc)
-
-    def test_orientation_changes_continuous_cells_only(self):
-        problem, context, structures = load_document(document())
-        rev, _ = elicit_utilities(problem, context, structures, orientation="reversed")
-        lit, _ = elicit_utilities(problem, context, structures, orientation="literal")
-        assert np.abs(rev[(1, 1)] - lit[(1, 1)][::-1]).max() <= 1e-14
-        for cell in rev:
-            if cell != (1, 1):
-                assert np.abs(rev[cell] - lit[cell]).max() == 0.0
 
 
 def repeated_cells_document():
@@ -95,26 +86,24 @@ def repeated_cells_document():
 
 class TestSharedCells:
     @pytest.mark.parametrize("bound_mode", ["equality", "inequality"])
-    @pytest.mark.parametrize("orientation", ["reversed", "literal"])
-    def test_each_cell_equals_its_own_solve(self, orientation, bound_mode):
+    def test_each_cell_equals_its_own_solve(self, bound_mode):
         problem, context, structures = load_document(repeated_cells_document())
-        utilities, densities = elicit_utilities(problem, context, structures,
-                                                orientation=orientation,
-                                                bound_mode=bound_mode)
+        utilities = elicit_utilities(problem, context, structures, bound_mode=bound_mode)
         assert sorted(utilities) == list(problem.cells())
-        assert sorted(densities) == [(i, 1) for i in range(6)]
         for i, j in problem.cells():
             structure, ctx = structures.cell(i, j), context.cell(i, j)
             kij = int(problem.max_rank[i, j])
+            u, density = pipeline.elicit_cell(structure, kij, ctx, bound_mode)
             if structure.is_discrete:
                 direct = elicit_discrete(surrogate_weights(structure, kij), ctx, kij)
+                assert density is None
             else:
-                density = elicit_continuous(target_density(structure, kij), ctx, kij,
-                                            bound_mode=bound_mode)
-                direct = cumulative_utilities(density, orientation=orientation)
-                assert (densities[(i, j)].masses == density.masses).all()
-            assert utilities[(i, j)].shape == direct.shape
-            assert (utilities[(i, j)] == direct).all(), (i, j)
+                solved = elicit_continuous(target_density(structure, kij), ctx, kij,
+                                           bound_mode=bound_mode)
+                direct = cumulative_utilities(solved)
+                assert (density.masses == solved.masses).all()
+            assert utilities[(i, j)].shape == u.shape == direct.shape
+            assert (utilities[(i, j)] == direct).all() and (u == direct).all(), (i, j)
 
     def test_each_key_is_solved_once_per_call(self, monkeypatch):
         calls = {"discrete": 0, "continuous": 0}
@@ -130,16 +119,16 @@ class TestSharedCells:
         monkeypatch.setattr(pipeline, "elicit_continuous",
                             counted("continuous", pipeline.elicit_continuous))
         problem, context, structures = load_document(repeated_cells_document())
-        utilities, densities = elicit_utilities(problem, context, structures)
+        utilities = elicit_utilities(problem, context, structures)
         assert calls == {"discrete": 4, "continuous": 3}
         assert utilities[(0, 0)] is utilities[(1, 0)]
         assert utilities[(4, 0)] is utilities[(5, 0)]
-        assert densities[(0, 1)] is densities[(1, 1)] is densities[(2, 1)]
+        assert utilities[(0, 1)] is utilities[(1, 1)] is utilities[(2, 1)]
         for u in utilities.values():
             assert not u.flags.writeable
         with pytest.raises(ValueError):
             utilities[(0, 0)][0] = 1.0
-        again, _ = elicit_utilities(problem, context, structures)
+        again = elicit_utilities(problem, context, structures)
         assert calls == {"discrete": 8, "continuous": 6}
         assert again[(0, 0)] is not utilities[(0, 0)]
 
@@ -178,9 +167,10 @@ class TestIrregularCells:
             "structures": {"default": {"kind": "roc"},
                            "cells": {"E2": {"C1": {"kind": "cara", "a": 0.4}}}},
         }
-        solution, utilities, _ = solve_document(doc)
-        u = utilities[(0, 0)]
-        assert u.shape == (3,)
+        solution = solve_document(doc)
+        assert solution.problem.max_rank[0, 0] == 3
+        u = solution.utilities[0, 0]
+        assert (u[3:] == 0.0).all()   # padding past the cell's 3 ranks
         assert u[0] - 1.5 * u[1] == pytest.approx(0.0, abs=1e-8)
         assert u[2] >= 0.1 - 1e-8
         assert solution.weights[0, 0, 3] == 0.0  # excluded alternative
@@ -208,7 +198,7 @@ class TestIrregularCells:
 
 class TestReportRoundTrip:
     def test_report_rebuilds_consistent_solution(self):
-        solution, _, _ = solve_document(document())
+        solution = solve_document(document())
         report = solution_report(solution, "gopa")
         rebuilt = report_to_solution(report)
         assert rebuilt.objective == pytest.approx(solution.objective, rel=1e-12)
@@ -218,7 +208,7 @@ class TestReportRoundTrip:
                       - solution.alternative_weights).max() <= 1e-12
 
     def test_report_weight_blocks_are_marginals_of_cells(self):
-        solution, _, _ = solve_document(document(3))
+        solution = solve_document(document(3))
         report = solution_report(solution, "gopa")
         for eid, expected in report["experts"].items():
             total = sum(w for aid in report["cell_weights"][eid]
@@ -227,9 +217,9 @@ class TestReportRoundTrip:
         assert sum(report["alternatives"].values()) == pytest.approx(1.0, abs=1e-10)
 
     def test_utilities_block_matches_cells(self):
-        solution, utilities, _ = solve_document(document(4))
-        report = solution_report(solution, "gopa")
-        problem = solution.problem
+        problem, context, structures = load_document(document(4))
+        utilities = elicit_utilities(problem, context, structures)
+        report = solution_report(solve_gopa(problem, utilities), "gopa")
         for (i, j), u in utilities.items():
             eid = problem.expert_ids[i]
             aid = problem.attribute_ids[j]

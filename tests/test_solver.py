@@ -210,7 +210,7 @@ class TestAggregation:
             "alternative_ranks": {"E1": {"C1": {"A1": 1, "A2": 2}},
                                   "E2": {"C1": {"A1": 2, "A2": 1}}},
         }
-        sol, _, _ = solve_document(doc, method=method)
+        sol = solve_document(doc, method=method)
         assert np.isfinite(sol.weights).all() and sol.objective > 0
         assert sol.expert_weights.sum() == pytest.approx(1.0, abs=1e-15)
         assert sol.expert_weights == pytest.approx([2.0 ** -64, 1.0], rel=1e-12)

@@ -1,3 +1,6 @@
+import importlib.util
+from pathlib import Path
+
 import numpy as np
 import pytest
 import scipy.integrate
@@ -6,6 +9,7 @@ from gopa.exceptions import DomainError, ValidationError
 from gopa.structures import (
     DISCRETE_KINDS,
     CONTINUOUS_KINDS,
+    KIND_PARAMETERS,
     TargetDensity,
     UtilityStructure,
     surrogate_weights,
@@ -91,6 +95,35 @@ class TestStructureValidation:
         assert UtilityStructure.from_dict(st.to_dict()) == st
         with pytest.raises(ValidationError):
             UtilityStructure.from_dict({"kind": "hara", "bogus": 1})
+
+    @pytest.mark.parametrize("kind, name", [
+        (kind, name) for kind in DISCRETE_KINDS + CONTINUOUS_KINDS
+        for name in ("exponent", "alpha", "beta", "gamma", "a", "steepness")
+        if name not in KIND_PARAMETERS[kind]])
+    def test_parameter_the_kind_does_not_read(self, kind, name):
+        with pytest.raises(ValidationError) as info:
+            UtilityStructure.from_dict({"kind": kind, name: 3}, "structures.cells.E1.C2")
+        assert info.value.path == f"structures.cells.E1.C2.{name}"
+
+    @pytest.mark.parametrize("kind", [[], {}, None, 3, "bogus"])
+    def test_unknown_kind(self, kind):
+        with pytest.raises(ValidationError) as info:
+            UtilityStructure.from_dict({"kind": kind, "alpha": 3})
+        assert info.value.path == "structures.kind"
+
+    def test_benchmark_families_validate_and_round_trip(self):
+        # the benchmark documents use one structure object of every kind
+        path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+        spec = importlib.util.spec_from_file_location("bench_workloads", path)
+        workloads = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(workloads)
+        assert sorted(f["kind"] for f in workloads.FAMILIES) == sorted(KIND_PARAMETERS)
+        for family in workloads.FAMILIES:
+            st = UtilityStructure.from_dict(family)
+            out = st.to_dict()
+            assert list(out) == ["kind", *KIND_PARAMETERS[st.kind]]
+            assert {**out, **family} == out
+            assert UtilityStructure.from_dict(out) == st
 
 
 def _structure(kind):
