@@ -85,31 +85,46 @@ def _float_texts(values):
     return exact
 
 
-def _report_text(obj, nl="\n"):
+def _report_text(obj, nl="\n", floats=None, rows=None):
     """Indented JSON text of a report, floats at 12 significant digits.
 
     The layout is that of ``json.dumps(obj, indent=2, sort_keys=True)``
     (ASCII-escaped strings, ``NaN``/``Infinity``, tuples as lists, numpy
     scalars as their Python values); ``nl`` is the newline plus the indent
     of the current nesting level.
+
+    The top-level call makes two memos and passes them down the recursion;
+    both are dropped when it returns, so no state carries over to the next
+    report.  ``floats`` maps a float to its text, so each distinct float is
+    formatted once per report.  Zeros never enter it: ``0.0 == -0.0`` and
+    both hash alike, so the first zero would set the text of both.  A NaN
+    finds itself only as the very same object (NaN never equals itself),
+    and hit or miss it is written ``NaN``.  ``rows`` maps a dict's sorted
+    key tuple and ``nl`` to its ``%`` template, keys encoded and ``%``
+    escaped, so each distinct key row at each depth is encoded once.
     """
+    if floats is None:
+        floats, rows = {}, {}
     if isinstance(obj, str):
         return encode_basestring_ascii(obj)
     if isinstance(obj, float):
-        return _float_texts((obj,))[0]
+        return _memo_float_texts((obj,), floats)[0]
     if isinstance(obj, dict):
         if not obj:
             return "{}"
-        inner = nl + "  "
-        keys = sorted(obj)
-        texts = _item_texts([obj[k] for k in keys], inner)
-        items = [f"{k}: {t}" for k, t in zip(map(encode_basestring_ascii, keys), texts)]
-        return "{" + inner + ("," + inner).join(items) + nl + "}"
+        keys = tuple(sorted(obj))
+        template = rows.get((keys, nl))
+        if template is None:
+            inner = nl + "  "
+            items = [encode_basestring_ascii(k).replace("%", "%%") + ": %s" for k in keys]
+            template = rows[keys, nl] = "{" + inner + ("," + inner).join(items) + nl + "}"
+        return template % tuple(_item_texts([obj[k] for k in keys], nl + "  ", floats, rows))
     if isinstance(obj, (list, tuple)):
         if not obj:
             return "[]"
         inner = nl + "  "
-        return "[" + inner + ("," + inner).join(_item_texts(obj, inner)) + nl + "]"
+        texts = _item_texts(obj, inner, floats, rows)
+        return "[" + inner + ("," + inner).join(texts) + nl + "]"
     if obj is None:
         return "null"
     if obj is True:
@@ -119,15 +134,29 @@ def _report_text(obj, nl="\n"):
     if isinstance(obj, int):
         return int.__repr__(obj)
     if isinstance(obj, (np.floating, np.integer, np.bool_)):
-        return _report_text(obj.item(), nl)
+        return _report_text(obj.item(), nl, floats, rows)
     raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
 
 
-def _item_texts(values, nl):
+def _item_texts(values, nl, floats, rows):
     """Texts of a container's values; a leaf of floats is formatted in one call."""
     if {*map(type, values)} == {float}:
-        return _float_texts(values)
-    return [_report_text(v, nl) for v in values]
+        return _memo_float_texts(values, floats)
+    return [_report_text(v, nl, floats, rows) for v in values]
+
+
+def _memo_float_texts(values, floats):
+    """`_float_texts` of ``values``, looked up in the report's float memo first;
+    the misses are formatted in one call and remembered, zeros excepted."""
+    texts = list(map(floats.get, values))
+    if None not in texts:
+        return texts
+    missing = [v for v, t in zip(values, texts) if t is None]
+    fresh = _float_texts(missing)
+    floats.update(zip(missing, fresh))
+    floats.pop(0.0, None)   # removes a -0.0 key too
+    fresh = iter(fresh)
+    return [t if t is not None else next(fresh) for t in texts]
 
 
 def _write_text(text, path):
@@ -190,13 +219,26 @@ def _utilities_csv(report):
     return rows
 
 
+def _bound_mode(config):
+    """``--bound-mode`` of a run that elicits utilities; ``equality`` when not given."""
+    return config.bound_mode or "equality"
+
+
+def _refuse_bound_mode(config, option):
+    """``--bound-mode`` is an error where ``option`` leaves nothing to elicit."""
+    if config.bound_mode is not None:
+        raise ValidationError("--bound-mode", f"not read with {option}, which elicits "
+                                              "no utilities")
+
+
 def _cmd_solve(config):
     doc = _load_json(config.input)
     if config.command == "opa":
         report = solution_report(solve_document(doc, method="opa"), "opa")
     else:
-        solution = solve_document(doc, bound_mode=config.bound_mode)
-        report = solution_report(solution, "gopa", config.bound_mode)
+        bound_mode = _bound_mode(config)
+        solution = solve_document(doc, bound_mode=bound_mode)
+        report = solution_report(solution, "gopa", bound_mode)
     _write_json(report, config.output)
     if config.csv_dir is not None:
         out = _csv_dir(config.csv_dir)
@@ -230,7 +272,7 @@ def _cmd_elicit(config):
         target = target_density(structure, kij)
         rows = [("x", "target")] + [(_fmt(x), _fmt(target.value(x))) for x in xs]
     else:
-        u, density = elicit_cell(structure, kij, context.cell(i, j), config.bound_mode)
+        u, density = elicit_cell(structure, kij, context.cell(i, j), _bound_mode(config))
         if config.samples:
             rows = [("x", "density", "cdf")]
             rows += [(_fmt(x), _fmt(density.value(x)), _fmt(density.cdf(x))) for x in xs]
@@ -271,12 +313,14 @@ def _cmd_metrics(config):
 
 
 def _cmd_sensitivity(config):
+    if config.method == "opa":
+        _refuse_bound_mode(config, "--method opa")
     doc = _load_json(config.input)
     problem, context, structures = load_document(doc)
     utilities = None
     if config.method == "gopa":
         utilities = elicit_utilities(problem, context, structures,
-                                     bound_mode=config.bound_mode)
+                                     bound_mode=_bound_mode(config))
     stats = permutation_stats(problem, utilities)
     rows = [("section", "id", "mean", "skewness", "kurtosis", "cv", "min", "max")]
     for section in ("experts", "attributes", "alternatives"):
@@ -367,6 +411,7 @@ def _cmd_verify(config):
     summary = {"kind": "verify", "instances": []}
     rng = np.random.default_rng(config.seed)
     if config.random:
+        _refuse_bound_mode(config, "--random")
         for n in range(config.random):
             problem, _, _ = load_document(_random_document(rng))
             checks = _check_instance(problem, _random_utilities(problem, rng), config.tol)
@@ -377,7 +422,7 @@ def _cmd_verify(config):
         doc = _load_json(config.input)
         problem, context, structures = load_document(doc)
         utilities = elicit_utilities(problem, context, structures,
-                                     bound_mode=config.bound_mode)
+                                     bound_mode=_bound_mode(config))
         checks = _check_instance(problem, utilities, config.tol)
         summary["instances"].append({"instance": str(config.input), "checks": checks})
     ok = all(c["pass"] for inst in summary["instances"] for c in inst["checks"])
@@ -417,7 +462,7 @@ def _parser():
             p.add_argument("input", help="input document (JSON)")
         p.add_argument("-o", "--output", default=None, help="output path (default stdout)")
         if elicits:
-            p.add_argument("--bound-mode", default="equality",
+            p.add_argument("--bound-mode", default=None,
                            choices=("equality", "inequality"), dest="bound_mode")
         return p
 

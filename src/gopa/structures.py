@@ -5,7 +5,7 @@ structures are risk-preference utility densities over ``[0, K]`` together
 with closed-form segment integrals.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 import math
 import sys
 
@@ -37,7 +37,8 @@ class UtilityStructure:
 
     Continuous kinds: ``neutral``, ``hara`` (uses ``alpha, beta, gamma``),
     ``crra`` (uses ``alpha, gamma``), ``cara`` (uses ``a``), ``sshape``
-    (uses ``steepness``).
+    (uses ``steepness``).  A parameter the kind does not read must keep its
+    default, so that equal structures compare and hash equal.
     """
 
     kind: str
@@ -51,6 +52,10 @@ class UtilityStructure:
     def __post_init__(self):
         if self.kind not in DISCRETE_KINDS + CONTINUOUS_KINDS:
             raise ValidationError("structures.kind", f"unknown kind {self.kind!r}")
+        for name, default in _PARAMETER_DEFAULTS.items():
+            if name not in KIND_PARAMETERS[self.kind] and getattr(self, name) != default:
+                raise ValidationError(f"structures.{name}",
+                                      f"kind {self.kind!r} reads no parameter {name!r}")
         if self.kind == "ref" and not self.exponent > 0:
             raise ValidationError("structures.exponent", "rank exponent must be > 0")
         if self.kind in ("hara", "crra") and not self.alpha > 0:
@@ -92,6 +97,9 @@ class UtilityStructure:
             if name != "kind":
                 finite(value, f"{path}.{name}")
         return structure
+
+
+_PARAMETER_DEFAULTS = {f.name: f.default for f in fields(UtilityStructure) if f.name != "kind"}
 
 
 def finite(value, path):

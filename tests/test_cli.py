@@ -450,10 +450,35 @@ class TestInputBoundary:
         for command in ("solve", "opa", "sensitivity", "verify")
     ] + [
         ["opa", "input.json", "--bound-mode", "inequality"],
+    ] + [
+        # argparse accepts --bound-mode here; the run refuses it before reading a file
+        ["verify", "--random", "3", "--seed", "5", "--bound-mode", "inequality"],
+        ["verify", "--bound-mode", "equality", "--random", "3"],
+        ["sensitivity", "input.json", "--method", "opa", "--bound-mode", "inequality"],
+        ["sensitivity", "input.json", "--bound-mode", "equality", "--method", "opa"],
     ])
     def test_options_only_where_read(self, argv, capsys):
         assert main(argv) == 2
-        assert "error: unrecognized arguments" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        if "--bound-mode" in argv and argv[0] in ("verify", "sensitivity"):
+            option = "--random" if argv[0] == "verify" else "--method opa"
+            assert err == (f"invalid input: --bound-mode: not read with {option}, "
+                           "which elicits no utilities\n")
+        else:
+            assert "error: unrecognized arguments" in err
+
+    def test_bound_mode_where_read(self, tmp_path, clean_doc):
+        path = write_doc(tmp_path, clean_doc)
+        for argv in (["sensitivity", str(path)], ["verify", str(path)]):
+            outputs = []
+            for mode in ([], ["--bound-mode", "equality"]):
+                out = tmp_path / "out"
+                assert main([*argv, *mode, "-o", str(out)]) == 0
+                outputs.append(out.read_bytes())
+            assert outputs[0] == outputs[1]
+        assert main(["sensitivity", str(path), "--bound-mode", "inequality",
+                     "-o", str(tmp_path / "out")]) == 0
+        assert main(["verify", "--random", "3", "--seed", "5", "-o", str(tmp_path / "out")]) == 0
 
     def test_negative_samples_on_continuous_cell(self, tmp_path, clean_doc):
         path = write_doc(tmp_path, clean_doc)

@@ -10,7 +10,7 @@ import pytest
 
 from gopa import cli
 from gopa.metrics import consensus_report
-from gopa.pipeline import solution_report
+from gopa.pipeline import solution_report, solve_document
 from gopa.solver import solve_gopa, solve_opa
 
 from oracles import legacy_report_text, random_problem, random_utilities
@@ -23,6 +23,20 @@ EDGE_FLOATS = [0.0, -0.0, 1.0, 1e-5, 5e-324, 1e-310, 999999999999.5, 1e12, 1e16,
 
 def assert_same_bytes(doc):
     assert cli._report_text(doc) + "\n" == legacy_report_text(doc)
+
+
+@pytest.fixture
+def formatted(monkeypatch):
+    """The batches of floats the writer passes to `_float_texts`, in order."""
+    seen = []
+
+    def recording(values):
+        seen.append(list(values))
+        return float_texts(values)
+
+    float_texts = cli._float_texts
+    monkeypatch.setattr(cli, "_float_texts", recording)
+    return seen
 
 
 @pytest.mark.parametrize("x", EDGE_FLOATS, ids=repr)
@@ -91,3 +105,76 @@ def test_verify_summary(monkeypatch):
     assert cli.main(["verify", "--random", "6", "--seed", "5"]) == 0
     (summary,) = docs
     assert_same_bytes(summary)
+
+
+def assert_formatted_once(batches):
+    """A nonzero number formatted for one leaf is looked up, not formatted, later on."""
+    done = set()
+    for batch in batches:
+        numbers = {x for x in batch if x == x and x != 0.0}
+        assert not numbers & done
+        done |= numbers
+
+
+NAN = float("nan")
+REPEATED = [0.0, -0.0, NAN, float("inf"), float("-inf"), 5e-324, 999999999999.5, 1e16]
+
+
+@pytest.mark.parametrize("zeros", [(0.0, -0.0), (-0.0, 0.0)], ids=["plus_first", "minus_first"])
+def test_repeated_edge_floats_within_and_across_leaves(zeros, formatted):
+    first, second = zeros
+    leaf = [first, second, *REPEATED, first, NAN, float("nan"), second]
+    doc = {
+        "a": leaf,
+        "b": [second, first, *reversed(REPEATED)],
+        "c": {"x": first, "y": second, "z": NAN, "w": float("nan")},
+        "d": [[first], [second], [NAN], [float("nan")], [1e16], [1e16]],
+        "e": first,
+        "f": second,
+    }
+    assert_same_bytes(doc)
+    formatted.clear()
+    assert cli._report_text(doc).count("NaN") == 3 + 1 + 2 + 2
+    assert_formatted_once(formatted)
+    assert not any(x is NAN for batch in formatted[1:] for x in batch)   # a hit
+    assert sum(x != x for batch in formatted[1:] for x in batch) == 2    # misses
+    assert sum(x == 0.0 for batch in formatted for x in batch) == 16   # every zero
+
+
+def test_same_key_row_at_two_depths():
+    row = {"A1": 0.25, "A2": 0.75, "A3": 0.5}
+    doc = {"top": dict(row), "nested": {"inner": dict(row), "deeper": [dict(row), {"z": row}]},
+           **row}
+    assert_same_bytes(doc)
+    assert_same_bytes([row, {"k": row}, [[row]]])
+
+
+def test_keys_with_format_characters():
+    keys = ["%", "%s", "%%", "%(a)s", "{", "{}", "{0}", "a%sb", "%.12g", "}"]
+    doc = {k: {k2: float(n) + 0.5 for n, k2 in enumerate(keys)} for k in keys}
+    doc["mixed"] = {k: [k, 1.5, None] for k in keys}
+    assert_same_bytes(doc)
+
+
+def test_no_state_carries_over_between_reports(formatted):
+    minus = {"w": [-0.0, 0.1, NAN], "v": {"a": 0.1, "b": -0.0}}
+    plus = {"w": [0.0, 0.1, NAN], "v": {"a": 0.1, "b": 0.0}}
+    for doc in (minus, plus, minus, [0.1, {"a": 0.2}], plus):
+        assert_same_bytes(doc)
+    formatted.clear()
+    cli._report_text(minus)
+    cli._report_text(plus)
+    # each report formats 0.1 and NAN once: a hit within one, a miss in the next
+    assert sum(x == 0.1 for batch in formatted for x in batch) == 2
+    assert sum(x is NAN for batch in formatted for x in batch) == 2
+
+
+@pytest.mark.parametrize("method", ["opa", "gopa"])
+def test_wide_solution_report(method, formatted):
+    _, doc = random_problem(np.random.default_rng(30), 30, 30, 30)
+    report = solution_report(solve_document(doc, method=method), method)
+    assert_same_bytes(report)
+    formatted.clear()
+    cli._report_text(report)
+    assert_formatted_once(formatted)
+    assert sum(map(len, formatted)) < 30 * 30 * 30 / 2

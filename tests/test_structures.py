@@ -1,4 +1,5 @@
 import importlib.util
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -105,6 +106,21 @@ class TestStructureValidation:
             UtilityStructure.from_dict({"kind": kind, name: 3}, "structures.cells.E1.C2")
         assert info.value.path == f"structures.cells.E1.C2.{name}"
 
+    @pytest.mark.parametrize("kind, name", [
+        (kind, name) for kind in DISCRETE_KINDS + CONTINUOUS_KINDS
+        for name in ("exponent", "alpha", "beta", "gamma", "a", "steepness")
+        if name not in KIND_PARAMETERS[kind]])
+    def test_constructor_refuses_parameter_the_kind_does_not_read(self, kind, name):
+        # a changed unread parameter would make two equal structures compare unequal
+        with pytest.raises(ValidationError) as info:
+            UtilityStructure(kind=kind, **{name: 3.0})
+        assert info.value.path == f"structures.{name}"
+        assert str(info.value).endswith(f"kind {kind!r} reads no parameter {name!r}")
+        valid = {"crra": {"gamma": 0.5}}.get(kind, {})   # crra's default gamma is 1
+        default = {f.name: f.default for f in fields(UtilityStructure)}[name]
+        same = UtilityStructure(kind=kind, **valid, **{name: default})
+        assert same == UtilityStructure(kind=kind, **valid)
+
     @pytest.mark.parametrize("kind", [[], {}, None, 3, "bogus"])
     def test_unknown_kind(self, kind):
         with pytest.raises(ValidationError) as info:
@@ -120,6 +136,7 @@ class TestStructureValidation:
         assert sorted(f["kind"] for f in workloads.FAMILIES) == sorted(KIND_PARAMETERS)
         for family in workloads.FAMILIES:
             st = UtilityStructure.from_dict(family)
+            assert UtilityStructure(**family) == st
             out = st.to_dict()
             assert list(out) == ["kind", *KIND_PARAMETERS[st.kind]]
             assert {**out, **family} == out
