@@ -409,14 +409,19 @@ def _random_utilities(problem, rng):
 
 def _cmd_verify(config):
     summary = {"kind": "verify", "instances": []}
-    rng = np.random.default_rng(config.seed)
     if config.random:
         _refuse_bound_mode(config, "--random")
+        if config.input is not None:
+            raise ValidationError("input", "not read with --random, which checks "
+                                           "generated instances")
+        rng = np.random.default_rng(config.seed or 0)
         for n in range(config.random):
             problem, _, _ = load_document(_random_document(rng))
             checks = _check_instance(problem, _random_utilities(problem, rng), config.tol)
             summary["instances"].append({"instance": f"random-{n}", "checks": checks})
     else:
+        if config.seed is not None:
+            raise ValidationError("--seed", "only read with --random")
         if config.input is None:
             raise ValidationError("input", "verify needs an input file or --random N")
         doc = _load_json(config.input)
@@ -494,7 +499,8 @@ def _parser():
     p.add_argument("input", nargs="?", default=None)
     p.add_argument("--random", type=_positive_int, default=None, metavar="N",
                    help="check N random instances instead of an input file")
-    p.add_argument("--seed", type=_nonnegative_int, default=0)
+    p.add_argument("--seed", type=_nonnegative_int, default=None,
+                   help="seed of the --random instances (default 0)")
     p.add_argument("--tol", type=_positive_float, default=1e-8)
     return parser
 

@@ -1,5 +1,10 @@
 """Two-phase dense-tableau simplex, the package's one LP engine, and the LP builders.
 
+Each inequality row starts basic on its slack where the slack can hold it, so
+phase I runs only over the artificials of the other rows: one, on the
+normalization row, in the weight programs.  The tableau carries the reduced
+costs as one more row, which each pivot updates with the rest.
+
 Stage 1 runs it on the support program of `gopa.projection.positive_support`.
 The production path computes weights in closed form; this module rebuilds the
 same programs as explicit LPs so the closed forms can be cross-checked, and it
@@ -56,15 +61,18 @@ class LPResult:
 
 
 def solve_lp(lp):
-    """Solve an LP with a two-phase dense-tableau simplex under Bland's rule.
+    """Solve an LP with a two-phase dense-tableau simplex, started on the slack basis.
 
-    Every row of ``[A | slacks | b]`` (free variables split in two, rows with
-    ``b < 0`` negated) gets one artificial.  Phase I maximizes minus their sum;
-    a sum left above `INFEASIBLE_TOL` means the program is infeasible.  An
-    artificial still basic at zero is pivoted onto a structural column, or its
-    row is dropped as redundant, and phase II maximizes the objective.  The
-    lowest eligible column enters, so runs are deterministic; `_simplex` says
-    which row leaves and why runs cannot cycle.
+    The tableau is ``[A | slacks | b]`` (free variables split in two), with
+    rows negated where ``b < 0`` and ``>=`` rows negated where ``b = 0``, so
+    every inequality row whose slack now reads +1 starts basic on it.  Only
+    the other rows get an artificial: ``=`` rows, and rows that read ``>=``
+    with ``b > 0`` once negated.  Phase I maximizes minus the artificial
+    sum; a sum left above `INFEASIBLE_TOL` means the program is infeasible.
+    An artificial still basic at zero is pivoted onto a structural column,
+    or its row is dropped as redundant, and phase II maximizes the
+    objective.  The lowest eligible column enters, so runs are deterministic;
+    `_simplex` says which row leaves and why runs cannot cycle.
     """
     c = lp.objective
     m = lp.rhs.size
@@ -72,47 +80,60 @@ def solve_lp(lp):
     senses = np.asarray(lp.senses)
     slacks = np.diag(1.0 * (senses == "<=") - (senses == ">="))[:, senses != "="]
     rows = np.hstack([lp.lhs, -lp.lhs[:, split], slacks, lp.rhs[:, None]])
-    rows[lp.rhs < 0] *= -1.0
+    rows[(lp.rhs < 0) | ((lp.rhs == 0) & (senses == ">="))] *= -1.0
     n = rows.shape[1] - 1
-    tab = np.hstack([rows[:, :n], np.eye(m), rows[:, n:]])
-    basis = np.arange(n, n + m)
+    owned = np.flatnonzero(senses != "=")    # the row of each slack column
+    slack_cols = np.arange(n - owned.size, n)
+    usable = rows[owned, slack_cols] > 0     # +1 once negated, so b >= 0 there
+    basis = np.full(m, -1)
+    basis[owned[usable]] = slack_cols[usable]
+    artificial = np.flatnonzero(basis < 0)
+    basis[artificial] = n + np.arange(artificial.size)
+    # one more row carries the reduced costs and the objective value
+    tab = np.vstack([np.hstack([rows[:, :n], np.eye(m)[:, artificial], rows[:, n:]]),
+                     np.zeros(n + artificial.size + 1)])
 
-    _simplex(tab, basis, np.repeat([0.0, -1.0], [n, m]))
-    if tab[basis >= n, -1].sum() > INFEASIBLE_TOL:
+    _simplex(tab, basis, np.repeat([0.0, -1.0], [n, artificial.size]))
+    if tab[:-1][basis >= n, -1].sum() > INFEASIBLE_TOL:
         return LPResult(status="infeasible")
     for row in np.flatnonzero(basis >= n):
         col = np.argmax(np.abs(tab[row, :n]))
         if abs(tab[row, col]) > TOL:
             _pivot(tab, basis, row, col)
-    keep = basis < n    # an artificial with no structural entry left marks a redundant row
+    # an artificial with no structural entry left marks a redundant row
+    keep = np.append(basis < n, True)
     tab = np.hstack([tab[keep, :n], tab[keep, -1:]])
-    basis = basis[keep]
+    basis = basis[keep[:-1]]
 
     if not _simplex(tab, basis, np.concatenate([c, -c[split], np.zeros(slacks.shape[1])])):
         return LPResult(status="unbounded")
     values = np.zeros(n)
-    values[basis] = tab[:, -1]
+    values[basis] = tab[:-1, -1]
     x = values[:c.size]
     x[split] -= values[c.size:c.size + split.size]
     return LPResult(status="optimal", value=float(c @ x), x=x)
 
 
 def _simplex(tab, basis, cost):
-    """Pivot ``tab`` (rows ``[A | b]``) to a maximum of ``cost``; False if unbounded.
+    """Pivot ``tab`` (rows ``[A | b]``, then the objective row) to a maximum of ``cost``.
 
-    The lowest eligible column enters.  Of the rows whose ratio is within the
-    step allowed by ``b + TOL`` (Harris 1973), the largest pivot leaves, so no
-    tiny pivot is taken for a near-tie; after more than m degenerate pivots in
-    a row the lowest basis index of the ties leaves (Bland's rule), so runs
-    cannot cycle.
+    Returns False if the program is unbounded.  The last row is set once to
+    the reduced costs ``cost[basis] @ A - cost`` and the objective value, and
+    each pivot updates it with the other rows.  The lowest eligible column
+    enters.  Of the rows whose ratio is within the step allowed by
+    ``b + TOL`` (Harris 1973), the largest pivot leaves, so no tiny pivot is
+    taken for a near-tie; after more than m degenerate pivots in a row the
+    lowest basis index of the ties leaves (Bland's rule), so runs cannot
+    cycle.
     """
-    m = tab.shape[0]
+    m = basis.size
+    tab[-1] = cost[basis] @ tab[:-1] - np.append(cost, 0.0)
     stalled = 0
     for _ in range(50 * (m + cost.size) + 1000):
-        entering = np.flatnonzero(cost[basis] @ tab[:, :-1] - cost < -TOL)
+        entering = np.flatnonzero(tab[-1, :-1] < -TOL)
         if entering.size == 0:
             return True
-        col = tab[:, entering[0]]
+        col = tab[:-1, entering[0]]
         positive = np.flatnonzero(col > TOL)
         if positive.size == 0:
             return False

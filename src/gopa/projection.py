@@ -45,8 +45,10 @@ def kl_project(base, rows, rhs, n_eq):
     log_base = np.log(base / base.sum())
     y = np.zeros(rows.shape[0])
     lower = np.where(np.arange(y.size) < n_eq, -np.inf, 0.0)
+    accepted = None   # _primal at the accepted Armijo trial, which becomes the next y
     for it in range(_BUDGET):
-        x, log_z = _primal(log_base, rows.T @ y)
+        x, log_z = _primal(log_base, rows.T @ y) if accepted is None else accepted
+        accepted = None
         grad = rows @ x - rhs
         room = y - lower
         # y minus its projected gradient step: zero exactly at the optimum
@@ -87,7 +89,8 @@ def kl_project(base, rows, rhs, n_eq):
             merit, slope = log_z - y @ rhs, grad @ step
             while alpha >= 1e-15:
                 trial = np.maximum(y + alpha * step, lower)
-                if _primal(log_base, rows.T @ trial)[1] - trial @ rhs <= merit + 1e-4 * alpha * slope:
+                accepted = _primal(log_base, rows.T @ trial)
+                if accepted[1] - trial @ rhs <= merit + 1e-4 * alpha * slope:
                     break
                 alpha *= 0.5
             else:

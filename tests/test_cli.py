@@ -327,6 +327,32 @@ class TestVerifyCommand:
     def test_needs_input_or_random(self):
         assert main(["verify"]) == 2
 
+    def test_input_and_random_are_exclusive(self, tmp_path, capsys):
+        missing = tmp_path / "missing.json"   # refused before any file is opened
+        out = tmp_path / "v.json"
+        for argv in (["verify", str(missing), "--random", "2"],
+                     ["verify", "--random", "2", "--seed", "3", str(missing)]):
+            assert main([*argv, "-o", str(out)]) == 2
+            assert capsys.readouterr().err == ("invalid input: input: not read with --random, "
+                                               "which checks generated instances\n")
+        assert not out.exists()
+
+    def test_seed_only_with_random(self, tmp_path, clean_doc, capsys):
+        path = write_doc(tmp_path, clean_doc)
+        out = tmp_path / "v.json"
+        for argv in (["verify", str(path), "--seed", "7"], ["verify", "--seed", "0"]):
+            assert main([*argv, "-o", str(out)]) == 2
+            assert capsys.readouterr().err == "invalid input: --seed: only read with --random\n"
+        assert not out.exists()
+
+    def test_random_seed_defaults_to_zero(self, tmp_path):
+        outputs = []
+        for seed in ([], ["--seed", "0"]):
+            out = tmp_path / "v.json"
+            assert main(["verify", "--random", "2", *seed, "-o", str(out)]) == 0
+            outputs.append(out.read_bytes())
+        assert outputs[0] == outputs[1]
+
 
 def child_env():
     # The child must import the package under test, also when pytest put it on

@@ -160,17 +160,38 @@ class TestEfficiency:
 
 
 def highs(lp):
-    """Status and value of ``lp`` from scipy's HiGHS, the second LP engine."""
+    """Status and value of ``lp`` from scipy's HiGHS, the second LP engine.
+
+    HiGHS first decides two feasibility programs, ``lp`` with a zero objective
+    and its dual: a feasible program is unbounded exactly when its dual is
+    infeasible.  Asked for the status directly, HiGHS calls some feasible
+    unbounded programs infeasible with presolve (scipy 1.17.1) and unknown
+    without it.
+    """
     senses = np.asarray(lp.senses)
     eq = senses == "="
     sign = np.where(senses == ">=", -1.0, 1.0)   # a >= row as a <= row
-    free = (False,) * lp.objective.size if lp.free is None else lp.free
-    res = scipy.optimize.linprog(
-        -lp.objective, A_ub=(sign[:, None] * lp.lhs)[~eq], b_ub=(sign * lp.rhs)[~eq],
-        A_eq=lp.lhs[eq], b_eq=lp.rhs[eq],
-        bounds=[(None, None) if f else (0.0, None) for f in free], method="highs")
-    status = {0: "optimal", 2: "infeasible", 3: "unbounded"}[res.status]
-    return status, (-res.fun if status == "optimal" else None)
+    free = np.zeros(lp.objective.size, dtype=bool) if lp.free is None else np.asarray(lp.free)
+    a_ub, b_ub = (sign[:, None] * lp.lhs)[~eq], (sign * lp.rhs)[~eq]
+
+    def primal(objective):
+        return scipy.optimize.linprog(
+            -objective, A_ub=a_ub, b_ub=b_ub, A_eq=lp.lhs[eq], b_eq=lp.rhs[eq],
+            bounds=[(None, None) if f else (0.0, None) for f in free], method="highs")
+
+    if primal(np.zeros_like(lp.objective)).status == 2:
+        return "infeasible", None
+    # the dual's rows: A^T y >= c on nonnegative variables, = c on free ones
+    at = np.vstack([a_ub, lp.lhs[eq]]).T
+    dual = scipy.optimize.linprog(
+        np.zeros(at.shape[1]), A_ub=-at[~free], b_ub=-lp.objective[~free],
+        A_eq=at[free], b_eq=lp.objective[free],
+        bounds=[(0.0, None)] * a_ub.shape[0] + [(None, None)] * eq.sum(), method="highs")
+    if dual.status == 2:
+        return "unbounded", None
+    res = primal(lp.objective)
+    assert res.status == 0, res.message
+    return "optimal", -res.fun
 
 
 class TestSecondEngine:
@@ -206,6 +227,58 @@ class TestSecondEngine:
                 assert solve_lp(efficiency[1]).status == "infeasible"
                 assert highs(efficiency[1])[0] == "infeasible"
             efficiency.clear()
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_random_small_programs_cover_every_start(self, seed):
+        # every sense with b < 0, b = 0 and b > 0, so a row starts on its
+        # slack or on an artificial in every way phase I allows
+        rng = np.random.default_rng(seed)
+        starts, statuses = set(), set()
+        for _ in range(150):
+            m, n = rng.integers(2, 6, size=2)
+            senses = tuple(rng.choice(["<=", "=", ">="], size=m))
+            rhs = rng.integers(-4, 5, size=m) * rng.integers(0, 2, size=m)
+            lp = LinearProgram(objective=rng.integers(-3, 4, size=n),
+                               lhs=rng.integers(-3, 4, size=(m, n)), rhs=rhs, senses=senses,
+                               free=tuple(rng.random(n) < 0.3))
+            starts.update(zip(senses, np.sign(rhs)))
+            ours = solve_lp(lp)
+            status, value = highs(lp)
+            statuses.add(status)
+            assert ours.status == status
+            if status == "optimal":
+                assert ours.value == pytest.approx(value, abs=1e-9)
+                slack, sense = lp.rhs - lp.lhs @ ours.x, np.asarray(senses)
+                assert (slack[sense == "<="] >= -1e-9).all()
+                assert (slack[sense == ">="] <= 1e-9).all()
+                assert (np.abs(slack[sense == "="]) <= 1e-9).all()
+        assert len(starts) == 9
+        assert statuses == {"optimal", "infeasible", "unbounded"}
+
+    def test_rows_with_usable_slacks_make_no_phase_one_pivot(self, monkeypatch):
+        # <= with b > 0 and b = 0, >= with b < 0 and b = 0: each row starts on its slack
+        lp = LinearProgram(objective=[1.0, 1.0],
+                           lhs=[[1.0, 2.0], [3.0, 1.0], [-1.0, 1.0], [1.0, -4.0], [2.0, 1.0]],
+                           rhs=[4.0, 6.0, -3.0, 0.0, 0.0], senses=("<=", "<=", ">=", "<=", ">="))
+        pivots, phase_starts = [0], []
+        pivot, simplex = gopa.lpcheck._pivot, gopa.lpcheck._simplex
+
+        def count_pivot(*args):
+            pivots[0] += 1
+            return pivot(*args)
+
+        def mark_phase(*args):
+            phase_starts.append(pivots[0])
+            return simplex(*args)
+
+        monkeypatch.setattr(gopa.lpcheck, "_pivot", count_pivot)
+        monkeypatch.setattr(gopa.lpcheck, "_simplex", mark_phase)
+        res = solve_lp(lp)
+        assert phase_starts == [0, 0]   # phase II starts before any pivot
+        assert pivots[0] > 0
+        assert res.status == "optimal"
+        assert res.value == pytest.approx(highs(lp)[1], abs=1e-9)
+        assert res.value == pytest.approx(2.8, abs=1e-12)
 
 
 def test_verify_random_seed_24003_passes(tmp_path):
