@@ -449,7 +449,8 @@ def _flag_type(convert, accept, expected):
     return parse
 
 
-_positive_float = _flag_type(float, lambda x: x > 0, "a positive number")
+_finite_positive_float = _flag_type(float, lambda x: 0 < x < float("inf"),
+                                   "a finite positive number")
 _positive_int = _flag_type(int, lambda n: n >= 1, "an integer >= 1")
 _nonnegative_int = _flag_type(int, lambda n: n >= 0, "an integer >= 0")
 
@@ -501,7 +502,7 @@ def _parser():
                    help="check N random instances instead of an input file")
     p.add_argument("--seed", type=_nonnegative_int, default=None,
                    help="seed of the --random instances (default 0)")
-    p.add_argument("--tol", type=_positive_float, default=1e-8)
+    p.add_argument("--tol", type=_finite_positive_float, default=1e-8)
     return parser
 
 

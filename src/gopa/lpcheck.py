@@ -3,7 +3,9 @@
 Each inequality row starts basic on its slack where the slack can hold it, so
 phase I runs only over the artificials of the other rows: one, on the
 normalization row, in the weight programs.  The tableau carries the reduced
-costs as one more row, which each pivot updates with the rest.
+costs as one more row, which each pivot updates with the rest.  A pivot
+updates only the columns where the pivot row is nonzero: the tableau is stored
+dense, but the pivot rows of the weight programs are sparse.
 
 Stage 1 runs it on the support program of `gopa.projection.positive_support`.
 The production path computes weights in closed form; this module rebuilds the
@@ -130,11 +132,11 @@ def _simplex(tab, basis, cost):
     tab[-1] = cost[basis] @ tab[:-1] - np.append(cost, 0.0)
     stalled = 0
     for _ in range(50 * (m + cost.size) + 1000):
-        entering = np.flatnonzero(tab[-1, :-1] < -TOL)
+        entering = (tab[-1, :-1] < -TOL).nonzero()[0]
         if entering.size == 0:
             return True
         col = tab[:-1, entering[0]]
-        positive = np.flatnonzero(col > TOL)
+        positive = (col > TOL).nonzero()[0]
         if positive.size == 0:
             return False
         pivots, b = col[positive], tab[positive, -1]
@@ -150,9 +152,15 @@ def _simplex(tab, basis, cost):
 
 
 def _pivot(tab, basis, row, col):
-    """Make ``col`` basic in ``row`` by one rank-one elimination."""
+    """Make ``col`` basic in ``row`` by one rank-one elimination.
+
+    Only the columns where the pivot row is nonzero are updated: elsewhere
+    the full update would subtract zeros, which can change the sign of a
+    zero entry but no value, so the pivots are the same.
+    """
     pivot_row = tab[row] / tab[row, col]
-    tab -= np.outer(tab[:, col], pivot_row)
+    touched = pivot_row.nonzero()[0]
+    tab[:, touched] -= np.outer(tab[:, col], pivot_row[touched])
     tab[row] = pivot_row
     basis[row] = col
 

@@ -356,6 +356,14 @@ def highs_positive_support(rows, rhs, n_eq):
     return res.x[n + 1:] > 0.5 if -res.fun >= 0.5 else None
 
 
+def dense_pivot(tab, basis, row, col):
+    """`gopa.lpcheck._pivot` as a full rank-one update, every column included."""
+    pivot_row = tab[row] / tab[row, col]
+    tab -= np.outer(tab[:, col], pivot_row)
+    tab[row] = pivot_row
+    basis[row] = col
+
+
 # --- random input generators -------------------------------------------------
 
 

@@ -10,6 +10,7 @@ import pytest
 
 import gopa
 from gopa.cli import main
+from gopa.lpcheck import LPResult
 
 from oracles import random_problem
 
@@ -352,6 +353,19 @@ class TestVerifyCommand:
             assert main(["verify", "--random", "2", *seed, "-o", str(out)]) == 0
             outputs.append(out.read_bytes())
         assert outputs[0] == outputs[1]
+
+    def test_tol_must_be_finite(self, capsys):
+        assert main(["verify", "--random", "2", "--tol", "inf"]) == 2
+        err = capsys.readouterr().err
+        assert "error: argument --tol: expected a finite positive number, got 'inf'" in err
+
+    def test_unsolved_lp_fails_at_any_finite_tol(self, tmp_path, monkeypatch):
+        # an LP that is not optimal has delta = inf, which no finite --tol reaches
+        monkeypatch.setattr(gopa.cli, "solve_lp", lambda lp: LPResult("infeasible"))
+        out = tmp_path / "v.json"
+        assert main(["verify", "--random", "1", "--tol", "1e308", "-o", str(out)]) == 1
+        checks = json.loads(out.read_text())["instances"][0]["checks"]
+        assert [c["pass"] for c in checks[:2]] == [False, False]
 
 
 def child_env():

@@ -7,6 +7,7 @@ from gopa.cli import _random_document, _random_utilities, main
 from gopa.exceptions import DimensionError, InfeasibleStage2
 from gopa.lpcheck import (
     LinearProgram,
+    LPResult,
     build_gopa_lp,
     build_opa_lp,
     cell_variable_names,
@@ -17,7 +18,9 @@ from gopa.model import load_document, validate_problem
 from gopa.solver import solve_gopa, solve_opa
 from gopa.structures import surrogate_weights
 
-from oracles import random_problem, random_utilities
+from oracles import dense_pivot, random_problem, random_utilities
+
+SHIPPED_PIVOT = gopa.lpcheck._pivot
 
 
 class TestSimplex:
@@ -194,61 +197,72 @@ def highs(lp):
     return "optimal", -res.fun
 
 
+def random_verify_programs(seed):
+    """Each instance of `verify --random 20 --seed seed` and the LPs `verify` solves for it.
+
+    The LPs are the ordinal and the generalized program, then the efficiency
+    programs at ``z*`` and ``1.1 z*``.
+    """
+    rng = np.random.default_rng(seed)
+    for _ in range(20):
+        problem, _, _ = load_document(_random_document(rng))
+        programs = [build_opa_lp(problem), build_gopa_lp(problem, _random_utilities(problem, rng))]
+
+        def capture(lp):
+            programs.append(lp)
+            return LPResult("infeasible")   # so verify_efficiency stops before reading x
+
+        z = solve_opa(problem).objective
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(gopa.lpcheck, "solve_lp", capture)
+            for scale in (1.0, 1.1):
+                with pytest.raises(InfeasibleStage2):
+                    verify_efficiency(problem, scale * z)
+        yield problem, programs
+
+
+def random_small_programs(seed, count=150):
+    """Seeded integer LPs: every sense with ``b < 0``, ``b = 0`` and ``b > 0``, some free variables."""
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        m, n = rng.integers(2, 6, size=2)
+        senses = tuple(rng.choice(["<=", "=", ">="], size=m))
+        rhs = rng.integers(-4, 5, size=m) * rng.integers(0, 2, size=m)
+        yield LinearProgram(objective=rng.integers(-3, 4, size=n),
+                            lhs=rng.integers(-3, 4, size=(m, n)), rhs=rhs, senses=senses,
+                            free=tuple(rng.random(n) < 0.3))
+
+
 class TestSecondEngine:
     """`solve_lp` against HiGHS on the programs `verify --random` builds."""
 
     @pytest.mark.parametrize("seed", [0, 1, 2, 24003])
-    def test_random_verify_programs(self, seed, monkeypatch):
-        efficiency = []
-
-        def record(lp):
-            efficiency.append(lp)
-            return solve_lp(lp)
-
-        monkeypatch.setattr(gopa.lpcheck, "solve_lp", record)
-        rng = np.random.default_rng(seed)
-        for _ in range(20):
-            problem, _, _ = load_document(_random_document(rng))
-            utilities = _random_utilities(problem, rng)
-            z = solve_opa(problem).objective
-            for scale in (1.0, 1.1):
-                try:
-                    verify_efficiency(problem, scale * z)
-                except InfeasibleStage2:
-                    pass
-            programs = [build_opa_lp(problem), build_gopa_lp(problem, utilities)]
-            for lp in programs + efficiency:
-                ours = solve_lp(lp)
+    def test_random_verify_programs(self, seed):
+        for problem, programs in random_verify_programs(seed):
+            results = [solve_lp(lp) for lp in programs]
+            for lp, ours in zip(programs, results):
                 status, value = highs(lp)
                 assert ours.status == status
                 if status == "optimal":
                     assert ours.value == pytest.approx(value, abs=1e-9)
             if not problem.has_internal_gaps:
-                assert solve_lp(efficiency[1]).status == "infeasible"
-                assert highs(efficiency[1])[0] == "infeasible"
-            efficiency.clear()
+                assert results[3].status == "infeasible"
+                assert highs(programs[3])[0] == "infeasible"
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_random_small_programs_cover_every_start(self, seed):
         # every sense with b < 0, b = 0 and b > 0, so a row starts on its
         # slack or on an artificial in every way phase I allows
-        rng = np.random.default_rng(seed)
         starts, statuses = set(), set()
-        for _ in range(150):
-            m, n = rng.integers(2, 6, size=2)
-            senses = tuple(rng.choice(["<=", "=", ">="], size=m))
-            rhs = rng.integers(-4, 5, size=m) * rng.integers(0, 2, size=m)
-            lp = LinearProgram(objective=rng.integers(-3, 4, size=n),
-                               lhs=rng.integers(-3, 4, size=(m, n)), rhs=rhs, senses=senses,
-                               free=tuple(rng.random(n) < 0.3))
-            starts.update(zip(senses, np.sign(rhs)))
+        for lp in random_small_programs(seed):
+            starts.update(zip(lp.senses, np.sign(lp.rhs)))
             ours = solve_lp(lp)
             status, value = highs(lp)
             statuses.add(status)
             assert ours.status == status
             if status == "optimal":
                 assert ours.value == pytest.approx(value, abs=1e-9)
-                slack, sense = lp.rhs - lp.lhs @ ours.x, np.asarray(senses)
+                slack, sense = lp.rhs - lp.lhs @ ours.x, np.asarray(lp.senses)
                 assert (slack[sense == "<="] >= -1e-9).all()
                 assert (slack[sense == ">="] <= 1e-9).all()
                 assert (np.abs(slack[sense == "="]) <= 1e-9).all()
@@ -279,6 +293,91 @@ class TestSecondEngine:
         assert res.status == "optimal"
         assert res.value == pytest.approx(highs(lp)[1], abs=1e-9)
         assert res.value == pytest.approx(2.8, abs=1e-12)
+
+
+def pivot_trace(lp, pivot, monkeypatch):
+    """``solve_lp(lp)`` with ``pivot`` as `_pivot`, and the ``(row, col)`` of each pivot."""
+    trace = []
+
+    def record(tab, basis, row, col):
+        trace.append((int(row), int(col)))
+        pivot(tab, basis, row, col)
+
+    monkeypatch.setattr(gopa.lpcheck, "_pivot", record)
+    return solve_lp(lp), trace
+
+
+def document_programs(seed):
+    rng = np.random.default_rng(seed)
+    problem, _ = random_problem(rng, 4, 4, 8)
+    return [build_opa_lp(problem), build_gopa_lp(problem, random_utilities(rng, problem))]
+
+
+PROGRAM_SETS = {
+    **{f"verify-{seed}": lambda seed=seed: [lp for _, programs in random_verify_programs(seed)
+                                            for lp in programs]
+       for seed in (0, 1, 2, 24003)},
+    **{f"small-{seed}": lambda seed=seed: list(random_small_programs(seed))
+       for seed in (0, 1, 2)},
+    "documents-4x4x8": lambda: document_programs(8) + document_programs(9),
+}
+
+
+class TestSparsePivot:
+    """`_pivot` updates only the columns where the pivot row is nonzero."""
+
+    @pytest.mark.parametrize("programs", PROGRAM_SETS.values(), ids=PROGRAM_SETS.keys())
+    def test_same_pivots_as_full_update(self, programs, monkeypatch):
+        for lp in programs():
+            ours, trace = pivot_trace(lp, SHIPPED_PIVOT, monkeypatch)
+            full, full_trace = pivot_trace(lp, dense_pivot, monkeypatch)
+            assert trace == full_trace
+            assert (ours.status, ours.value) == (full.status, full.value)
+            assert np.array_equal(ours.x, full.x)
+
+    def test_pivot_writes_only_its_rows_support(self):
+        # column 1: the pivot row holds 0 there, and the pivot column is
+        # negative next to its -0.0, so the full update would flip that sign
+        tab = np.array([[2.0, 0.0, 4.0],
+                        [-3.0, -0.0, 1.0],
+                        [1.0, 7.0, 5.0]])
+        full, basis, full_basis = tab.copy(), np.array([2, 1, 0]), np.array([2, 1, 0])
+        column = tab[:, 1].tobytes()
+        SHIPPED_PIVOT(tab, basis, 0, 0)
+        dense_pivot(full, full_basis, 0, 0)
+        assert tab[:, 1].tobytes() == column
+        assert np.array_equal(tab, full)
+        assert basis.tolist() == full_basis.tolist() == [0, 1, 0]
+
+
+def test_efficiency_program_at_8x8x10():
+    # `verify --random` stops at 3 x 3 x 6; this gap-free program has 640 weights
+    rng = np.random.default_rng(810)
+    problem, _ = random_problem(rng, 8, 8, 10)
+    utilities = random_utilities(rng, problem)
+    z = solve_opa(problem).objective
+    for lp, closed_form in ((build_opa_lp(problem), z),
+                            (build_gopa_lp(problem, utilities),
+                             solve_gopa(problem, utilities).objective)):
+        res = solve_lp(lp)
+        assert res.status == "optimal"
+        assert res.value == pytest.approx(closed_form, abs=1e-9)
+        assert highs(lp) == ("optimal", pytest.approx(closed_form, abs=1e-9))
+
+    programs = []
+
+    def record(lp):
+        programs.append(lp)
+        return solve_lp(lp)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(gopa.lpcheck, "solve_lp", record)
+        check = verify_efficiency(problem, z)
+        with pytest.raises(InfeasibleStage2, match="infeasible"):
+            verify_efficiency(problem, 1.1 * z)
+    assert check.min_slack == pytest.approx(z, abs=1e-9)
+    assert highs(programs[0]) == ("optimal", pytest.approx(check.objective, abs=1e-9))
+    assert highs(programs[1]) == ("infeasible", None)
 
 
 def test_verify_random_seed_24003_passes(tmp_path):
