@@ -66,13 +66,12 @@ from .model import (
     RankingProblem,
     StructureMap,
     load_document,
-    problem_to_dict,
     validate_context,
     validate_problem,
     validate_structures,
 )
 from .pipeline import elicit_utilities, solution_report, solve_document
-from .sensitivity import ScenarioStats, describe, permutation_stats, permute_experts
+from .sensitivity import ScenarioStats, describe, permutation_stats
 from .solver import WeightSolution, decompose, solve_gopa, solve_opa
 from .structures import (
     TargetDensity,

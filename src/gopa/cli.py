@@ -4,6 +4,9 @@ Subcommands: ``solve`` (full two-stage pipeline), ``opa`` (rankings only),
 ``elicit`` (first stage of one cell), ``metrics`` (consensus report from a
 solution report), ``sensitivity`` (expert-rank permutation sweep), ``verify``
 (closed forms against the LP solver); each has only the flags it reads.
+``--bound-mode`` exits 2 where a run elicits no utilities (``verify --random``,
+``sensitivity --method opa``) or no continuous density (``elicit`` on a
+discrete cell or with ``--dump-target``).
 Reports are deterministic: sorted keys, two-space indent, ASCII-escaped
 strings, and each float rounded to 12 significant digits and written as the
 shortest string that reads back as the rounded value; NaN and infinities
@@ -224,21 +227,21 @@ def _bound_mode(config):
     return config.bound_mode or "equality"
 
 
-def _refuse_bound_mode(config, option):
-    """``--bound-mode`` is an error where ``option`` leaves nothing to elicit."""
+def _refuse_bound_mode(config, option, unread="utilities"):
+    """``--bound-mode`` is an error where ``option`` elicits no continuous density."""
     if config.bound_mode is not None:
         raise ValidationError("--bound-mode", f"not read with {option}, which elicits "
-                                              "no utilities")
+                                              f"no {unread}")
 
 
 def _cmd_solve(config):
     doc = _load_json(config.input)
     if config.command == "opa":
-        report = solution_report(solve_document(doc, method="opa"), "opa")
+        report = solution_report(solve_document(doc, method="opa"))
     else:
         bound_mode = _bound_mode(config)
         solution = solve_document(doc, bound_mode=bound_mode)
-        report = solution_report(solution, "gopa", bound_mode)
+        report = solution_report(solution, bound_mode)
     _write_json(report, config.output)
     if config.csv_dir is not None:
         out = _csv_dir(config.csv_dir)
@@ -264,6 +267,9 @@ def _cmd_elicit(config):
     structure = structures.cell(i, j)
     if structure.is_discrete and config.samples:
         raise ValidationError("--samples", "curve sampling applies to continuous cells")
+    if config.dump_target or structure.is_discrete:
+        _refuse_bound_mode(config, "--dump-target" if config.dump_target
+                           else f"the discrete cell {config.cell}", "continuous density")
     xs = np.linspace(0.0, kij, (config.samples or 200) + 1)
     if config.dump_target and structure.is_discrete:
         target = surrogate_weights(structure, kij)
@@ -277,8 +283,6 @@ def _cmd_elicit(config):
             rows = [("x", "density", "cdf")]
             rows += [(_fmt(x), _fmt(density.value(x)), _fmt(density.cdf(x))) for x in xs]
         else:
-            if density is not None and config.orientation == "literal":
-                u = u[::-1]   # increasing in rank, as the density accumulates
             rows = [("rank", "utility")] + [(r + 1, _fmt(v)) for r, v in enumerate(u)]
     _write_csv(rows, config.output)
     return 0
@@ -485,8 +489,6 @@ def _parser():
                    help="sample the solved density curve at N+1 points")
     p.add_argument("--dump-target", action="store_true", dest="dump_target",
                    help="emit the target structure instead of solving")
-    p.add_argument("--orientation", default="reversed", choices=("reversed", "literal"),
-                   help="literal: a continuous cell's utilities increasing in rank")
 
     p = command("metrics", _cmd_metrics, "consensus report from a solution report",
                 elicits=False)

@@ -175,13 +175,6 @@ def _flat_cells(problem):
     return np.broadcast_to(ts[..., None], mask.shape)[mask], np.nonzero(mask)[2] + 1
 
 
-def cell_variable_names(problem):
-    """Flat variable layout shared by the LP builders: all w cells, then z."""
-    names = [f"w[{problem.expert_ids[i]},{problem.attribute_ids[j]},r{r + 1}]"
-             for i, j, r in zip(*np.nonzero(problem.rank_mask))]
-    return tuple(names) + ("z",)
-
-
 def _rank_rows(problem, coefficients):
     """Rows ``coef*z - t*s*w <= 0`` plus the weighted normalization row."""
     mask = problem.rank_mask

@@ -195,11 +195,6 @@ def confidence_level(rho, raters, items):
     return f_cdf(x, v1, v2)
 
 
-def consensus_reject(rho, raters, items, alpha=0.05):
-    """True when inconsistency is rejected at level ``alpha``."""
-    return 1.0 - confidence_level(rho, raters, items) <= alpha
-
-
 def gcl(lcl_attributes, attribute_weights, lcl_per_attribute):
     """Global confidence level: attribute-level confidence times the
     weight-averaged alternative-level confidences."""

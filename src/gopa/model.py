@@ -94,10 +94,6 @@ class RankingProblem:
             for j in range(self.n_attributes):
                 yield i, j
 
-    def cell_counts(self, i, j):
-        """Rank frequencies ``c_r`` of cell (i, j), length ``max_rank[i, j]``."""
-        return self.rank_counts[i, j, :self.max_rank[i, j]]
-
 
 def pack_utilities(problem, utilities):
     """Pack ``(i, j) -> utility vector`` into the padded (I, J, K) layout.
@@ -137,16 +133,6 @@ class CellContext:
     @property
     def is_empty(self):
         return not (self.ratio or self.absdiff or self.lowerbound)
-
-    def to_dict(self):
-        out = {}
-        if self.ratio:
-            out["ratio"] = [{"rank": r, "alpha": a} for r, a in self.ratio]
-        if self.absdiff:
-            out["absdiff"] = [{"rank": r, "beta": b} for r, b in self.absdiff]
-        if self.lowerbound:
-            out["lowerbound"] = [{"rank": r, "gamma": g} for r, g in self.lowerbound]
-        return out
 
 
 _EMPTY_CELL = CellContext()
@@ -434,42 +420,3 @@ def load_document(doc):
     structures = validate_structures(doc.get("structures"), problem)
     return problem, context, structures
 
-
-def problem_to_dict(problem, context=None, structures=None):
-    """Serialize back to the document form accepted by ``load_document``."""
-    doc = {
-        "experts": [{"id": eid, "rank": int(t)}
-                    for eid, t in zip(problem.expert_ids, problem.expert_ranks)],
-        "attributes": list(problem.attribute_ids),
-        "alternatives": list(problem.alternative_ids),
-        "attribute_ranks": {
-            eid: {aid: int(problem.attribute_ranks[i, j])
-                  for j, aid in enumerate(problem.attribute_ids)}
-            for i, eid in enumerate(problem.expert_ids)
-        },
-        "alternative_ranks": {
-            eid: {aid: {mid: int(problem.alternative_ranks[i, j, k])
-                        for k, mid in enumerate(problem.alternative_ids)
-                        if problem.alternative_ranks[i, j, k] > 0}
-                  for j, aid in enumerate(problem.attribute_ids)}
-            for i, eid in enumerate(problem.expert_ids)
-        },
-    }
-    if context is not None and context.cells:
-        ctx = {}
-        for (i, j), cell in sorted(context.cells.items()):
-            eid = problem.expert_ids[i]
-            aid = problem.attribute_ids[j]
-            ctx.setdefault(eid, {})[aid] = cell.to_dict()
-        doc["contexts"] = ctx
-    if structures is not None:
-        out = {"default": structures.default.to_dict()}
-        if structures.cells:
-            cells = {}
-            for (i, j), st in sorted(structures.cells.items()):
-                eid = problem.expert_ids[i]
-                aid = problem.attribute_ids[j]
-                cells.setdefault(eid, {})[aid] = st.to_dict()
-            out["cells"] = cells
-        doc["structures"] = out
-    return doc

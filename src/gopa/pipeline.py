@@ -71,15 +71,16 @@ def solve_document(doc, method="gopa", bound_mode="equality"):
                                                 bound_mode=bound_mode))
 
 
-def solution_report(solution, method, bound_mode="equality"):
+def solution_report(solution, bound_mode="equality"):
     """Serialize a solution into the report document consumed downstream.
 
+    ``method`` is ``"gopa"`` for a solution with utilities, else ``"opa"``;
     ``bound_mode`` is written only into a report that holds utilities.
     """
     p = solution.problem
     report = {
         "kind": "solution",
-        "method": method,
+        "method": "opa" if solution.utilities is None else "gopa",
         "objective": solution.objective,
         "ids": {
             "experts": list(p.expert_ids),

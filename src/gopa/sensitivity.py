@@ -17,23 +17,6 @@ MAX_PERMUTED_EXPERTS = 8
 CONSTANT_SPREAD = 1e-12
 
 
-def _guard_panel_size(n):
-    if n > MAX_PERMUTED_EXPERTS:
-        raise TooManyExperts(f"{n}! scenarios exceed the guard of {MAX_PERMUTED_EXPERTS}!")
-
-
-def permute_experts(problem):
-    """Yield one problem per permutation of the expert ranks ``1..I``.
-
-    Attribute and alternative rankings are left untouched.  Permutations are
-    generated in lexicographic order, so the sweep is deterministic.
-    """
-    n = problem.n_experts
-    _guard_panel_size(n)
-    for perm in permutations(range(1, n + 1)):
-        yield replace(problem, expert_ranks=np.asarray(perm, dtype=int))
-
-
 @dataclass(frozen=True)
 class ScenarioStats:
     """Descriptive statistics of one weight quantity across scenarios."""
@@ -44,11 +27,6 @@ class ScenarioStats:
     cv: float
     minimum: float
     maximum: float
-
-    def to_dict(self):
-        return {"mean": self.mean, "skewness": self.skewness,
-                "kurtosis": self.kurtosis, "cv": self.cv,
-                "min": self.minimum, "max": self.maximum}
 
 
 def describe(samples):
@@ -94,7 +72,8 @@ def permutation_stats(problem, utilities=None):
     its attribute and alternative weights are ``(1/t) @ W.sum(2) / norm`` and
     ``(1/t) @ W.sum(1) / norm``.  Utilities (when given) come from the first
     stage, which does not depend on expert ranks, so they are used as they
-    are.  Scenarios come in the lexicographic order of `permute_experts`.
+    are.  Scenarios come in the order of ``itertools.permutations(range(1, I + 1))``,
+    lexicographic in the expert ranks, so the sweep is deterministic.
 
     Returns a dict with ``experts``, ``attributes``, and ``alternatives``
     lists of ``(id, ScenarioStats)`` plus the raw per-scenario weight arrays.
@@ -108,7 +87,8 @@ def permutation_stats(problem, utilities=None):
         few to describe.
     """
     n = problem.n_experts
-    _guard_panel_size(n)
+    if n > MAX_PERMUTED_EXPERTS:
+        raise TooManyExperts(f"{n}! scenarios exceed the guard of {MAX_PERMUTED_EXPERTS}!")
     if n < MIN_PERMUTED_EXPERTS:
         raise SampleSizeError(
             f"the sensitivity sweep needs at least {MIN_PERMUTED_EXPERTS} experts "

@@ -54,13 +54,10 @@ class WeightSolution:
 
 
 def harmonic_coefficients(problem):
-    """Padded ordinal coefficients: each cell's harmonic tail sums, built for
-    its own length (differences of one long cumulative sum round differently)."""
-    coefficients = np.zeros(problem.rank_counts.shape)
-    for kij in np.unique(problem.max_rank):
-        tail = np.cumsum(1.0 / np.arange(kij, 0, -1.0))[::-1]
-        coefficients[problem.max_rank == kij, :kij] = tail
-    return coefficients
+    """Padded ordinal coefficients: each cell's harmonic tail sums
+    ``sum of 1/h for h = r .. max_rank[i, j]`` at rank ``r``, 0 beyond."""
+    inverse = problem.rank_mask / np.arange(1.0, problem.n_alternatives + 1.0)
+    return np.cumsum(inverse[..., ::-1], axis=2)[..., ::-1]
 
 
 def rank_products(problem):
@@ -75,15 +72,7 @@ def rank_products(problem):
 def _assemble(problem, coefficients, utilities=None):
     """Common assembly of padded coefficients: z*, per-rank weights, mapping, aggregation."""
     ts = rank_products(problem)
-    products = problem.rank_counts * coefficients
-    cell_sums = np.empty(ts.shape)
-    # numpy sums pairwise, so padding a cell's ranks, or summing the cells in
-    # one call, would regroup the additions and move last digits of z*:
-    # each cell is summed over its own ranks, the cells one after another
-    for kij in np.unique(problem.max_rank):
-        cells = problem.max_rank == kij
-        cell_sums[cells] = products[cells, :kij].sum(axis=1)
-    z_star = 1.0 / np.cumsum(cell_sums / ts)[-1]
+    z_star = 1.0 / ((problem.rank_counts * coefficients).sum(axis=2) / ts).sum()
     rank_weights = coefficients * z_star / ts[..., None]
 
     ranks = problem.alternative_ranks

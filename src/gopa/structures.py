@@ -74,10 +74,6 @@ class UtilityStructure:
     def is_discrete(self):
         return self.kind in DISCRETE_KINDS
 
-    def to_dict(self):
-        return {"kind": self.kind, **{name: getattr(self, name)
-                                      for name in KIND_PARAMETERS[self.kind]}}
-
     @classmethod
     def from_dict(cls, doc, path="structures"):
         if not isinstance(doc, dict) or "kind" not in doc:

@@ -2,10 +2,15 @@
 
 The oracles deliberately avoid the production solve paths: the KL oracle is a
 vectorized grid search over the feasible polytope, integrals come from scipy
-quadrature, and concordance is evaluated from its defining sums.
+quadrature, the stage-2 closed forms are evaluated in exact rationals, and
+concordance is evaluated from its defining sums.
 """
 
 import json
+from collections import namedtuple
+from dataclasses import replace
+from fractions import Fraction
+from itertools import permutations
 
 import numpy as np
 import scipy.linalg
@@ -113,29 +118,56 @@ def harmonic_tail(kij):
     return np.cumsum(1.0 / np.arange(kij, 0, -1.0))[::-1]
 
 
-def assemble_by_cell(problem, coefficients):
-    """Stage-2 closed form walked cell by cell over ``(i, j) -> coefficients``.
+def cell_counts(problem, i, j):
+    """Rank frequencies ``c_r`` of cell (i, j), length ``max_rank[i, j]``."""
+    return problem.rank_counts[i, j, :problem.max_rank[i, j]]
 
-    Returns ``(objective, rank_weights, weights)`` with ``rank_weights`` a
-    ``(i, j) -> ndarray`` dict of length ``max_rank[i, j]`` each.
+
+ExactSolution = namedtuple("ExactSolution", "objective rank_weights weights")
+
+
+def _exact_assembly(problem, coefficients):
+    """Stage-2 closed form in rationals over ``(i, j) -> Fraction coefficients``.
+
+    Returns an `ExactSolution`: ``rank_weights`` maps ``(i, j)`` to the
+    cell's ``max_rank[i, j]`` weights and ``weights`` is a nested
+    ``[i][j][k]`` list of per-alternative weights, 0 where excluded.
     """
-    denom = 0.0
-    for i, j in problem.cells():
-        ts = float(problem.expert_ranks[i] * problem.attribute_ranks[i, j])
-        c = problem.cell_counts(i, j)
-        denom += (c * coefficients[(i, j)]).sum() / ts
-    z_star = 1.0 / denom
+    ts = {(i, j): int(problem.expert_ranks[i]) * int(problem.attribute_ranks[i, j])
+          for i, j in problem.cells()}
+    denom = sum(sum(int(c) * a for c, a in zip(cell_counts(problem, i, j), coefficients[i, j]))
+                / ts[i, j] for i, j in problem.cells())
+    z_star = 1 / denom
+    rank_weights = {cell: [a * z_star / ts[cell] for a in coefficients[cell]]
+                    for cell in problem.cells()}
+    weights = [[[rank_weights[i, j][r - 1] if r > 0 else Fraction(0)
+                 for r in problem.alternative_ranks[i, j].tolist()]
+                for j in range(problem.n_attributes)] for i in range(problem.n_experts)]
+    return ExactSolution(z_star, rank_weights, weights)
 
-    rank_weights = {}
-    weights = np.zeros((problem.n_experts, problem.n_attributes, problem.n_alternatives))
+
+def exact_opa(problem):
+    """`solve_opa` in exact rationals: harmonic tail sums of the integer ranks."""
+    coefficients = {}
     for i, j in problem.cells():
-        ts = float(problem.expert_ranks[i] * problem.attribute_ranks[i, j])
-        w = coefficients[(i, j)] * z_star / ts
-        rank_weights[(i, j)] = w
-        ranks = problem.alternative_ranks[i, j]
-        present = ranks > 0
-        weights[i, j, present] = w[ranks[present] - 1]
-    return z_star, rank_weights, weights
+        kij = int(problem.max_rank[i, j])
+        inverse = [Fraction(1, h) for h in range(1, kij + 1)]
+        coefficients[i, j] = [sum(inverse[r:]) for r in range(kij)]
+    return _exact_assembly(problem, coefficients)
+
+
+def exact_gopa(problem, utilities):
+    """`solve_gopa` in exact rationals; each float utility is its exact binary fraction."""
+    return _exact_assembly(problem, {
+        (i, j): [int(problem.max_rank[i, j]) * Fraction(float(u)) for u in utilities[i, j]]
+        for i, j in problem.cells()})
+
+
+def permute_experts(problem):
+    """Yield one problem per permutation of the expert ranks ``1..I``, in the
+    order of `itertools.permutations`; other rankings are left untouched."""
+    for perm in permutations(range(1, problem.n_experts + 1)):
+        yield replace(problem, expert_ranks=np.asarray(perm, dtype=int))
 
 
 def rank_structure_by_cell(alternative_ranks):
@@ -400,6 +432,19 @@ def random_problem(rng, n_experts=None, n_attributes=None, n_alternatives=None,
                 cell = {alt: int(r) for alt, r in zip(alternatives, rng.permutation(n_m) + 1)}
             doc["alternative_ranks"][e["id"]][a] = cell
     return validate_problem(doc), doc
+
+
+def big_rank_document():
+    """Expert and attribute ranks of 2**32, whose product wraps to 0 in int64."""
+    big = 2 ** 32
+    return {
+        "experts": [{"id": "E1", "rank": big}, {"id": "E2", "rank": 1}],
+        "attributes": ["C1"],
+        "alternatives": ["A1", "A2"],
+        "attribute_ranks": {"E1": {"C1": big}, "E2": {"C1": 1}},
+        "alternative_ranks": {"E1": {"C1": {"A1": 1, "A2": 2}},
+                              "E2": {"C1": {"A1": 2, "A2": 1}}},
+    }
 
 
 def random_discrete_context(rng, size, max_constraints=3):

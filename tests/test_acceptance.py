@@ -30,7 +30,7 @@ from gopa.lpcheck import build_gopa_lp, build_opa_lp, solve_lp, verify_efficienc
 from gopa.metrics import confidence_level, f_cdf, kendall_w, spearman
 from gopa.model import CellContext, validate_problem
 from gopa.pipeline import elicit_utilities
-from gopa.sensitivity import describe, permute_experts
+from gopa.sensitivity import describe
 from gopa.solver import solve_gopa, solve_opa
 from gopa.structures import (
     UtilityStructure,
@@ -43,6 +43,7 @@ from oracles import (
     grid_kl_minimum,
     kendall_bruteforce,
     kl_objective,
+    permute_experts,
     random_continuous_context,
     random_discrete_context,
     random_problem,

@@ -99,7 +99,7 @@ class TestSolve:
         assert not {"bound_mode", "orientation", "utilities"} & set(ordinal)
 
 
-class TestOrientationFlag:
+class TestElicitMatchesReport:
     def test_each_cell_equals_its_solve_report(self, tmp_path, clean_doc, capsys):
         path = write_doc(tmp_path, clean_doc)
         out = tmp_path / "report.json"
@@ -109,30 +109,13 @@ class TestOrientationFlag:
         for eid in report["ids"]["experts"]:
             for aid in report["ids"]["attributes"]:
                 capsys.readouterr()
-                rows = {}
-                for orientation in ("reversed", "literal"):
-                    assert main(["elicit", str(path), "--cell", f"{eid},{aid}",
-                                 "--orientation", orientation]) == 0
-                    rows[orientation] = [float(r.split(",")[1]) for r in
-                                         capsys.readouterr().out.strip().splitlines()[1:]]
+                assert main(["elicit", str(path), "--cell", f"{eid},{aid}"]) == 0
+                rows = [float(r.split(",")[1]) for r in
+                        capsys.readouterr().out.strip().splitlines()[1:]]
                 expected = report["utilities"][eid][aid]
-                assert rows["reversed"] == expected, (eid, aid)
+                assert rows == expected, (eid, aid)
                 if (eid, aid) in continuous:
                     assert expected[0] > expected[-1]
-                    assert rows["literal"] == expected[::-1], (eid, aid)
-                else:
-                    assert rows["literal"] == expected, (eid, aid)
-
-    def test_literal_reverses_continuous_cell_vector(self, tmp_path, clean_doc, capsys):
-        path = write_doc(tmp_path, clean_doc)
-        assert main(["elicit", str(path), "--cell", "E2,C2"]) == 0
-        rev = [float(r.split(",")[1])
-               for r in capsys.readouterr().out.strip().splitlines()[1:]]
-        assert main(["elicit", str(path), "--cell", "E2,C2",
-                     "--orientation", "literal"]) == 0
-        lit = [float(r.split(",")[1])
-               for r in capsys.readouterr().out.strip().splitlines()[1:]]
-        assert rev == pytest.approx(lit[::-1], abs=1e-12)
 
 
 class TestExitCodes:
@@ -251,6 +234,26 @@ class TestElicitCommand:
         path = write_doc(tmp_path, clean_doc)
         assert main(["elicit", str(path), "--cell", "E1,C1", *flags]) == 2
         assert "--samples: curve sampling applies to continuous cells" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("cell, flags, option", [
+        ("E1,C1", [], "the discrete cell E1,C1"),
+        ("E1,C1", ["--dump-target"], "--dump-target"),
+        ("E2,C2", ["--dump-target"], "--dump-target"),
+        ("E2,C2", ["--dump-target", "--samples", "5"], "--dump-target"),
+    ])
+    @pytest.mark.parametrize("mode", ["equality", "inequality"])
+    def test_bound_mode_without_continuous_density(self, tmp_path, clean_doc, capsys,
+                                                   cell, flags, option, mode):
+        path = write_doc(tmp_path, clean_doc)
+        assert main(["elicit", str(path), "--cell", cell, *flags, "--bound-mode", mode]) == 2
+        assert capsys.readouterr().err == (f"invalid input: --bound-mode: not read with "
+                                           f"{option}, which elicits no continuous density\n")
+
+    def test_bound_mode_on_continuous_cell(self, tmp_path, clean_doc):
+        path = write_doc(tmp_path, clean_doc)
+        for flags in ([], ["--samples", "5"]):
+            assert main(["elicit", str(path), "--cell", "E2,C2", *flags,
+                         "--bound-mode", "inequality"]) == 0
 
 
 class TestMetricsCommand:
@@ -483,6 +486,7 @@ class TestInputBoundary:
         for command in ("solve", "opa", "metrics", "sensitivity")
     ] + [
         ["elicit", "input.json", "--cell", "E1,C1", "--tol", "1e-6"],
+        ["elicit", "input.json", "--cell", "E2,C2", "--orientation", "literal"],
         ["metrics", "report.json", "--orientation", "literal"],
         ["metrics", "report.json", "--bound-mode", "inequality"],
     ] + [
@@ -529,7 +533,7 @@ class TestInputBoundary:
     def test_bad_choice_returns_instead_of_raising(self, tmp_path, clean_doc):
         path = write_doc(tmp_path, clean_doc)
         assert main(["solve", str(path), "--bound-mode", "sideways"]) == 2
-        assert main(["elicit", str(path), "--cell", "E2,C2", "--orientation", "sideways"]) == 2
+        assert main(["elicit", str(path), "--cell", "E2,C2", "--bound-mode", "sideways"]) == 2
 
     def test_help_returns_zero(self, capsys):
         assert main(["--help"]) == 0

@@ -6,7 +6,6 @@ from gopa.exceptions import DegenerateError, DomainError, ShapeError
 from gopa.metrics import (
     _tie_terms,
     confidence_level,
-    consensus_reject,
     consensus_report,
     f_cdf,
     gcl,
@@ -190,14 +189,6 @@ class TestConfidenceLevel:
     def test_extremes(self):
         assert confidence_level(1.0, 5, 6) == 1.0
         assert confidence_level(0.0, 5, 6) == 0.0
-
-    def test_rejection_wiring(self):
-        rho, raters, items = 0.5154, 5, 6
-        x = rho * (raters - 1) / (1 - rho)
-        v1 = items - 1 - 2 / raters
-        tail = 1.0 - f_cdf(x, v1, (raters - 1) * v1)
-        assert consensus_reject(rho, raters, items, alpha=0.05) == (tail <= 0.05)
-        assert consensus_reject(rho, raters, items, alpha=0.001) == (tail <= 0.001)
 
 
 class TestGcl:

@@ -1,20 +1,28 @@
-"""Stage 2 on zero-padded (I, J, K) rank arrays, checked against per-cell loops.
+"""Stage 2 on zero-padded (I, J, K) rank arrays, checked against exact rationals.
 
 The closed forms, the LP builders and the rank counts of validation all work
-on arrays padded beyond each cell's maximum rank.  The references here walk
-the cells one at a time, as `cells` orders them.
+on arrays padded beyond each cell's maximum rank.  The closed forms are
+bounded against their values in `fractions.Fraction` arithmetic
+(`oracles.exact_opa`, `oracles.exact_gopa`); the rank structure is checked
+against a loop over the cells in `cells` order.
 """
+
+from dataclasses import replace
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from gopa.exceptions import EmptyCellError
-from gopa.lpcheck import build_gopa_lp, build_opa_lp, cell_variable_names
+from gopa.lpcheck import build_gopa_lp, build_opa_lp
 from gopa.model import validate_problem
-from gopa.solver import solve_gopa, solve_opa
+from gopa.solver import harmonic_coefficients, solve_gopa, solve_opa
 
 from oracles import (
-    assemble_by_cell,
+    big_rank_document,
+    cell_counts,
+    exact_gopa,
+    exact_opa,
     harmonic_tail,
     random_problem,
     random_utilities,
@@ -23,54 +31,82 @@ from oracles import (
 
 SEEDS = range(12)
 SHAPES = ((None, None, None), (3, 4, 9), (1, 1, 30), (6, 6, 20))
+# largest relative error measured over the inputs below: 2.3 ulps (2**-52 units)
+EXACT_BOUND = 3 * 2.0 ** -52
 
 
 def irregular_problem(seed, shape=(None, None, None)):
     return random_problem(np.random.default_rng(500 + seed), *shape, irregular=True)[0]
 
 
-def assert_matches_cells(solution, reference):
-    """Equal bit for bit: the padded arrays keep the loop's order of operations,
-    which is what keeps reports byte-identical."""
+def wide_cell_problem(kij):
+    """One cell ranking ``kij`` of 30 alternatives."""
+    _, doc = random_problem(np.random.default_rng(kij), 1, 1, 30)
+    doc["alternative_ranks"]["E1"]["C1"] = {f"A{r}": r for r in range(1, kij + 1)}
+    return validate_problem(doc)
+
+
+def largest_relative_error(solution, exact):
+    """Largest ``|x - e| / |e|`` over z*, the rank weights and the per-alternative
+    weights; infinite where ``e`` is 0 and ``x`` is not."""
     problem = solution.problem
-    objective, rank_weights, weights = reference
-    assert solution.objective == objective
-    assert (solution.weights == weights).all()
+    pairs = [(solution.objective, exact.objective)]
     for i, j in problem.cells():
-        kij = problem.max_rank[i, j]
-        assert (solution.rank_weights[i, j, :kij] == rank_weights[(i, j)]).all()
-        assert (solution.rank_weights[i, j, kij:] == 0.0).all()
+        pairs += zip(solution.rank_weights[i, j, :problem.max_rank[i, j]].tolist(),
+                     exact.rank_weights[i, j])
+        pairs += zip(solution.weights[i, j].tolist(), exact.weights[i][j])
+    return max(float(abs(Fraction(x) / e - 1)) if e else (0.0 if x == 0.0 else np.inf)
+               for x, e in pairs)
 
 
-class TestClosedFormsAgainstCellLoop:
+def assert_near_exact(solution, exact):
+    problem = solution.problem
+    assert (solution.rank_weights[~problem.rank_mask] == 0.0).all()
+    assert largest_relative_error(solution, exact) <= EXACT_BOUND
+
+
+class TestClosedFormsAgainstExactRationals:
     @pytest.mark.parametrize("seed", SEEDS)
     def test_ordinal(self, seed):
         p = irregular_problem(seed, SHAPES[seed % 4])
-        coefficients = {(i, j): harmonic_tail(int(p.max_rank[i, j])) for i, j in p.cells()}
-        assert_matches_cells(solve_opa(p), assemble_by_cell(p, coefficients))
+        assert_near_exact(solve_opa(p), exact_opa(p))
 
     @pytest.mark.parametrize("seed", SEEDS)
     def test_generalized(self, seed):
         p = irregular_problem(seed, SHAPES[seed % 4])
         u = random_utilities(np.random.default_rng(seed), p)
-        coefficients = {(i, j): p.max_rank[i, j] * u[(i, j)] for i, j in p.cells()}
         solution = solve_gopa(p, u)
-        assert_matches_cells(solution, assemble_by_cell(p, coefficients))
+        assert_near_exact(solution, exact_gopa(p, u))
         for i, j in p.cells():
             kij = p.max_rank[i, j]
             assert (solution.utilities[i, j, :kij] == u[(i, j)]).all()
             assert (solution.utilities[i, j, kij:] == 0.0).all()
 
-
-    @pytest.mark.parametrize("kij", range(1, 30))
+    @pytest.mark.parametrize("kij", range(1, 31))
     def test_short_cell_of_a_wide_problem(self, kij):
-        # one cell, so z* shows the last bit of the cell's sum over its own ranks
-        _, doc = random_problem(np.random.default_rng(kij), 1, 1, 30)
-        doc["alternative_ranks"]["E1"]["C1"] = {f"A{r}": r for r in range(1, kij + 1)}
-        p = validate_problem(doc)
+        p = wide_cell_problem(kij)
+        coefficients = harmonic_coefficients(p)
+        assert (coefficients[0, 0, :kij] == harmonic_tail(kij)).all()
+        assert (coefficients[0, 0, kij:] == 0.0).all()
         u = random_utilities(np.random.default_rng(kij), p)
-        assert_matches_cells(solve_opa(p), assemble_by_cell(p, {(0, 0): harmonic_tail(kij)}))
-        assert_matches_cells(solve_gopa(p, u), assemble_by_cell(p, {(0, 0): kij * u[(0, 0)]}))
+        assert_near_exact(solve_opa(p), exact_opa(p))
+        assert_near_exact(solve_gopa(p, u), exact_gopa(p, u))
+
+    def test_rank_products_beyond_int64(self):
+        p = validate_problem(big_rank_document())
+        u = random_utilities(np.random.default_rng(0), p)
+        assert_near_exact(solve_opa(p), exact_opa(p))
+        assert_near_exact(solve_gopa(p, u), exact_gopa(p, u))
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_objective_off_by_16_ulps_fails(self, seed):
+        p = irregular_problem(seed, SHAPES[seed % 4])
+        solution, exact = solve_opa(p), exact_opa(p)
+        nudged = solution.objective
+        for _ in range(16):
+            nudged = np.nextafter(nudged, np.inf)
+        with pytest.raises(AssertionError):
+            assert_near_exact(replace(solution, objective=float(nudged)), exact)
 
 
 class TestLinearPrograms:
@@ -93,13 +129,6 @@ class TestLinearPrograms:
         assert np.abs(rows[:-1]).max() <= 1e-12
         assert rows[-1] == pytest.approx(1.0, abs=1e-12)
 
-    @pytest.mark.parametrize("seed", SEEDS)
-    def test_variable_names_follow_cells_then_ranks(self, seed):
-        p = irregular_problem(seed)
-        expected = [f"w[{p.expert_ids[i]},{p.attribute_ids[j]},r{r}]"
-                    for i, j in p.cells() for r in range(1, p.max_rank[i, j] + 1)]
-        assert cell_variable_names(p) == tuple(expected + ["z"])
-
 
 class TestRankStructure:
     @pytest.mark.parametrize("seed", SEEDS)
@@ -110,7 +139,7 @@ class TestRankStructure:
         assert (p.max_rank == max_rank).all()
         assert (p.has_duplicates == dups).all()
         assert (p.has_missing == missing).all()
-        gaps = any((p.cell_counts(i, j) == 0).any() for i, j in p.cells())
+        gaps = any((cell_counts(p, i, j) == 0).any() for i, j in p.cells())
         assert p.has_internal_gaps == gaps
 
     def test_rank_mask_covers_each_cells_ranks(self):

@@ -199,7 +199,7 @@ class TestIrregularCells:
 class TestReportRoundTrip:
     def test_report_rebuilds_consistent_solution(self):
         solution = solve_document(document())
-        report = solution_report(solution, "gopa")
+        report = solution_report(solution)
         rebuilt = report_to_solution(report)
         assert rebuilt.objective == pytest.approx(solution.objective, rel=1e-12)
         assert np.abs(rebuilt.weights - solution.weights).max() <= 1e-15
@@ -209,17 +209,23 @@ class TestReportRoundTrip:
 
     def test_report_weight_blocks_are_marginals_of_cells(self):
         solution = solve_document(document(3))
-        report = solution_report(solution, "gopa")
+        report = solution_report(solution)
         for eid, expected in report["experts"].items():
             total = sum(w for aid in report["cell_weights"][eid]
                         for w in report["cell_weights"][eid][aid].values())
             assert total == pytest.approx(expected, abs=1e-12)
         assert sum(report["alternatives"].values()) == pytest.approx(1.0, abs=1e-10)
 
+    def test_method_follows_utilities(self):
+        doc = document(5)
+        assert solution_report(solve_document(doc))["method"] == "gopa"
+        opa = solution_report(solve_document(doc, method="opa"))
+        assert opa["method"] == "opa" and "utilities" not in opa
+
     def test_utilities_block_matches_cells(self):
         problem, context, structures = load_document(document(4))
         utilities = elicit_utilities(problem, context, structures)
-        report = solution_report(solve_gopa(problem, utilities), "gopa")
+        report = solution_report(solve_gopa(problem, utilities))
         for (i, j), u in utilities.items():
             eid = problem.expert_ids[i]
             aid = problem.attribute_ids[j]

@@ -94,8 +94,8 @@ def test_solution_and_consensus_reports(seed):
     problem, _ = random_problem(rng, 3, 4, 6, irregular=seed % 2 == 1)
     opa = solve_opa(problem)
     gopa = solve_gopa(problem, random_utilities(rng, problem))
-    assert_same_bytes(solution_report(opa, "opa"))
-    assert_same_bytes(solution_report(gopa, "gopa", "inequality"))
+    assert_same_bytes(solution_report(opa))
+    assert_same_bytes(solution_report(gopa, "inequality"))
     assert_same_bytes({"kind": "consensus", **consensus_report(gopa).to_dict(problem)})
 
 
@@ -172,7 +172,7 @@ def test_no_state_carries_over_between_reports(formatted):
 @pytest.mark.parametrize("method", ["opa", "gopa"])
 def test_wide_solution_report(method, formatted):
     _, doc = random_problem(np.random.default_rng(30), 30, 30, 30)
-    report = solution_report(solve_document(doc, method=method), method)
+    report = solution_report(solve_document(doc, method=method))
     assert_same_bytes(report)
     formatted.clear()
     cli._report_text(report)
