@@ -45,8 +45,8 @@ for n in range(10):
     problem = validate_problem(doc)
     sol = solve_opa(problem)
     lp = solve_lp(build_opa_lp(problem))
-    utilities = {(i, j): surrogate_weights("sr", int(problem.max_rank[i, j]))
-                 for i, j in problem.cells()}
+    # padded (I, J, K) utilities; every cell ranks all n_m alternatives, so none is padded
+    utilities = np.tile(surrogate_weights("sr", int(n_m)), (n_e, n_a, 1))
     gsol = solve_gopa(problem, utilities)
     glp = solve_lp(build_gopa_lp(problem, utilities))
     print(f"  {n_e}x{n_a}x{n_m}: |dz| = {abs(sol.objective - lp.value):.2e}"

@@ -5,8 +5,8 @@ Subcommands: ``solve`` (full two-stage pipeline), ``opa`` (rankings only),
 solution report), ``sensitivity`` (expert-rank permutation sweep), ``verify``
 (closed forms against the LP solver); each has only the flags it reads.
 ``--bound-mode`` exits 2 where a run elicits no utilities (``verify --random``,
-``sensitivity --method opa``) or no continuous density (``elicit`` on a
-discrete cell or with ``--dump-target``).
+``sensitivity --method opa``) or no continuous density (a document of
+discrete cells only, ``elicit`` on a discrete cell or with ``--dump-target``).
 Reports are deterministic: sorted keys, two-space indent, ASCII-escaped
 strings, and each float rounded to 12 significant digits and written as the
 shortest string that reads back as the rounded value; NaN and infinities
@@ -222,11 +222,6 @@ def _utilities_csv(report):
     return rows
 
 
-def _bound_mode(config):
-    """``--bound-mode`` of a run that elicits utilities; ``equality`` when not given."""
-    return config.bound_mode or "equality"
-
-
 def _refuse_bound_mode(config, option, unread="utilities"):
     """``--bound-mode`` is an error where ``option`` elicits no continuous density."""
     if config.bound_mode is not None:
@@ -239,9 +234,8 @@ def _cmd_solve(config):
     if config.command == "opa":
         report = solution_report(solve_document(doc, method="opa"))
     else:
-        bound_mode = _bound_mode(config)
-        solution = solve_document(doc, bound_mode=bound_mode)
-        report = solution_report(solution, bound_mode)
+        solution = solve_document(doc, bound_mode=config.bound_mode)
+        report = solution_report(solution, config.bound_mode)
     _write_json(report, config.output)
     if config.csv_dir is not None:
         out = _csv_dir(config.csv_dir)
@@ -278,7 +272,7 @@ def _cmd_elicit(config):
         target = target_density(structure, kij)
         rows = [("x", "target")] + [(_fmt(x), _fmt(target.value(x))) for x in xs]
     else:
-        u, density = elicit_cell(structure, kij, context.cell(i, j), _bound_mode(config))
+        u, density = elicit_cell(structure, kij, context.cell(i, j), config.bound_mode)
         if config.samples:
             rows = [("x", "density", "cdf")]
             rows += [(_fmt(x), _fmt(density.value(x)), _fmt(density.cdf(x))) for x in xs]
@@ -323,8 +317,7 @@ def _cmd_sensitivity(config):
     problem, context, structures = load_document(doc)
     utilities = None
     if config.method == "gopa":
-        utilities = elicit_utilities(problem, context, structures,
-                                     bound_mode=_bound_mode(config))
+        utilities = elicit_utilities(problem, context, structures, config.bound_mode)
     stats = permutation_stats(problem, utilities)
     rows = [("section", "id", "mean", "skewness", "kurtosis", "cv", "min", "max")]
     for section in ("experts", "attributes", "alternatives"):
@@ -403,11 +396,11 @@ def _random_document(rng):
 
 
 def _random_utilities(problem, rng):
-    utilities = {}
+    utilities = np.zeros(problem.rank_counts.shape)
     for i, j in problem.cells():
         kij = int(problem.max_rank[i, j])
         u = np.sort(rng.random(kij))[::-1] + 1e-3
-        utilities[(i, j)] = u / u.sum()
+        utilities[i, j, :kij] = u / u.sum()
     return utilities
 
 
@@ -430,8 +423,7 @@ def _cmd_verify(config):
             raise ValidationError("input", "verify needs an input file or --random N")
         doc = _load_json(config.input)
         problem, context, structures = load_document(doc)
-        utilities = elicit_utilities(problem, context, structures,
-                                     bound_mode=_bound_mode(config))
+        utilities = elicit_utilities(problem, context, structures, config.bound_mode)
         checks = _check_instance(problem, utilities, config.tol)
         summary["instances"].append({"instance": str(config.input), "checks": checks})
     ok = all(c["pass"] for inst in summary["instances"] for c in inst["checks"])

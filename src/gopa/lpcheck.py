@@ -18,8 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import DimensionError, InfeasibleStage2, NumericFailure
-from .model import pack_utilities
-from .solver import harmonic_coefficients, rank_products
+from .solver import harmonic_coefficients, padded_utilities, rank_products
 
 TOL = 1e-9              # pivot and reduced-cost tolerance
 INFEASIBLE_TOL = 1e-7   # largest phase-I artificial sum of a feasible program
@@ -27,13 +26,12 @@ INFEASIBLE_TOL = 1e-7   # largest phase-I artificial sum of a feasible program
 
 @dataclass(frozen=True)
 class LinearProgram:
-    """A maximization LP: max c @ x subject to row senses and x >= 0 or free."""
+    """A maximization LP: max c @ x subject to row senses and x >= 0."""
 
     objective: np.ndarray
     lhs: np.ndarray
     rhs: np.ndarray
     senses: tuple
-    free: tuple = None      # per-variable flags, None = all nonnegative
 
     def __post_init__(self):
         c = np.asarray(self.objective, dtype=float)
@@ -46,8 +44,6 @@ class LinearProgram:
             raise DimensionError(f"{len(self.senses)} senses for {b.size} rows")
         if any(s not in ("<=", "=", ">=") for s in self.senses):
             raise DimensionError(f"unknown sense in {self.senses}")
-        if self.free is not None and len(self.free) != c.size:
-            raise DimensionError(f"{len(self.free)} free flags for {c.size} vars")
         if not (np.isfinite(c).all() and np.isfinite(a).all() and np.isfinite(b).all()):
             raise DimensionError("entries must be finite")
         object.__setattr__(self, "objective", c)
@@ -65,7 +61,7 @@ class LPResult:
 def solve_lp(lp):
     """Solve an LP with a two-phase dense-tableau simplex, started on the slack basis.
 
-    The tableau is ``[A | slacks | b]`` (free variables split in two), with
+    The tableau is ``[A | slacks | b]``, with
     rows negated where ``b < 0`` and ``>=`` rows negated where ``b = 0``, so
     every inequality row whose slack now reads +1 starts basic on it.  Only
     the other rows get an artificial: ``=`` rows, and rows that read ``>=``
@@ -78,10 +74,9 @@ def solve_lp(lp):
     """
     c = lp.objective
     m = lp.rhs.size
-    split = np.flatnonzero(np.zeros(c.size, dtype=bool) if lp.free is None else lp.free)
     senses = np.asarray(lp.senses)
     slacks = np.diag(1.0 * (senses == "<=") - (senses == ">="))[:, senses != "="]
-    rows = np.hstack([lp.lhs, -lp.lhs[:, split], slacks, lp.rhs[:, None]])
+    rows = np.hstack([lp.lhs, slacks, lp.rhs[:, None]])
     rows[(lp.rhs < 0) | ((lp.rhs == 0) & (senses == ">="))] *= -1.0
     n = rows.shape[1] - 1
     owned = np.flatnonzero(senses != "=")    # the row of each slack column
@@ -107,12 +102,11 @@ def solve_lp(lp):
     tab = np.hstack([tab[keep, :n], tab[keep, -1:]])
     basis = basis[keep[:-1]]
 
-    if not _simplex(tab, basis, np.concatenate([c, -c[split], np.zeros(slacks.shape[1])])):
+    if not _simplex(tab, basis, np.concatenate([c, np.zeros(slacks.shape[1])])):
         return LPResult(status="unbounded")
     values = np.zeros(n)
     values[basis] = tab[:-1, -1]
     x = values[:c.size]
-    x[split] -= values[c.size:c.size + split.size]
     return LPResult(status="optimal", value=float(c @ x), x=x)
 
 
@@ -176,7 +170,8 @@ def _flat_cells(problem):
 
 
 def _rank_rows(problem, coefficients):
-    """Rows ``coef*z - t*s*w <= 0`` plus the weighted normalization row."""
+    """Rows ``coef*z - t*s*w <= 0`` plus the weighted normalization row; ``z >= 0``
+    cuts off no optimum, as ``z = 0`` with normalized weights is feasible."""
     mask = problem.rank_mask
     ts, _ = _flat_cells(problem)
     n_w = ts.size
@@ -186,7 +181,7 @@ def _rank_rows(problem, coefficients):
     lhs[n_w, :n_w] = problem.rank_counts[mask]
     last = np.eye(1, n_w + 1, n_w)[0]   # objective z; right side 1 of the normalization row
     return LinearProgram(objective=last, lhs=lhs, rhs=last,
-                         senses=("<=",) * n_w + ("=",), free=(False,) * n_w + (True,))
+                         senses=("<=",) * n_w + ("=",))
 
 
 def build_opa_lp(problem):
@@ -195,8 +190,8 @@ def build_opa_lp(problem):
 
 
 def build_gopa_lp(problem, utilities):
-    """LP for given per-cell utilities: rows ``K_ij * U_r * z <= t*s*w_r``."""
-    return _rank_rows(problem, problem.max_rank[..., None] * pack_utilities(problem, utilities))
+    """LP for utilities padded as `solve_gopa` takes them: rows ``K_ij * U_r * z <= t*s*w_r``."""
+    return _rank_rows(problem, problem.max_rank[..., None] * padded_utilities(problem, utilities))
 
 
 @dataclass(frozen=True)

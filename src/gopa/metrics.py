@@ -276,12 +276,10 @@ def consensus_report(solution):
     Requires at least two experts, and enough attributes and alternatives
     for the F approximation: ``items - 1 - 2/experts > 0`` (its ``v1``).
     Ranks are derived from weights in descending order with midranks for
-    exact ties.
+    exact ties.  The counts are those of ``solution.weights.shape``.
     """
-    problem = solution.problem
-    n_experts = problem.n_experts
-    for section, items in (("attributes", problem.n_attributes),
-                           ("alternatives", problem.n_alternatives)):
+    n_experts, n_attributes, n_alternatives = solution.weights.shape
+    for section, items in (("attributes", n_attributes), ("alternatives", n_alternatives)):
         if n_experts < 2 or items - 1.0 - 2.0 / n_experts <= 0:
             raise DegenerateError(f"consensus diagnostics need 2 or more experts and "
                                   f"{section} - 1 - 2/experts > 0; got {n_experts} "
@@ -290,20 +288,20 @@ def consensus_report(solution):
     w_ij = solution.expert_attribute_weights()
     w_ik = solution.expert_alternative_weights()
     psd_attr = np.array([psd(w_ij[:, j], solution.attribute_weights[j])
-                         for j in range(problem.n_attributes)])
+                         for j in range(n_attributes)])
     psd_alt = np.array([psd(w_ik[:, k], solution.alternative_weights[k])
-                        for k in range(problem.n_alternatives)])
+                        for k in range(n_alternatives)])
 
     rho_attr = kendall_w(ranks_from_weights(w_ij))
-    lcl_attr = confidence_level(rho_attr, n_experts, problem.n_attributes)
+    lcl_attr = confidence_level(rho_attr, n_experts, n_attributes)
 
     # (J, I, K): the alternative ranks each expert gives under attribute j
     alt_ranks = ranks_from_weights(solution.weights.transpose(1, 0, 2))
-    rho_alt = np.empty(problem.n_attributes)
-    lcl_alt = np.empty(problem.n_attributes)
-    for j in range(problem.n_attributes):
+    rho_alt = np.empty(n_attributes)
+    lcl_alt = np.empty(n_attributes)
+    for j in range(n_attributes):
         rho_alt[j] = kendall_w(alt_ranks[j])
-        lcl_alt[j] = confidence_level(rho_alt[j], n_experts, problem.n_alternatives)
+        lcl_alt[j] = confidence_level(rho_alt[j], n_experts, n_alternatives)
 
     global_level = gcl(lcl_attr, solution.attribute_weights, lcl_alt)
     return ConsensusReport(

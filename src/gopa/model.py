@@ -17,7 +17,6 @@ from .exceptions import (
     DuplicateConstraintError,
     EmptyCellError,
     SignError,
-    UtilityShapeError,
     ValidationError,
 )
 from .structures import UtilityStructure, finite
@@ -93,24 +92,6 @@ class RankingProblem:
         for i in range(self.n_experts):
             for j in range(self.n_attributes):
                 yield i, j
-
-
-def pack_utilities(problem, utilities):
-    """Pack ``(i, j) -> utility vector`` into the padded (I, J, K) layout.
-
-    Raises `UtilityShapeError` if a cell is missing or has the wrong length.
-    """
-    packed = np.zeros(problem.rank_counts.shape)
-    for i, j in problem.cells():
-        kij = int(problem.max_rank[i, j])
-        if (i, j) not in utilities:
-            raise UtilityShapeError(f"missing utilities for cell ({i}, {j})")
-        u = np.asarray(utilities[(i, j)], dtype=float)
-        if u.shape != (kij,):
-            raise UtilityShapeError(
-                f"cell ({i}, {j}) expects {kij} utilities, got shape {u.shape}")
-        packed[i, j, :kij] = u
-    return packed
 
 
 EMPTY_CELL_CONTEXT_FIELDS = ("ratio", "absdiff", "lowerbound")

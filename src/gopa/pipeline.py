@@ -1,30 +1,37 @@
 """End-to-end orchestration: validate, elicit per cell, solve, report."""
 
-from dataclasses import dataclass
+from types import SimpleNamespace
 
 import numpy as np
 
 from .elicit_continuous import cumulative_utilities, elicit_continuous
 from .elicit_discrete import elicit_discrete
-from .exceptions import InfeasibleContext, NumericFailure
+from .exceptions import InfeasibleContext, NumericFailure, ValidationError
 from .model import load_document
 from .solver import WeightSolution, solve_gopa, solve_opa
 from .structures import surrogate_weights, target_density
 
 
-def elicit_utilities(problem, context, structures, bound_mode="equality"):
+def elicit_utilities(problem, context, structures, bound_mode=None):
     """Run the first stage for every cell.
 
-    Returns ``(i, j) -> `` the cell's per-rank utility vector.  Cells that
-    share their validated (structure, size, context) are solved once per call
-    and get the same read-only array.  Errors from a cell are re-raised with
-    the first offending cell (in ``problem.cells()`` order) named.
+    Returns a read-only padded (I, J, K) array: cell (i, j)'s per-rank
+    utilities in ``[i, j, :max_rank[i, j]]``, 0 beyond.  Cells that share
+    their validated (structure, size, context) are solved once per call.
+    Errors from a cell are re-raised with the first offending cell (in
+    ``problem.cells()`` order) named.  ``bound_mode=None`` means not given;
+    a given one raises `ValidationError` before any solve when every cell is
+    discrete, as no continuous density then reads it.
     """
+    keys = [((i, j), (structures.cell(i, j), int(problem.max_rank[i, j]), context.cell(i, j)))
+            for i, j in problem.cells()]
+    if bound_mode is not None and all(key[0].is_discrete for _, key in keys):
+        raise ValidationError("--bound-mode", "not read with a document whose cells are "
+                                              "all discrete, which elicits no continuous density")
     # local to the call: a process-wide cache would grow with every document
     solved = {}
-    utilities = {}
-    for i, j in problem.cells():
-        key = (structures.cell(i, j), int(problem.max_rank[i, j]), context.cell(i, j))
+    utilities = np.zeros(problem.rank_counts.shape)
+    for (i, j), key in keys:
         u = solved.get(key)
         if u is None:
             try:
@@ -32,30 +39,30 @@ def elicit_utilities(problem, context, structures, bound_mode="equality"):
             except (InfeasibleContext, NumericFailure) as exc:
                 eid, aid = problem.expert_ids[i], problem.attribute_ids[j]
                 raise type(exc)(f"cell ({eid}, {aid}): {exc}") from exc
-        utilities[(i, j)] = u
+        utilities[i, j, :u.size] = u
+    utilities.setflags(write=False)
     return utilities
 
 
-def elicit_cell(structure, size, ctx, bound_mode="equality"):
+def elicit_cell(structure, size, ctx, bound_mode=None):
     """First stage of one cell: ``(utilities, density)``.
 
-    The utilities are read-only, nonincreasing in rank and sum to 1.  A
+    The utilities are nonincreasing in rank and sum to 1.  A
     discrete structure projects its surrogate weights and has no density; a
-    continuous one solves its `PiecewiseDensity` and maps it to ranks with
-    `cumulative_utilities`.
+    continuous one solves its `PiecewiseDensity` (``bound_mode`` None reads
+    as ``"equality"``) and maps it to ranks with `cumulative_utilities`.
     """
     if structure.is_discrete:
         u = elicit_discrete(surrogate_weights(structure, size), ctx, size)
         density = None
     else:
         density = elicit_continuous(target_density(structure, size), ctx, size,
-                                    bound_mode=bound_mode)
+                                    bound_mode=bound_mode or "equality")
         u = cumulative_utilities(density)
-    u.setflags(write=False)
     return u, density
 
 
-def solve_document(doc, method="gopa", bound_mode="equality"):
+def solve_document(doc, method="gopa", bound_mode=None):
     """Validate a document and run the selected pipeline; returns the `WeightSolution`.
 
     ``method="opa"`` ignores contexts and structures and uses rankings alone;
@@ -71,11 +78,12 @@ def solve_document(doc, method="gopa", bound_mode="equality"):
                                                 bound_mode=bound_mode))
 
 
-def solution_report(solution, bound_mode="equality"):
+def solution_report(solution, bound_mode=None):
     """Serialize a solution into the report document consumed downstream.
 
     ``method`` is ``"gopa"`` for a solution with utilities, else ``"opa"``;
-    ``bound_mode`` is written only into a report that holds utilities.
+    ``bound_mode`` (None reads as ``"equality"``) is written only into a
+    report that holds utilities.
     """
     p = solution.problem
     report = {
@@ -108,7 +116,7 @@ def solution_report(solution, bound_mode="equality"):
         },
     }
     if solution.utilities is not None:
-        report["bound_mode"] = bound_mode
+        report["bound_mode"] = bound_mode or "equality"
         report["utilities"] = _by_cell(p, solution.utilities)
     return report
 
@@ -120,38 +128,23 @@ def _by_cell(problem, padded):
             for i, eid in enumerate(problem.expert_ids)}
 
 
-@dataclass(frozen=True)
-class _Ids:
-    expert_ids: tuple
-    attribute_ids: tuple
-    alternative_ids: tuple
-
-    @property
-    def n_experts(self):
-        return len(self.expert_ids)
-
-    @property
-    def n_attributes(self):
-        return len(self.attribute_ids)
-
-    @property
-    def n_alternatives(self):
-        return len(self.alternative_ids)
-
-
 def report_to_solution(report):
-    """Rebuild a weight solution from a report document (for diagnostics)."""
+    """Rebuild a weight solution from a report document (for diagnostics);
+    its ``problem`` holds only the three id tuples."""
     ids = report["ids"]
-    shim = _Ids(tuple(ids["experts"]), tuple(ids["attributes"]), tuple(ids["alternatives"]))
+    problem = SimpleNamespace(expert_ids=tuple(ids["experts"]),
+                              attribute_ids=tuple(ids["attributes"]),
+                              alternative_ids=tuple(ids["alternatives"]))
     cells = report["cell_weights"]
-    values = [cells[eid][aid].get(mid, 0.0) for eid in shim.expert_ids
-              for aid in shim.attribute_ids for mid in shim.alternative_ids]
-    weights = np.array(values, dtype=float).reshape(len(shim.expert_ids), len(shim.attribute_ids), -1)
+    values = [cells[eid][aid].get(mid, 0.0) for eid in problem.expert_ids
+              for aid in problem.attribute_ids for mid in problem.alternative_ids]
+    weights = np.array(values, dtype=float).reshape(len(problem.expert_ids),
+                                                    len(problem.attribute_ids), -1)
     # by type too: np.array(..., dtype=float) reads a text "0.5" or true as a number
     if not set(map(type, values)) <= {int, float} or not np.isfinite(weights).all():
         raise ValueError("cell weights must be finite numbers")
     return WeightSolution(
-        problem=shim,
+        problem=problem,
         objective=float(report["objective"]),
         rank_weights=None,
         weights=weights,

@@ -11,7 +11,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import DecompositionUnsupported, UtilityShapeError
-from .model import pack_utilities
 
 UTILITY_TOL = 1e-8   # slack of the sum, sign and monotonicity checks on utilities
 
@@ -25,7 +24,8 @@ class WeightSolution:
     ``r``, both padded with 0 beyond ``max_rank[i, j]`` (see
     `RankingProblem.rank_mask`).  ``weights[i, j, k]`` holds the mapped
     per-alternative weights (0 where the alternative is excluded in that
-    cell).  Aggregates are marginal sums.
+    cell).  Aggregates are marginal sums.  ``problem`` is the
+    `RankingProblem`, or only its id tuples when read back from a report.
     """
 
     problem: object
@@ -69,6 +69,24 @@ def rank_products(problem):
     return problem.expert_ranks.astype(float)[:, None] * problem.attribute_ranks
 
 
+def padded_utilities(problem, utilities):
+    """A float copy of per-cell utilities in the padded (I, J, K) layout.
+
+    Raises `UtilityShapeError` unless the shape is that of
+    ``problem.rank_mask`` and every entry beyond a cell's last rank is 0.
+    """
+    u = np.array(utilities, dtype=float)
+    if u.shape != problem.rank_counts.shape:
+        raise UtilityShapeError(
+            f"utilities have shape {u.shape}, expected {problem.rank_counts.shape}")
+    beyond = ~problem.rank_mask & (u != 0.0)    # NaN too
+    if beyond.any():
+        i, j, k = np.argwhere(beyond)[0]
+        raise UtilityShapeError(f"cell ({i}, {j}) holds {u[i, j, k]} at rank {k + 1}, "
+                                f"beyond its last rank {problem.max_rank[i, j]}")
+    return u
+
+
 def _assemble(problem, coefficients, utilities=None):
     """Common assembly of padded coefficients: z*, per-rank weights, mapping, aggregation."""
     ts = rank_products(problem)
@@ -107,20 +125,23 @@ def solve_gopa(problem, utilities):
     Parameters
     ----------
     problem : RankingProblem
-    utilities : dict
-        ``(i, j) -> ndarray`` of per-rank utilities, normalized to sum 1 and
-        nonincreasing in rank.
+    utilities : array_like, shape (I, J, K)
+        Cell (i, j)'s per-rank utilities in ``[i, j, :max_rank[i, j]]``, 0
+        beyond, normalized to sum 1 and nonincreasing in rank.  The solution
+        keeps a read-only copy; the caller's array is left as it is.
 
     Raises
     ------
     UtilityShapeError
-        If a cell's utilities are missing, not normalized, or increase with
-        rank beyond `UTILITY_TOL`.
+        If the array is not padded as `padded_utilities` requires, or a
+        cell's utilities are not normalized, or increase with rank beyond
+        `UTILITY_TOL`.
     """
-    u = pack_utilities(problem, utilities)
+    u = padded_utilities(problem, utilities)
     sums = u.sum(axis=2)
     # padding holds 0: it adds nothing to a sum and cannot rise after a cell's last rank
-    for failed, message in ((np.abs(sums - 1.0) > UTILITY_TOL, "utilities sum to {:.12g}"),
+    # (a NaN utility makes its cell's sum NaN, which fails the first check)
+    for failed, message in ((~(np.abs(sums - 1.0) <= UTILITY_TOL), "utilities sum to {:.12g}"),
                             ((u < -UTILITY_TOL).any(axis=2), "utilities must be nonnegative"),
                             ((np.diff(u, axis=2) > UTILITY_TOL).any(axis=2),
                              "utilities increase with rank")):

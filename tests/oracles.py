@@ -157,9 +157,11 @@ def exact_opa(problem):
 
 
 def exact_gopa(problem, utilities):
-    """`solve_gopa` in exact rationals; each float utility is its exact binary fraction."""
+    """`solve_gopa` in exact rationals over padded (I, J, K) utilities; each
+    float utility is its exact binary fraction."""
     return _exact_assembly(problem, {
-        (i, j): [int(problem.max_rank[i, j]) * Fraction(float(u)) for u in utilities[i, j]]
+        (i, j): [int(problem.max_rank[i, j]) * Fraction(float(u))
+                 for u in utilities[i, j, :int(problem.max_rank[i, j])]]
         for i, j in problem.cells()})
 
 
@@ -508,10 +510,15 @@ def random_continuous_context(rng, size, max_constraints=3):
 
 
 def random_utilities(rng, problem):
-    """Random normalized nonincreasing per-cell utilities."""
-    out = {}
+    """Random normalized nonincreasing per-cell utilities, padded (I, J, K)."""
+    out = np.zeros(problem.rank_counts.shape)
     for i, j in problem.cells():
         kij = int(problem.max_rank[i, j])
         u = np.sort(rng.random(kij))[::-1] + 1e-3
-        out[(i, j)] = u / u.sum()
+        out[i, j, :kij] = u / u.sum()
     return out
+
+
+def every_cell(problem, u):
+    """Padded utilities that give each cell of a gap-free problem the vector ``u``."""
+    return np.tile(u, (problem.n_experts, problem.n_attributes, 1))

@@ -40,6 +40,7 @@ from gopa.structures import (
 from model_helpers import case_study_problem
 
 from oracles import (
+    every_cell,
     grid_kl_minimum,
     kendall_bruteforce,
     kl_objective,
@@ -133,13 +134,10 @@ def test_criterion_05_objective_invariant_across_structures():
     with criterion(5, "objective spread across utility structures <= 1e-12"):
         rng = np.random.default_rng(505)
         for _ in range(20):
-            problem, _ = random_problem(rng)
-            size_by_cell = {(i, j): int(problem.max_rank[i, j])
-                            for i, j in problem.cells()}
+            problem, _ = random_problem(rng)    # every cell ranks all alternatives
             values = []
             for kind in ("rs", "rr", "sr", "roc", "ref", "uniform"):
-                utilities = {cell: surrogate_weights(kind, k)
-                             for cell, k in size_by_cell.items()}
+                utilities = every_cell(problem, surrogate_weights(kind, problem.n_alternatives))
                 values.append(solve_gopa(problem, utilities).objective)
             assert max(values) - min(values) <= 1e-12
 
@@ -150,8 +148,7 @@ def test_criterion_06_degenerations():
 
         # (a) centroid utilities reproduce the ordinal solution exactly
         problem, _ = random_problem(rng, 3, 2, 6)
-        utilities = {(i, j): surrogate_weights("roc", 6) for i, j in problem.cells()}
-        a = solve_gopa(problem, utilities)
+        a = solve_gopa(problem, every_cell(problem, surrogate_weights("roc", 6)))
         b = solve_opa(problem)
         assert abs(a.objective - b.objective) <= 1e-12
         assert np.abs(a.weights - b.weights).max() <= 1e-12

@@ -524,6 +524,25 @@ class TestInputBoundary:
                      "-o", str(tmp_path / "out")]) == 0
         assert main(["verify", "--random", "3", "--seed", "5", "-o", str(tmp_path / "out")]) == 0
 
+    @pytest.mark.parametrize("command", ["solve", "sensitivity", "verify"])
+    @pytest.mark.parametrize("mode", ["equality", "inequality"])
+    def test_bound_mode_on_all_discrete_document(self, tmp_path, clean_doc, capsys,
+                                                 monkeypatch, command, mode):
+        clean_doc["structures"] = {"default": {"kind": "roc"}}
+        path, out = write_doc(tmp_path, clean_doc), tmp_path / "out"
+        solves = []
+        monkeypatch.setattr(gopa.pipeline, "elicit_discrete",
+                            lambda *args: solves.append(args))
+        assert main([command, str(path), "--bound-mode", mode, "-o", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            "invalid input: --bound-mode: not read with a document whose cells are all "
+            "discrete, which elicits no continuous density\n")
+        assert solves == [] and not out.exists()
+        monkeypatch.undo()
+        assert main([command, str(path), "-o", str(out)]) == 0
+        if command == "solve":
+            assert json.loads(out.read_text())["bound_mode"] == "equality"
+
     def test_negative_samples_on_continuous_cell(self, tmp_path, clean_doc):
         path = write_doc(tmp_path, clean_doc)
         assert main(["elicit", str(path), "--cell", "E2,C2", "--samples", "-3"]) == 2

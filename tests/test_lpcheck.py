@@ -17,7 +17,7 @@ from gopa.model import load_document, validate_problem
 from gopa.solver import solve_gopa, solve_opa
 from gopa.structures import surrogate_weights
 
-from oracles import cell_counts, dense_pivot, random_problem, random_utilities
+from oracles import cell_counts, dense_pivot, every_cell, random_problem, random_utilities
 
 SHIPPED_PIVOT = gopa.lpcheck._pivot
 
@@ -37,14 +37,6 @@ class TestSimplex:
     def test_unbounded(self):
         lp = LinearProgram(objective=[1.0], lhs=[[1.0]], rhs=[1.0], senses=(">=",))
         assert solve_lp(lp).status == "unbounded"
-
-    def test_equality_and_free_variable(self):
-        # max x + y  s.t.  x + y = 2, x - y <= 1, y free
-        lp = LinearProgram(objective=[1.0, 1.0], lhs=[[1.0, 1.0], [1.0, -1.0]],
-                           rhs=[2.0, 1.0], senses=("=", "<="), free=(False, True))
-        res = solve_lp(lp)
-        assert res.status == "optimal"
-        assert res.value == pytest.approx(2.0, abs=1e-12)
 
     def test_redundant_equality_row_is_dropped(self):
         # the second row doubles the first: its artificial stays basic at zero
@@ -108,7 +100,7 @@ class TestBuilders:
 
     def test_centroid_utilities_reproduce_ordinal_rows(self):
         p, _ = random_problem(np.random.default_rng(1), 2, 2, 5)
-        u = {(i, j): surrogate_weights("roc", 5) for i, j in p.cells()}
+        u = every_cell(p, surrogate_weights("roc", 5))
         opa = build_opa_lp(p)
         gopa = build_gopa_lp(p, u)
         assert np.allclose(opa.lhs, gopa.lhs, atol=1e-12)
@@ -171,21 +163,19 @@ def highs(lp):
     senses = np.asarray(lp.senses)
     eq = senses == "="
     sign = np.where(senses == ">=", -1.0, 1.0)   # a >= row as a <= row
-    free = np.zeros(lp.objective.size, dtype=bool) if lp.free is None else np.asarray(lp.free)
     a_ub, b_ub = (sign[:, None] * lp.lhs)[~eq], (sign * lp.rhs)[~eq]
 
     def primal(objective):
         return scipy.optimize.linprog(
             -objective, A_ub=a_ub, b_ub=b_ub, A_eq=lp.lhs[eq], b_eq=lp.rhs[eq],
-            bounds=[(None, None) if f else (0.0, None) for f in free], method="highs")
+            bounds=(0.0, None), method="highs")
 
     if primal(np.zeros_like(lp.objective)).status == 2:
         return "infeasible", None
-    # the dual's rows: A^T y >= c on nonnegative variables, = c on free ones
+    # the dual's rows: A^T y >= c, one per (nonnegative) variable
     at = np.vstack([a_ub, lp.lhs[eq]]).T
     dual = scipy.optimize.linprog(
-        np.zeros(at.shape[1]), A_ub=-at[~free], b_ub=-lp.objective[~free],
-        A_eq=at[free], b_eq=lp.objective[free],
+        np.zeros(at.shape[1]), A_ub=-at, b_ub=-lp.objective,
         bounds=[(0.0, None)] * a_ub.shape[0] + [(None, None)] * eq.sum(), method="highs")
     if dual.status == 2:
         return "unbounded", None
@@ -219,15 +209,14 @@ def random_verify_programs(seed):
 
 
 def random_small_programs(seed, count=150):
-    """Seeded integer LPs: every sense with ``b < 0``, ``b = 0`` and ``b > 0``, some free variables."""
+    """Seeded integer LPs: every sense with ``b < 0``, ``b = 0`` and ``b > 0``."""
     rng = np.random.default_rng(seed)
     for _ in range(count):
         m, n = rng.integers(2, 6, size=2)
         senses = tuple(rng.choice(["<=", "=", ">="], size=m))
         rhs = rng.integers(-4, 5, size=m) * rng.integers(0, 2, size=m)
         yield LinearProgram(objective=rng.integers(-3, 4, size=n),
-                            lhs=rng.integers(-3, 4, size=(m, n)), rhs=rhs, senses=senses,
-                            free=tuple(rng.random(n) < 0.3))
+                            lhs=rng.integers(-3, 4, size=(m, n)), rhs=rhs, senses=senses)
 
 
 class TestSecondEngine:

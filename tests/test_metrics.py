@@ -18,7 +18,7 @@ from gopa.metrics import (
 from gopa.solver import solve_gopa, solve_opa
 from gopa.structures import surrogate_weights
 
-from oracles import kendall_bruteforce, midranks_loop, random_problem, tie_term_unique
+from oracles import every_cell, kendall_bruteforce, midranks_loop, random_problem, tie_term_unique
 
 
 class TestPsd:
@@ -39,7 +39,7 @@ class TestPsd:
         p, _ = random_problem(rng, 3, 2, 5)
         reports = []
         for kind in ("rs", "roc"):
-            u = {(i, j): surrogate_weights(kind, 5) for i, j in p.cells()}
+            u = every_cell(p, surrogate_weights(kind, 5))
             reports.append(consensus_report(solve_gopa(p, u)))
         assert np.abs(reports[0].psd_attributes - reports[1].psd_attributes).max() <= 1e-12
 

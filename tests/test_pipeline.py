@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -5,6 +7,7 @@ from gopa import pipeline, projection
 from gopa.elicit_continuous import cumulative_utilities, elicit_continuous
 from gopa.elicit_discrete import elicit_discrete
 from gopa.exceptions import InfeasibleContext, NumericFailure
+from gopa.metrics import consensus_report
 from gopa.model import load_document
 from gopa.pipeline import (
     elicit_utilities,
@@ -89,7 +92,7 @@ class TestSharedCells:
     def test_each_cell_equals_its_own_solve(self, bound_mode):
         problem, context, structures = load_document(repeated_cells_document())
         utilities = elicit_utilities(problem, context, structures, bound_mode=bound_mode)
-        assert sorted(utilities) == list(problem.cells())
+        assert utilities.shape == problem.rank_counts.shape
         for i, j in problem.cells():
             structure, ctx = structures.cell(i, j), context.cell(i, j)
             kij = int(problem.max_rank[i, j])
@@ -102,8 +105,9 @@ class TestSharedCells:
                                            bound_mode=bound_mode)
                 direct = cumulative_utilities(solved)
                 assert (density.masses == solved.masses).all()
-            assert utilities[(i, j)].shape == u.shape == direct.shape
-            assert (utilities[(i, j)] == direct).all() and (u == direct).all(), (i, j)
+            assert u.shape == direct.shape == (kij,)
+            assert (utilities[i, j, :kij] == direct).all() and (u == direct).all(), (i, j)
+            assert (utilities[i, j, kij:] == 0.0).all()
 
     def test_each_key_is_solved_once_per_call(self, monkeypatch):
         calls = {"discrete": 0, "continuous": 0}
@@ -121,16 +125,15 @@ class TestSharedCells:
         problem, context, structures = load_document(repeated_cells_document())
         utilities = elicit_utilities(problem, context, structures)
         assert calls == {"discrete": 4, "continuous": 3}
-        assert utilities[(0, 0)] is utilities[(1, 0)]
-        assert utilities[(4, 0)] is utilities[(5, 0)]
-        assert utilities[(0, 1)] is utilities[(1, 1)] is utilities[(2, 1)]
-        for u in utilities.values():
-            assert not u.flags.writeable
+        for first, *same in ([(0, 0), (1, 0)], [(4, 0), (5, 0)], [(0, 1), (1, 1), (2, 1)]):
+            for cell in same:
+                assert np.array_equal(utilities[cell], utilities[first])
+        assert not utilities.flags.writeable
         with pytest.raises(ValueError):
-            utilities[(0, 0)][0] = 1.0
+            utilities[0, 0, 0] = 1.0
         again = elicit_utilities(problem, context, structures)
         assert calls == {"discrete": 8, "continuous": 6}
-        assert again[(0, 0)] is not utilities[(0, 0)]
+        assert again is not utilities and np.array_equal(again, utilities)
 
     @pytest.mark.parametrize("error, contexts, budget", [
         (InfeasibleContext, {"lowerbound": [{"rank": "*", "gamma": 0.9}]}, None),
@@ -226,7 +229,16 @@ class TestReportRoundTrip:
         problem, context, structures = load_document(document(4))
         utilities = elicit_utilities(problem, context, structures)
         report = solution_report(solve_gopa(problem, utilities))
-        for (i, j), u in utilities.items():
+        for i, j in problem.cells():
             eid = problem.expert_ids[i]
             aid = problem.attribute_ids[j]
+            u = utilities[i, j, :problem.max_rank[i, j]]
             assert report["utilities"][eid][aid] == pytest.approx(u, abs=1e-15)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_consensus_of_rebuilt_solution(self, seed):
+        # the reader's problem holds only ids: the counts come from the weights
+        solution = solve_document(document(seed))
+        rebuilt = report_to_solution(json.loads(json.dumps(solution_report(solution))))
+        assert (consensus_report(rebuilt).to_dict(rebuilt.problem)
+                == consensus_report(solution).to_dict(solution.problem))

@@ -8,7 +8,7 @@ from gopa.pipeline import solve_document
 from gopa.solver import decompose, solve_gopa, solve_opa
 from gopa.structures import surrogate_weights
 
-from oracles import big_rank_document, cell_counts, random_problem, random_utilities
+from oracles import big_rank_document, cell_counts, every_cell, random_problem, random_utilities
 
 
 def equal_importance_problem(rng, n_experts, n_attributes, n_alternatives):
@@ -98,7 +98,7 @@ class TestOrdinalSolver:
 class TestGeneralizedSolver:
     def test_hand_example_two_ranks(self):
         p, _ = random_problem(np.random.default_rng(5), 1, 1, 2)
-        sol = solve_gopa(p, {(0, 0): np.array([0.7, 0.3])})
+        sol = solve_gopa(p, np.array([[[0.7, 0.3]]]))
         assert sol.objective == pytest.approx(0.5, abs=1e-14)
         assert sorted(sol.rank_weights[(0, 0)].tolist(), reverse=True) == \
             pytest.approx([0.7, 0.3], abs=1e-14)
@@ -106,8 +106,7 @@ class TestGeneralizedSolver:
     def test_centroid_utilities_reproduce_ordinal_solution(self):
         rng = np.random.default_rng(6)
         p, _ = random_problem(rng, 3, 2, 6)
-        u = {(i, j): surrogate_weights("roc", 6) for i, j in p.cells()}
-        a = solve_gopa(p, u)
+        a = solve_gopa(p, every_cell(p, surrogate_weights("roc", 6)))
         b = solve_opa(p)
         assert abs(a.objective - b.objective) <= 1e-12
         assert np.abs(a.weights - b.weights).max() <= 1e-12
@@ -117,8 +116,7 @@ class TestGeneralizedSolver:
         p, _ = random_problem(rng, 2, 3, 5)
         values = []
         for kind in ("rs", "rr", "sr", "roc", "ref"):
-            u = {(i, j): surrogate_weights(kind, 5) for i, j in p.cells()}
-            values.append(solve_gopa(p, u).objective)
+            values.append(solve_gopa(p, every_cell(p, surrogate_weights(kind, 5))).objective)
         assert max(values) - min(values) <= 1e-12
         expected = 1.0 / sum(5.0 / (p.expert_ranks[i] * p.attribute_ranks[i, j])
                              for i, j in p.cells())
@@ -129,8 +127,7 @@ class TestGeneralizedSolver:
         p, _ = random_problem(rng, 3, 3, 6)
         sols = []
         for kind in ("rs", "roc", "uniform"):
-            u = {(i, j): surrogate_weights(kind, 6) for i, j in p.cells()}
-            sols.append(solve_gopa(p, u))
+            sols.append(solve_gopa(p, every_cell(p, surrogate_weights(kind, 6))))
         for sol in sols[1:]:
             assert np.abs(sol.expert_weights - sols[0].expert_weights).max() <= 1e-12
             assert np.abs(sol.attribute_weights - sols[0].attribute_weights).max() <= 1e-12
@@ -138,13 +135,15 @@ class TestGeneralizedSolver:
     def test_rejects_bad_utility_shapes(self):
         p, _ = random_problem(np.random.default_rng(9), 1, 1, 3)
         with pytest.raises(UtilityShapeError):
-            solve_gopa(p, {(0, 0): np.array([0.5, 0.4])})
+            solve_gopa(p, np.array([[[0.5, 0.4]]]))
         with pytest.raises(UtilityShapeError):
-            solve_gopa(p, {(0, 0): np.array([0.5, 0.4, 0.3])})
+            solve_gopa(p, np.array([[[0.5, 0.4, 0.3]]]))
         with pytest.raises(UtilityShapeError):
-            solve_gopa(p, {(0, 0): np.array([0.2, 0.3, 0.5])})
+            solve_gopa(p, np.array([[[0.2, 0.3, 0.5]]]))
         with pytest.raises(UtilityShapeError):
-            solve_gopa(p, {})
+            solve_gopa(p, np.array([0.5, 0.3, 0.2]))    # one cell's vector, unpadded
+        with pytest.raises(UtilityShapeError, match="sum to nan"):
+            solve_gopa(p, np.array([[[np.nan, 0.3, 0.2]]]))
 
     def test_saturates_generalized_lp_rows(self):
         rng = np.random.default_rng(10)
@@ -157,6 +156,53 @@ class TestGeneralizedSolver:
         rows = lp.lhs @ x
         assert np.abs(rows[:-1]).max() <= 1e-12
         assert rows[-1] == pytest.approx(1.0, abs=1e-12)
+
+
+class TestPaddedUtilities:
+    """Both consumers of utilities take only the padded (I, J, K) layout."""
+
+    @staticmethod
+    def short_cell():
+        """A 1 x 2 x 3 problem whose cell (0, 1) ranks two alternatives, and
+        valid utilities for it: entry [0, 1, 2] is padding."""
+        p = validate_problem({
+            "experts": [{"id": "E1", "rank": 1}], "attributes": ["C1", "C2"],
+            "alternatives": ["A1", "A2", "A3"],
+            "attribute_ranks": {"E1": {"C1": 1, "C2": 2}},
+            "alternative_ranks": {"E1": {"C1": {"A1": 1, "A2": 2, "A3": 3},
+                                         "C2": {"A1": 2, "A3": 1}}}})
+        return p, np.array([[[0.5, 0.3, 0.2], [0.6, 0.4, 0.0]]])
+
+    def test_valid_layout_is_accepted(self):
+        p, u = self.short_cell()
+        assert solve_gopa(p, u).utilities.tolist() == u.tolist()
+        assert build_gopa_lp(p, u).lhs.shape == (6, 6)
+
+    @pytest.mark.parametrize("consumer", [solve_gopa, build_gopa_lp])
+    @pytest.mark.parametrize("fault, match", [
+        ("one cell's vector", "shape"), ("experts and attributes swapped", "shape"),
+        ("ranks cut short", "shape"), ("nonzero padding", "beyond its last rank 2"),
+        ("NaN padding", "holds nan at rank 3"),
+    ])
+    def test_refused(self, consumer, fault, match):
+        p, u = self.short_cell()
+        if fault == "one cell's vector":
+            u = u[0, 0]          # (3,) would broadcast over every cell
+        elif fault == "experts and attributes swapped":
+            u = u.transpose(1, 0, 2)    # (2, 1, 3) would broadcast to (2, 2, 3)
+        elif fault == "ranks cut short":
+            u = u[..., :2]
+        else:
+            u[0, 1, 2] = 1e-3 if fault == "nonzero padding" else np.nan
+        with pytest.raises(UtilityShapeError, match=match):
+            consumer(p, u)
+
+    def test_caller_array_stays_writable(self):
+        p, u = self.short_cell()
+        sol = solve_gopa(p, u)
+        assert u.flags.writeable and not sol.utilities.flags.writeable
+        u[0, 0, 0] = 0.9
+        assert sol.utilities[0, 0, 0] == 0.5
 
 
 class TestAggregation:
