@@ -7,17 +7,21 @@ solution report), ``sensitivity`` (expert-rank permutation sweep), ``verify``
 ``--bound-mode`` exits 2 where a run elicits no utilities (``verify --random``,
 ``sensitivity --method opa``) or no continuous density (a document of
 discrete cells only, ``elicit`` on a discrete cell or with ``--dump-target``).
-Reports are deterministic: sorted keys, two-space indent, ASCII-escaped
-strings, and each float rounded to 12 significant digits and written as the
-shortest string that reads back as the rounded value; NaN and infinities
-are written ``NaN`` and ``(-)Infinity``.
+Reports are deterministic: sorted keys, two-space indent except for a leaf
+list of floats and nulls, which takes one line, ASCII-escaped strings, and
+each float rounded to 12 significant digits and written as the shortest
+string that reads back as the rounded value; NaN and infinities are written
+``NaN`` and ``(-)Infinity``.  Solution reports are format 2 (see
+`pipeline.solution_report`).
 
 Exit codes: 0 success, 1 failed verification, 2 validation error,
 3 infeasible preference context, 4 numeric failure.  Exit 2 also covers an
 input that cannot be read (a directory, not UTF-8), an output path that
 cannot be written (a missing directory, a ``--csv`` path that is a file)
-and a solution report given to ``metrics`` that lacks a key or holds a
-malformed field; the message names the path and the key or the fault.
+and a solution report given to ``metrics`` that lacks a key, is not format
+2 or holds a malformed field (a duplicate id, keys that differ from the ids,
+a cell list of the wrong length); the message names the path and the key,
+the format, the section or the cell.
 A bad flag value is exit 2 too: argparse checks every flag, and `main`
 returns its exit code rather than raising ``SystemExit``.
 """
@@ -93,21 +97,24 @@ def _report_text(obj, nl="\n", floats=None, rows=None):
 
     The layout is that of ``json.dumps(obj, indent=2, sort_keys=True)``
     (ASCII-escaped strings, ``NaN``/``Infinity``, tuples as lists, numpy
-    scalars as their Python values); ``nl`` is the newline plus the indent
-    of the current nesting level.
+    scalars as their Python values), except that a leaf list, one whose
+    items are all Python floats or None, is written on one line as
+    ``[a, b, null]``; ``nl`` is the newline plus the indent of the current
+    nesting level.
 
     The top-level call makes two memos and passes them down the recursion;
     both are dropped when it returns, so no state carries over to the next
-    report.  ``floats`` maps a float to its text, so each distinct float is
-    formatted once per report.  Zeros never enter it: ``0.0 == -0.0`` and
-    both hash alike, so the first zero would set the text of both.  A NaN
-    finds itself only as the very same object (NaN never equals itself),
-    and hit or miss it is written ``NaN``.  ``rows`` maps a dict's sorted
-    key tuple and ``nl`` to its ``%`` template, keys encoded and ``%``
-    escaped, so each distinct key row at each depth is encoded once.
+    report.  ``floats`` maps a float to its text (and None to ``null``), so
+    each distinct float is formatted once per report and a leaf list costs
+    one lookup pass and one join.  Zeros never enter it: ``0.0 == -0.0``
+    and both hash alike, so the first zero would set the text of both.  A
+    NaN finds itself only as the very same object (NaN never equals
+    itself), and hit or miss it is written ``NaN``.  ``rows`` maps a dict's
+    sorted key tuple and ``nl`` to its ``%`` template, keys encoded and
+    ``%`` escaped, so each distinct key row at each depth is encoded once.
     """
     if floats is None:
-        floats, rows = {}, {}
+        floats, rows = {None: "null"}, {}
     if isinstance(obj, str):
         return encode_basestring_ascii(obj)
     if isinstance(obj, float):
@@ -125,8 +132,10 @@ def _report_text(obj, nl="\n", floats=None, rows=None):
     if isinstance(obj, (list, tuple)):
         if not obj:
             return "[]"
+        if {*map(type, obj)} <= _LEAF_TYPES:
+            return "[" + ", ".join(_memo_float_texts(obj, floats)) + "]"
         inner = nl + "  "
-        texts = _item_texts(obj, inner, floats, rows)
+        texts = [_report_text(v, inner, floats, rows) for v in obj]
         return "[" + inner + ("," + inner).join(texts) + nl + "]"
     if obj is None:
         return "null"
@@ -141,16 +150,20 @@ def _report_text(obj, nl="\n", floats=None, rows=None):
     raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
 
 
+_LEAF_TYPES = {float, type(None)}
+
+
 def _item_texts(values, nl, floats, rows):
-    """Texts of a container's values; a leaf of floats is formatted in one call."""
-    if {*map(type, values)} == {float}:
+    """Texts of a dict's values; floats and Nones alone are looked up in one pass."""
+    if {*map(type, values)} <= _LEAF_TYPES:
         return _memo_float_texts(values, floats)
     return [_report_text(v, nl, floats, rows) for v in values]
 
 
 def _memo_float_texts(values, floats):
-    """`_float_texts` of ``values``, looked up in the report's float memo first;
-    the misses are formatted in one call and remembered, zeros excepted."""
+    """`_float_texts` of ``values`` (None as ``null``), looked up in the report's
+    float memo first; the misses are formatted in one call and remembered,
+    zeros excepted."""
     texts = list(map(floats.get, values))
     if None not in texts:
         return texts
@@ -215,9 +228,10 @@ def _weights_csv(report):
 
 def _utilities_csv(report):
     rows = [("expert", "attribute", "rank", "utility")]
+    distinct, cells = report["utilities"]["distinct"], report["utilities"]["cells"]
     for eid in report["ids"]["experts"]:
         for aid in report["ids"]["attributes"]:
-            for r, u in enumerate(report["utilities"][eid][aid], start=1):
+            for r, u in enumerate(distinct[cells[eid][aid]], start=1):
                 rows.append((eid, aid, r, _fmt(u)))
     return rows
 
@@ -290,7 +304,7 @@ def _cmd_metrics(config):
         solution = report_to_solution(report)
     except KeyError as exc:
         raise ValidationError(str(config.input), f"solution report lacks key {exc.args[0]!r}")
-    except (TypeError, AttributeError, ValueError) as exc:
+    except (TypeError, AttributeError, ValueError, OverflowError) as exc:
         raise ValidationError(str(config.input), f"malformed solution report ({exc})")
     try:
         cons = consensus_report(solution)

@@ -1,5 +1,6 @@
 """End-to-end orchestration: validate, elicit per cell, solve, report."""
 
+from itertools import chain
 from types import SimpleNamespace
 
 import numpy as np
@@ -78,16 +79,27 @@ def solve_document(doc, method="gopa", bound_mode=None):
                                                 bound_mode=bound_mode))
 
 
+REPORT_FORMAT = 2
+SECTIONS = ("experts", "attributes", "alternatives")
+
+
 def solution_report(solution, bound_mode=None):
     """Serialize a solution into the report document consumed downstream.
 
     ``method`` is ``"gopa"`` for a solution with utilities, else ``"opa"``;
     ``bound_mode`` (None reads as ``"equality"``) is written only into a
-    report that holds utilities.
+    report that holds utilities.  Format 2 writes each number once:
+    ``cell_weights[eid][aid]`` is a list in ``ids.alternatives`` order, None
+    where the cell excludes the alternative; ``utilities`` holds each distinct
+    cell vector once and maps each cell to its index.  ``rank_weights`` keeps
+    one list per cell: with gaps it holds weights that no alternative maps to.
     """
     p = solution.problem
+    cell_weights = solution.weights.astype(object)
+    cell_weights[p.alternative_ranks == 0] = None
     report = {
         "kind": "solution",
+        "format": REPORT_FORMAT,
         "method": "opa" if solution.utilities is None else "gopa",
         "objective": solution.objective,
         "ids": {
@@ -98,13 +110,11 @@ def solution_report(solution, bound_mode=None):
         "experts": dict(zip(p.expert_ids, solution.expert_weights.tolist())),
         "attributes": dict(zip(p.attribute_ids, solution.attribute_weights.tolist())),
         "alternatives": dict(zip(p.alternative_ids, solution.alternative_weights.tolist())),
-        "cell_weights": {
-            eid: {aid: {mid: w for mid, w, rank in zip(p.alternative_ids, w_ij, r_ij) if rank > 0}
-                  for aid, w_ij, r_ij in zip(p.attribute_ids, w_i, r_i)}
-            for eid, w_i, r_i in zip(p.expert_ids, solution.weights.tolist(),
-                                     p.alternative_ranks.tolist())
-        },
-        "rank_weights": _by_cell(p, solution.rank_weights),
+        "cell_weights": {eid: dict(zip(p.attribute_ids, w_i))
+                         for eid, w_i in zip(p.expert_ids, cell_weights.tolist())},
+        "rank_weights": {eid: {aid: solution.rank_weights[i, j, :p.max_rank[i, j]].tolist()
+                               for j, aid in enumerate(p.attribute_ids)}
+                         for i, eid in enumerate(p.expert_ids)},
         "flags": {
             "gap_free": bool(p.gap_free),
             "has_exclusions": bool(solution.exclusions_flagged),
@@ -117,34 +127,62 @@ def solution_report(solution, bound_mode=None):
     }
     if solution.utilities is not None:
         report["bound_mode"] = bound_mode or "equality"
-        report["utilities"] = _by_cell(p, solution.utilities)
+        report["utilities"] = _distinct_utilities(p, solution.utilities)
     return report
 
 
-def _by_cell(problem, padded):
-    """Nested ``expert id -> attribute id -> list`` of a padded (I, J, K) array's cells."""
-    return {eid: {aid: padded[i, j, :problem.max_rank[i, j]].tolist()
-                  for j, aid in enumerate(problem.attribute_ids)}
-            for i, eid in enumerate(problem.expert_ids)}
+def _distinct_utilities(problem, padded):
+    """``{"distinct": [...], "cells": {eid: {aid: index}}}`` of a padded (I, J, K)
+    array: each distinct cell vector once, in first-appearance order over
+    ``problem.cells()``, keyed by its exact bytes (so cells of different
+    sizes never share one)."""
+    index, distinct = {}, []
+    cells = {eid: {} for eid in problem.expert_ids}
+    for i, j in problem.cells():
+        u = padded[i, j, :problem.max_rank[i, j]]
+        n = index.setdefault(u.tobytes(), len(distinct))
+        if n == len(distinct):
+            distinct.append(u.tolist())
+        cells[problem.expert_ids[i]][problem.attribute_ids[j]] = n
+    return {"distinct": distinct, "cells": cells}
 
 
 def report_to_solution(report):
-    """Rebuild a weight solution from a report document (for diagnostics);
-    its ``problem`` holds only the three id tuples."""
+    """Rebuild a weight solution from a format-2 report document (for
+    diagnostics); its ``problem`` holds only the three id tuples.
+
+    Raises `ValueError` naming the section or cell for another format, a
+    duplicate id, keys that differ from the ids, a cell list of the wrong
+    length or a weight that is not a finite number or None (excluded).
+    """
     ids = report["ids"]
-    problem = SimpleNamespace(expert_ids=tuple(ids["experts"]),
-                              attribute_ids=tuple(ids["attributes"]),
-                              alternative_ids=tuple(ids["alternatives"]))
-    cells = report["cell_weights"]
-    values = [cells[eid][aid].get(mid, 0.0) for eid in problem.expert_ids
-              for aid in problem.attribute_ids for mid in problem.alternative_ids]
-    weights = np.array(values, dtype=float).reshape(len(problem.expert_ids),
-                                                    len(problem.attribute_ids), -1)
-    # by type too: np.array(..., dtype=float) reads a text "0.5" or true as a number
-    if not set(map(type, values)) <= {int, float} or not np.isfinite(weights).all():
-        raise ValueError("cell weights must be finite numbers")
+    fmt = report.get("format", 1)   # format 1 had no "format" key
+    if fmt != REPORT_FORMAT:
+        raise ValueError(f"report format {fmt!r}; this version reads format {REPORT_FORMAT}")
+    experts, attributes, alternatives = (_unique_ids(ids, section) for section in SECTIONS)
+    for section, names in zip(SECTIONS, (experts, attributes, alternatives)):
+        _check_keys(section, report[section], names, section)
+    rows = report["cell_weights"]
+    _check_keys("cell_weights", rows, experts, "experts")
+    cells = []
+    for eid in experts:
+        _check_keys(f"cell_weights.{eid}", rows[eid], attributes, "attributes")
+        for aid in attributes:
+            cell = rows[eid][aid]
+            if type(cell) is not list or len(cell) != len(alternatives):
+                raise ValueError(f"cell_weights.{eid}.{aid}: expected a list of "
+                                 f"{len(alternatives)} weights, one per alternative")
+            cells.append(cell)
+    weights = _read_weights(list(chain.from_iterable(cells)))
+    if weights is None:
+        c = next(c for c, cell in enumerate(cells) if _read_weights(cell) is None)
+        raise ValueError(f"cell_weights.{experts[c // len(attributes)]}."
+                         f"{attributes[c % len(attributes)]}: weights must be finite "
+                         "numbers or null (excluded)")
+    weights = weights.reshape(len(experts), len(attributes), len(alternatives))
     return WeightSolution(
-        problem=problem,
+        problem=SimpleNamespace(expert_ids=experts, attribute_ids=attributes,
+                                alternative_ids=alternatives),
         objective=float(report["objective"]),
         rank_weights=None,
         weights=weights,
@@ -152,3 +190,43 @@ def report_to_solution(report):
         attribute_weights=weights.sum(axis=(0, 2)),
         alternative_weights=weights.sum(axis=(0, 1)),
     )
+
+
+def _read_weights(values):
+    """``values`` as a float array with None read as 0, or None unless each
+    value is an int, a float or None and each number is finite."""
+    # by type too: np.array(..., dtype=float) reads a text "0.5" or true as a number
+    if not set(map(type, values)) <= {int, float, type(None)}:
+        return None
+    try:
+        read = np.array(values, dtype=float)   # None reads as NaN
+    except OverflowError:   # an int beyond the float range
+        return None
+    nonfinite = ~np.isfinite(read)
+    if nonfinite.sum() != values.count(None):
+        return None
+    read[nonfinite] = 0.0
+    return read
+
+
+def _unique_ids(ids, section):
+    names = ids[section]
+    if type(names) is not list:
+        raise ValueError(f"ids.{section}: expected a list of ids")
+    seen = set()
+    for name in names:
+        if name in seen:
+            raise ValueError(f"ids.{section}: duplicate id {name!r}")
+        seen.add(name)
+    return tuple(names)
+
+
+def _check_keys(where, obj, names, section):
+    """``obj`` must be an object keyed by exactly ``names`` (the ids of ``section``)."""
+    if type(obj) is not dict:
+        raise ValueError(f"{where}: expected an object keyed by ids.{section}")
+    if obj.keys() != set(names):
+        unknown = sorted(obj.keys() - set(names))
+        missing = [name for name in names if name not in obj]
+        raise ValueError(f"{where}: keys differ from ids.{section} "
+                         f"(unknown {unknown}, missing {missing})")

@@ -7,6 +7,7 @@ concordance is evaluated from its defining sums.
 """
 
 import json
+import re
 from collections import namedtuple
 from dataclasses import replace
 from fractions import Fraction
@@ -253,8 +254,24 @@ def _round_floats(obj):
 
 def legacy_report_text(doc):
     """Report bytes of the stdlib encoder: each float rounded through 12
-    significant digits, then ``json.dumps(indent=2, sort_keys=True)``."""
-    return json.dumps(_round_floats(doc), indent=2, sort_keys=True) + "\n"
+    significant digits, then ``json.dumps(indent=2, sort_keys=True)``, with
+    each leaf list (nonempty, items all Python floats or None) on one line
+    as ``json.dumps`` writes it without an indent."""
+    leaves = []
+
+    def mark(obj):
+        """``obj`` with each leaf list replaced by a placeholder string."""
+        if isinstance(obj, dict):
+            return {k: mark(v) for k, v in obj.items()}
+        if isinstance(obj, (list, tuple)):
+            if obj and all(type(v) is float or v is None for v in obj):
+                leaves.append(json.dumps(_round_floats(obj)))
+                return f"\0leaf{len(leaves) - 1}\0"
+            return [mark(v) for v in obj]
+        return obj
+
+    text = json.dumps(_round_floats(mark(doc)), indent=2, sort_keys=True)
+    return re.sub(r'"\\u0000leaf(\d+)\\u0000"', lambda m: leaves[int(m[1])], text) + "\n"
 
 
 def _ws_primal(log_base, exponent):

@@ -112,7 +112,8 @@ class TestElicitMatchesReport:
                 assert main(["elicit", str(path), "--cell", f"{eid},{aid}"]) == 0
                 rows = [float(r.split(",")[1]) for r in
                         capsys.readouterr().out.strip().splitlines()[1:]]
-                expected = report["utilities"][eid][aid]
+                utilities = report["utilities"]
+                expected = utilities["distinct"][utilities["cells"][eid][aid]]
                 assert rows == expected, (eid, aid)
                 if (eid, aid) in continuous:
                     assert expected[0] > expected[-1]
@@ -436,7 +437,8 @@ def test_commands_run_without_scipy(tmp_path):
     assert code == 3 and "E2" in err and "C1" in err
     assert [code for code, _ in rest] == [0] * len(rest)
     report = json.loads(Path(out["solve.json"]).read_text())
-    assert report["utilities"]["E1"]["C1"] == [1.0, 0.0, 0.0]
+    utilities = report["utilities"]
+    assert utilities["distinct"][utilities["cells"]["E1"]["C1"]] == [1.0, 0.0, 0.0]
     rows = read_csv(out["elicit.csv"])
     assert [float(u) for _, u in rows[1:]] == [1.0, 0.0, 0.0]
 
@@ -582,14 +584,87 @@ class TestInputBoundary:
         assert main(["opa", str(path), "-o", str(tmp_path / "r.json")]) == 2
         assert capsys.readouterr().err.startswith(f"invalid input: {where}")
 
-    @pytest.mark.parametrize("weight", [None, float("nan"), float("inf"), "0.5", True])
+    @pytest.mark.parametrize("weight", [float("nan"), float("inf"), "0.5", True,
+                                        pytest.param(10 ** 400, id="huge_int")])
     def test_non_finite_cell_weight(self, tmp_path, clean_doc, capsys, weight):
         report = tmp_path / "report.json"
         assert main(["opa", str(write_doc(tmp_path, clean_doc)), "-o", str(report)]) == 0
         doc = json.loads(report.read_text())
-        doc["cell_weights"]["E1"]["C1"]["A1"] = weight
+        doc["cell_weights"]["E1"]["C1"][0] = weight
+        report.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert main(["metrics", str(report), "-o", str(tmp_path / "m.json")]) == 2
+        assert capsys.readouterr().err == (
+            f"invalid input: {report}: malformed solution report (cell_weights.E1.C1: "
+            "weights must be finite numbers or null (excluded))\n")
+
+    def test_null_cell_weight_reads_as_excluded(self, tmp_path, clean_doc):
+        report = tmp_path / "report.json"
+        assert main(["opa", str(write_doc(tmp_path, clean_doc)), "-o", str(report)]) == 0
+        doc = json.loads(report.read_text())
+        doc["cell_weights"]["E1"]["C1"][0] = None
+        report.write_text(json.dumps(doc))
+        assert main(["metrics", str(report), "-o", str(tmp_path / "m.json")]) == 0
+
+
+def drop_expert(doc, sections):
+    doc["ids"]["experts"].remove("E3")
+    for section in sections:
+        del doc[section]["E3"]
+
+
+class TestMalformedReport:
+    """`metrics` refuses a format-2 report whose ids and keys disagree, naming
+    the section or the cell, where it once computed a consensus silently."""
+
+    @pytest.mark.parametrize("edit, fault", [
+        (lambda d: d["ids"]["experts"].append("E1"), "ids.experts: duplicate id 'E1'"),
+        (lambda d: d["ids"]["alternatives"].insert(0, "A3"),
+         "ids.alternatives: duplicate id 'A3'"),
+        (lambda d: drop_expert(d, ()),
+         "experts: keys differ from ids.experts (unknown ['E3'], missing [])"),
+        (lambda d: drop_expert(d, ("experts",)),
+         "cell_weights: keys differ from ids.experts (unknown ['E3'], missing [])"),
+        (lambda d: d["attributes"].update(C9=d["attributes"].pop("C2")),
+         "attributes: keys differ from ids.attributes (unknown ['C9'], missing ['C2'])"),
+        (lambda d: d["ids"]["alternatives"].__setitem__(0, "A9"),
+         "alternatives: keys differ from ids.alternatives (unknown ['A1'], missing ['A9'])"),
+        (lambda d: d["cell_weights"]["E2"].update(C9=d["cell_weights"]["E2"].pop("C1")),
+         "cell_weights.E2: keys differ from ids.attributes (unknown ['C9'], missing ['C1'])"),
+        (lambda d: d["cell_weights"]["E2"]["C2"].pop(),
+         "cell_weights.E2.C2: expected a list of 5 weights, one per alternative"),
+        (lambda d: d["cell_weights"]["E3"]["C1"].append(0.0),
+         "cell_weights.E3.C1: expected a list of 5 weights, one per alternative"),
+        (lambda d: d["cell_weights"]["E1"].update(C2={"A1": 0.5}),
+         "cell_weights.E1.C2: expected a list of 5 weights, one per alternative"),
+        (lambda d: d.update(experts=[]), "experts: expected an object keyed by ids.experts"),
+        (lambda d: d.update(objective=10 ** 400), "int too large to convert to float"),
+        (lambda d: d.pop("format"), "report format 1; this version reads format 2"),
+        (lambda d: d.update(format=3), "report format 3; this version reads format 2"),
+    ], ids=["duplicate_expert", "duplicate_alternative", "expert_dropped_from_ids",
+            "expert_dropped_from_ids_and_section", "section_key_renamed", "id_renamed",
+            "cell_key_renamed", "cell_short", "cell_long", "cell_not_list",
+            "section_not_object", "huge_objective", "format_1", "format_3"])
+    def test_fault_exits_2_and_names_it(self, tmp_path, clean_doc, capsys, edit, fault):
+        report = tmp_path / "report.json"
+        assert main(["solve", str(write_doc(tmp_path, clean_doc)), "-o", str(report)]) == 0
+        doc = json.loads(report.read_text())
+        edit(doc)
         report.write_text(json.dumps(doc))
         capsys.readouterr()
         assert main(["metrics", str(report), "-o", str(tmp_path / "m.json")]) == 2
         assert capsys.readouterr().err == (f"invalid input: {report}: malformed solution "
-                                           "report (cell weights must be finite numbers)\n")
+                                           f"report ({fault})\n")
+
+    def test_format_1_report(self, tmp_path, capsys):
+        # the layout before format 2: no "format" key, cells keyed by alternative id
+        ids = {"experts": ["E1", "E2"], "attributes": ["C1"], "alternatives": ["A1", "A2"]}
+        cells = {"E1": {"C1": {"A1": 0.4, "A2": 0.2}}, "E2": {"C1": {"A1": 0.1, "A2": 0.3}}}
+        report = write_doc(tmp_path, {"kind": "solution", "objective": 0.2, "ids": ids,
+                                      "experts": {"E1": 0.6, "E2": 0.4}, "attributes": {"C1": 1.0},
+                                      "alternatives": {"A1": 0.5, "A2": 0.5},
+                                      "cell_weights": cells})
+        assert main(["metrics", str(report)]) == 2
+        assert capsys.readouterr().err == (f"invalid input: {report}: malformed solution "
+                                           "report (report format 1; this version reads "
+                                           "format 2)\n")

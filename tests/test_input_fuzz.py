@@ -37,7 +37,8 @@ DOCUMENT = {
 VALUES = (None, True, "x", [], {}, 5, -1, 0.5, math.nan, math.inf)
 
 # the parts of a solution report that `metrics` reads
-REPORT_KEYS = ("kind", "ids", "objective", "cell_weights")
+REPORT_KEYS = ("kind", "format", "ids", "objective", "experts", "attributes", "alternatives",
+               "cell_weights")
 
 
 def _nodes(obj, path=()):

@@ -215,7 +215,7 @@ class TestReportRoundTrip:
         report = solution_report(solution)
         for eid, expected in report["experts"].items():
             total = sum(w for aid in report["cell_weights"][eid]
-                        for w in report["cell_weights"][eid][aid].values())
+                        for w in report["cell_weights"][eid][aid] if w is not None)
             assert total == pytest.approx(expected, abs=1e-12)
         assert sum(report["alternatives"].values()) == pytest.approx(1.0, abs=1e-10)
 
@@ -233,7 +233,21 @@ class TestReportRoundTrip:
             eid = problem.expert_ids[i]
             aid = problem.attribute_ids[j]
             u = utilities[i, j, :problem.max_rank[i, j]]
-            assert report["utilities"][eid][aid] == pytest.approx(u, abs=1e-15)
+            block = report["utilities"]
+            assert block["distinct"][block["cells"][eid][aid]] == u.tolist()
+
+    def test_distinct_utilities_keyed_by_size_too(self):
+        # [1, 0, 0] and [1, 0] hold the same nonzero values: cells of different
+        # sizes still get separate lists, in first-appearance order
+        problem, _ = random_problem(np.random.default_rng(40), 4, 3, 7, irregular=True)
+        utilities = np.zeros(problem.rank_counts.shape)
+        utilities[..., 0] = 1.0
+        block = solution_report(solve_gopa(problem, utilities))["utilities"]
+        sizes = list(dict.fromkeys(int(problem.max_rank[i, j]) for i, j in problem.cells()))
+        assert block["distinct"] == [[1.0] + [0.0] * (k - 1) for k in sizes]
+        for i, j in problem.cells():
+            n = block["cells"][problem.expert_ids[i]][problem.attribute_ids[j]]
+            assert n == sizes.index(problem.max_rank[i, j])
 
     @pytest.mark.parametrize("seed", range(4))
     def test_consensus_of_rebuilt_solution(self, seed):

@@ -1,16 +1,20 @@
-"""The one-pass report writer against the stdlib encoder it replaced.
+"""The one-pass report writer against the stdlib encoder it replaced, and
+format-2 solution reports read back.
 
 `oracles.legacy_report_text` rounds every float through 12 significant digits
-and then runs ``json.dumps(indent=2, sort_keys=True)``; the writer must give
-the same bytes on every input.
+and then runs ``json.dumps(indent=2, sort_keys=True)``, with each leaf list of
+floats and nulls on one line; the writer must give the same bytes on every
+input.
 """
+
+import json
 
 import numpy as np
 import pytest
 
 from gopa import cli
 from gopa.metrics import consensus_report
-from gopa.pipeline import solution_report, solve_document
+from gopa.pipeline import report_to_solution, solution_report, solve_document
 from gopa.solver import solve_gopa, solve_opa
 
 from oracles import legacy_report_text, random_problem, random_utilities
@@ -46,11 +50,22 @@ def test_edge_float_alone_in_list_and_dict(x):
     assert_same_bytes({"w": x})
     assert_same_bytes([0.25, x, 0.5])
     assert_same_bytes({"a": 0.25, "b": x})
+    assert_same_bytes({"cell": [None, x, 0.5, None], "x": [x, None]})
+    assert_same_bytes({"a": None, "b": x})
 
 
 def test_edge_floats_together():
     assert_same_bytes(EDGE_FLOATS)
     assert_same_bytes({f"k{n}": x for n, x in enumerate(EDGE_FLOATS)})
+
+
+def test_leaf_lists_on_one_line():
+    doc = {"w": [0.5, None, 0.25], "nested": [[0.1], [None], [], [1.0, 2]], "d": {"x": 0.5}}
+    assert cli._report_text(doc) == (
+        '{\n  "d": {\n    "x": 0.5\n  },\n'
+        '  "nested": [\n    [0.1],\n    [null],\n    [],\n'
+        '    [\n      1.0,\n      2\n    ]\n  ],\n'
+        '  "w": [0.5, null, 0.25]\n}')
 
 
 def test_non_float_values():
@@ -178,3 +193,62 @@ def test_wide_solution_report(method, formatted):
     cli._report_text(report)
     assert_formatted_once(formatted)
     assert sum(map(len, formatted)) < 30 * 30 * 30 / 2
+
+
+def round12(x):
+    return float(format(x, ".12g"))
+
+
+@pytest.mark.parametrize("irregular", [False, True], ids=["regular", "irregular"])
+@pytest.mark.parametrize("seed", range(3))
+class TestFormat2RoundTrip:
+    """A format-2 report read back from its text gives the solution to 12 digits."""
+
+    def solution(self, seed, irregular):
+        rng = np.random.default_rng(40 + seed)
+        problem, _ = random_problem(rng, 4, 3, 7, irregular=irregular)
+        return solve_gopa(problem, random_utilities(rng, problem))
+
+    def test_weights_read_back(self, seed, irregular):
+        solution = self.solution(seed, irregular)
+        rebuilt = report_to_solution(json.loads(cli._report_text(solution_report(solution))))
+        assert rebuilt.weights.tolist() == np.vectorize(round12)(solution.weights).tolist()
+        assert rebuilt.objective == round12(solution.objective)
+        assert rebuilt.problem.alternative_ids == solution.problem.alternative_ids
+
+    def test_utilities_rebuilt_from_distinct_cells(self, seed, irregular):
+        solution = self.solution(seed, irregular)
+        p = solution.problem
+        block = json.loads(cli._report_text(solution_report(solution)))["utilities"]
+        rebuilt = np.zeros(p.rank_counts.shape)
+        for i, eid in enumerate(p.expert_ids):
+            for j, aid in enumerate(p.attribute_ids):
+                u = block["distinct"][block["cells"][eid][aid]]
+                assert len(u) == p.max_rank[i, j]
+                rebuilt[i, j, :len(u)] = u
+        assert rebuilt.tolist() == np.vectorize(round12)(solution.utilities).tolist()
+        # each distinct list is written once, and every one is used
+        assert len({tuple(u) for u in block["distinct"]}) == len(block["distinct"])
+        assert {n for row in block["cells"].values() for n in row.values()} == \
+            set(range(len(block["distinct"])))
+
+    def test_excluded_alternatives_are_null(self, seed, irregular):
+        solution = self.solution(seed, irregular)
+        p = solution.problem
+        cells = solution_report(solution)["cell_weights"]
+        for i, j in p.cells():
+            cell = cells[p.expert_ids[i]][p.attribute_ids[j]]
+            assert [w is None for w in cell] == (p.alternative_ranks[i, j] == 0).tolist()
+
+    def test_two_runs_byte_identical(self, seed, irregular, tmp_path):
+        _, doc = random_problem(np.random.default_rng(50 + seed), 4, 3, 7, irregular=irregular)
+        doc["structures"] = {"default": {"kind": "rs"}}
+        path = tmp_path / "doc.json"
+        path.write_text(json.dumps(doc))
+        texts = []
+        for run in range(2):
+            out = tmp_path / f"report{run}.json"
+            assert cli.main(["solve", str(path), "-o", str(out)]) == 0
+            texts.append(out.read_bytes())
+        assert texts[0] == texts[1]
+        assert json.loads(texts[0])["format"] == 2
