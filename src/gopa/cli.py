@@ -11,17 +11,19 @@ Reports are deterministic: sorted keys, two-space indent except for a leaf
 list of floats and nulls, which takes one line, ASCII-escaped strings, and
 each float rounded to 12 significant digits and written as the shortest
 string that reads back as the rounded value; NaN and infinities are written
-``NaN`` and ``(-)Infinity``.  Solution reports are format 2 (see
-`pipeline.solution_report`).
+``NaN`` and ``(-)Infinity``.  Solution reports are format 2; their weight
+grids arrive as `JsonText` leaves, rendered in one pass by
+`pipeline.solution_report`, and the writer copies them as they are.
 
 Exit codes: 0 success, 1 failed verification, 2 validation error,
 3 infeasible preference context, 4 numeric failure.  Exit 2 also covers an
 input that cannot be read (a directory, not UTF-8), an output path that
 cannot be written (a missing directory, a ``--csv`` path that is a file)
-and a solution report given to ``metrics`` that lacks a key, is not format
-2 or holds a malformed field (a duplicate id, keys that differ from the ids,
-a cell list of the wrong length); the message names the path and the key,
-the format, the section or the cell.
+and a solution report given to ``metrics`` that lacks a key, whose format
+is not the integer 2 or that holds a malformed field (an objective that is
+not a finite number, a duplicate id, keys that differ from the ids, a cell
+list of the wrong length); the message names the path and the key, the
+format, the field, the section or the cell.
 A bad flag value is exit 2 too: argparse checks every flag, and `main`
 returns its exit code rather than raising ``SystemExit``.
 """
@@ -50,6 +52,8 @@ from .lpcheck import build_gopa_lp, build_opa_lp, solve_lp, verify_efficiency
 from .metrics import consensus_report
 from .model import load_document
 from .pipeline import (
+    JsonText,
+    _float_texts,
     elicit_cell,
     elicit_utilities,
     report_to_solution,
@@ -65,60 +69,29 @@ def _fmt(x):
     return format(float(x), ".12g")
 
 
-def _float_texts(values):
-    """JSON texts of floats rounded to 12 significant digits, formatted in one call.
-
-    A 12-digit decimal is its own shortest round-trip string, so ``%.12g``
-    is the answer, with ``.0`` appended when it has neither a point nor an
-    exponent.  The exceptions take the exact route through the rounded
-    float: NaN and infinities, anything ``%g`` writes with a positive
-    exponent (``repr`` switches to exponents only at 1e16, and
-    ``999999999999.5`` rounds up to ``1e+12``), and exponents that start with
-    ``e-3``, which include the subnormals' (their shortest string can be
-    shorter than 12 digits: ``5e-324`` formats as ``4.94065645841e-324``).
-    """
-    text = ",".join(["%.12g"] * len(values)) % tuple(values)
-    texts = text.split(",")
-    if (text.count(".") == len(texts) and "n" not in text and "e+" not in text
-            and "e-3" not in text):
-        return texts
-    exact = []
-    for s in texts:
-        if "n" in s or "e+" in s or "e-3" in s:
-            s = json.dumps(float(s))
-        elif "." not in s and "e" not in s:
-            s += ".0"
-        exact.append(s)
-    return exact
-
-
-def _report_text(obj, nl="\n", floats=None, rows=None):
+def _report_text(obj, nl="\n", rows=None):
     """Indented JSON text of a report, floats at 12 significant digits.
 
     The layout is that of ``json.dumps(obj, indent=2, sort_keys=True)``
     (ASCII-escaped strings, ``NaN``/``Infinity``, tuples as lists, numpy
     scalars as their Python values), except that a leaf list, one whose
     items are all Python floats or None, is written on one line as
-    ``[a, b, null]``; ``nl`` is the newline plus the indent of the current
-    nesting level.
+    ``[a, b, null]``, its floats formatted in one `_float_texts` call; a
+    `JsonText` is copied as it is.  ``nl`` is the newline plus the indent
+    of the current nesting level.
 
-    The top-level call makes two memos and passes them down the recursion;
-    both are dropped when it returns, so no state carries over to the next
-    report.  ``floats`` maps a float to its text (and None to ``null``), so
-    each distinct float is formatted once per report and a leaf list costs
-    one lookup pass and one join.  Zeros never enter it: ``0.0 == -0.0``
-    and both hash alike, so the first zero would set the text of both.  A
-    NaN finds itself only as the very same object (NaN never equals
-    itself), and hit or miss it is written ``NaN``.  ``rows`` maps a dict's
-    sorted key tuple and ``nl`` to its ``%`` template, keys encoded and
-    ``%`` escaped, so each distinct key row at each depth is encoded once.
+    The top-level call makes one memo and passes it down the recursion; it
+    is dropped when the call returns, so no state carries over to the next
+    report.  ``rows`` maps a dict's sorted key tuple and ``nl`` to its ``%``
+    template, keys encoded and ``%`` escaped, so each distinct key row at
+    each depth is encoded once.
     """
-    if floats is None:
-        floats, rows = {None: "null"}, {}
+    if rows is None:
+        rows = {}
     if isinstance(obj, str):
-        return encode_basestring_ascii(obj)
+        return obj if type(obj) is JsonText else encode_basestring_ascii(obj)
     if isinstance(obj, float):
-        return _memo_float_texts((obj,), floats)[0]
+        return _float_texts([obj])[0]
     if isinstance(obj, dict):
         if not obj:
             return "{}"
@@ -128,14 +101,14 @@ def _report_text(obj, nl="\n", floats=None, rows=None):
             inner = nl + "  "
             items = [encode_basestring_ascii(k).replace("%", "%%") + ": %s" for k in keys]
             template = rows[keys, nl] = "{" + inner + ("," + inner).join(items) + nl + "}"
-        return template % tuple(_item_texts([obj[k] for k in keys], nl + "  ", floats, rows))
+        return template % tuple(_item_texts([obj[k] for k in keys], nl + "  ", rows))
     if isinstance(obj, (list, tuple)):
         if not obj:
             return "[]"
         if {*map(type, obj)} <= _LEAF_TYPES:
-            return "[" + ", ".join(_memo_float_texts(obj, floats)) + "]"
+            return "[" + ", ".join(_leaf_texts(obj)) + "]"
         inner = nl + "  "
-        texts = [_report_text(v, inner, floats, rows) for v in obj]
+        texts = [_report_text(v, inner, rows) for v in obj]
         return "[" + inner + ("," + inner).join(texts) + nl + "]"
     if obj is None:
         return "null"
@@ -146,33 +119,26 @@ def _report_text(obj, nl="\n", floats=None, rows=None):
     if isinstance(obj, int):
         return int.__repr__(obj)
     if isinstance(obj, (np.floating, np.integer, np.bool_)):
-        return _report_text(obj.item(), nl, floats, rows)
+        return _report_text(obj.item(), nl, rows)
     raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
 
 
 _LEAF_TYPES = {float, type(None)}
 
 
-def _item_texts(values, nl, floats, rows):
-    """Texts of a dict's values; floats and Nones alone are looked up in one pass."""
+def _item_texts(values, nl, rows):
+    """Texts of a dict's values; floats and Nones alone are formatted in one call."""
     if {*map(type, values)} <= _LEAF_TYPES:
-        return _memo_float_texts(values, floats)
-    return [_report_text(v, nl, floats, rows) for v in values]
+        return _leaf_texts(values)
+    return [_report_text(v, nl, rows) for v in values]
 
 
-def _memo_float_texts(values, floats):
-    """`_float_texts` of ``values`` (None as ``null``), looked up in the report's
-    float memo first; the misses are formatted in one call and remembered,
-    zeros excepted."""
-    texts = list(map(floats.get, values))
-    if None not in texts:
-        return texts
-    missing = [v for v, t in zip(values, texts) if t is None]
-    fresh = _float_texts(missing)
-    floats.update(zip(missing, fresh))
-    floats.pop(0.0, None)   # removes a -0.0 key too
-    fresh = iter(fresh)
-    return [t if t is not None else next(fresh) for t in texts]
+def _leaf_texts(values):
+    """Texts of floats and Nones: the floats in one `_float_texts` call, None as ``null``."""
+    if None not in values:
+        return _float_texts(values)
+    texts = iter(_float_texts([v for v in values if v is not None]))
+    return ["null" if v is None else next(texts) for v in values]
 
 
 def _write_text(text, path):

@@ -1,5 +1,6 @@
 """End-to-end orchestration: validate, elicit per cell, solve, report."""
 
+import json
 from itertools import chain
 from types import SimpleNamespace
 
@@ -83,25 +84,72 @@ REPORT_FORMAT = 2
 SECTIONS = ("experts", "attributes", "alternatives")
 
 
+class JsonText(str):
+    """Report text that the writer copies as it is: a leaf list already rendered."""
+
+
+def _float_texts(values):
+    """JSON texts of floats rounded to 12 significant digits, formatted in one call.
+
+    A 12-digit decimal is its own shortest round-trip string, so ``%.12g``
+    is the answer, with ``.0`` appended when it has neither a point nor an
+    exponent.  The exceptions take the exact route through the rounded
+    float: NaN and infinities, anything ``%g`` writes with a positive
+    exponent (``repr`` switches to exponents only at 1e16, and
+    ``999999999999.5`` rounds up to ``1e+12``), and exponents that start with
+    ``e-3``, which include the subnormals' (their shortest string can be
+    shorter than 12 digits: ``5e-324`` formats as ``4.94065645841e-324``).
+    """
+    if not values:
+        return []
+    text = ",".join(["%.12g"] * len(values)) % tuple(values)
+    texts = text.split(",")
+    if (text.count(".") == len(texts) and "n" not in text and "e+" not in text
+            and "e-3" not in text):
+        return texts
+    exact = []
+    for s in texts:
+        if "n" in s or "e+" in s or "e-3" in s:
+            s = json.dumps(float(s))
+        elif "." not in s and "e" not in s:
+            s += ".0"
+        exact.append(s)
+    return exact
+
+
 def solution_report(solution, bound_mode=None):
     """Serialize a solution into the report document consumed downstream.
 
     ``method`` is ``"gopa"`` for a solution with utilities, else ``"opa"``;
     ``bound_mode`` (None reads as ``"equality"``) is written only into a
-    report that holds utilities.  Format 2 writes each number once:
-    ``cell_weights[eid][aid]`` is a list in ``ids.alternatives`` order, None
-    where the cell excludes the alternative; ``utilities`` holds each distinct
-    cell vector once and maps each cell to its index.  ``rank_weights`` keeps
-    one list per cell: with gaps it holds weights that no alternative maps to.
+    report that holds utilities.  In format 2 ``cell_weights[eid][aid]`` is
+    a list in ``ids.alternatives`` order, None where the cell excludes the
+    alternative; ``rank_weights`` keeps one list per cell (with gaps it holds
+    weights that no alternative maps to), so each cell weight repeats the
+    rank weight of its alternative's rank.  ``utilities`` holds each distinct
+    cell vector once and maps each cell to its index.
+
+    Both weight grids are rendered here, as `JsonText` leaves: the distinct
+    bit patterns of the rank weights are formatted in one `_float_texts`
+    call (so ``-0.0`` and ``0.0`` keep their own texts), and each cell
+    weight takes its text from its alternative's rank, as `solver` gathers
+    the weights themselves.  The `cli` writer copies a leaf as it is; in
+    Python, ``json.loads(leaf)`` gives its list.
     """
     p = solution.problem
-    cell_weights = solution.weights.astype(object)
-    cell_weights[p.alternative_ranks == 0] = None
+    mask = p.rank_mask
+    bits, inverse = np.unique(solution.rank_weights[mask].view(np.uint64), return_inverse=True)
+    texts = np.array(_float_texts(bits.view(np.float64).tolist()), dtype=object)
+    rank_texts = np.empty(mask.shape, dtype=object)   # None beyond a cell's last rank
+    rank_texts[mask] = texts[inverse]
+    ranks = p.alternative_ranks
+    cell_texts = np.take_along_axis(rank_texts, np.maximum(ranks - 1, 0), axis=2)
+    cell_texts[ranks == 0] = "null"
     report = {
         "kind": "solution",
         "format": REPORT_FORMAT,
         "method": "opa" if solution.utilities is None else "gopa",
-        "objective": solution.objective,
+        "objective": float(solution.objective),
         "ids": {
             "experts": list(p.expert_ids),
             "attributes": list(p.attribute_ids),
@@ -110,11 +158,9 @@ def solution_report(solution, bound_mode=None):
         "experts": dict(zip(p.expert_ids, solution.expert_weights.tolist())),
         "attributes": dict(zip(p.attribute_ids, solution.attribute_weights.tolist())),
         "alternatives": dict(zip(p.alternative_ids, solution.alternative_weights.tolist())),
-        "cell_weights": {eid: dict(zip(p.attribute_ids, w_i))
-                         for eid, w_i in zip(p.expert_ids, cell_weights.tolist())},
-        "rank_weights": {eid: {aid: solution.rank_weights[i, j, :p.max_rank[i, j]].tolist()
-                               for j, aid in enumerate(p.attribute_ids)}
-                         for i, eid in enumerate(p.expert_ids)},
+        "cell_weights": _leaves(p, cell_texts.tolist(),
+                                np.full_like(p.max_rank, p.n_alternatives)),
+        "rank_weights": _leaves(p, rank_texts.tolist(), p.max_rank),
         "flags": {
             "gap_free": bool(p.gap_free),
             "has_exclusions": bool(solution.exclusions_flagged),
@@ -129,6 +175,14 @@ def solution_report(solution, bound_mode=None):
         report["bound_mode"] = bound_mode or "equality"
         report["utilities"] = _distinct_utilities(p, solution.utilities)
     return report
+
+
+def _leaves(problem, texts, lengths):
+    """``{eid: {aid: leaf}}``: the first ``lengths[i, j]`` of cell (i, j)'s
+    texts joined into one `JsonText` list."""
+    return {eid: {aid: JsonText("[" + ", ".join(cell[:n]) + "]")
+                  for aid, cell, n in zip(problem.attribute_ids, row, n_i)}
+            for eid, row, n_i in zip(problem.expert_ids, texts, lengths.tolist())}
 
 
 def _distinct_utilities(problem, padded):
@@ -151,13 +205,14 @@ def report_to_solution(report):
     """Rebuild a weight solution from a format-2 report document (for
     diagnostics); its ``problem`` holds only the three id tuples.
 
-    Raises `ValueError` naming the section or cell for another format, a
-    duplicate id, keys that differ from the ids, a cell list of the wrong
-    length or a weight that is not a finite number or None (excluded).
+    Raises `ValueError` naming the field, section or cell for a format
+    other than the integer 2, a duplicate id, keys that differ from the ids,
+    a cell list of the wrong length, a weight that is not a finite number or
+    None (excluded), or an objective that is not a finite number.
     """
     ids = report["ids"]
     fmt = report.get("format", 1)   # format 1 had no "format" key
-    if fmt != REPORT_FORMAT:
+    if type(fmt) is not int or fmt != REPORT_FORMAT:
         raise ValueError(f"report format {fmt!r}; this version reads format {REPORT_FORMAT}")
     experts, attributes, alternatives = (_unique_ids(ids, section) for section in SECTIONS)
     for section, names in zip(SECTIONS, (experts, attributes, alternatives)):
@@ -180,10 +235,13 @@ def report_to_solution(report):
                          f"{attributes[c % len(attributes)]}: weights must be finite "
                          "numbers or null (excluded)")
     weights = weights.reshape(len(experts), len(attributes), len(alternatives))
+    objective = _read_weights([report["objective"]])
+    if objective is None or report["objective"] is None:
+        raise ValueError("objective: expected a finite number")
     return WeightSolution(
         problem=SimpleNamespace(expert_ids=experts, attribute_ids=attributes,
                                 alternative_ids=alternatives),
-        objective=float(report["objective"]),
+        objective=float(objective[0]),
         rank_weights=None,
         weights=weights,
         expert_weights=weights.sum(axis=(1, 2)),

@@ -20,6 +20,7 @@ from gopa.elicit_discrete import discrete_constraint_system
 from gopa.exceptions import NumericFailure
 from gopa.lpcheck import LinearProgram, solve_lp
 from gopa.model import CellContext, validate_problem
+from gopa.pipeline import REPORT_FORMAT, _distinct_utilities
 
 
 def kl_objective(u, v):
@@ -272,6 +273,48 @@ def legacy_report_text(doc):
 
     text = json.dumps(_round_floats(mark(doc)), indent=2, sort_keys=True)
     return re.sub(r'"\\u0000leaf(\d+)\\u0000"', lambda m: leaves[int(m[1])], text) + "\n"
+
+
+def list_solution_report(solution, bound_mode=None):
+    """The format-2 solution report with every weight a Python float (None where
+    the cell excludes the alternative), as `gopa.pipeline.solution_report` built
+    it before it rendered the weight grids itself: cell weights read from
+    ``solution.weights``, not gathered from the rank weights."""
+    p = solution.problem
+    cell_weights = solution.weights.astype(object)
+    cell_weights[p.alternative_ranks == 0] = None
+    report = {
+        "kind": "solution",
+        "format": REPORT_FORMAT,
+        "method": "opa" if solution.utilities is None else "gopa",
+        "objective": float(solution.objective),
+        "ids": {
+            "experts": list(p.expert_ids),
+            "attributes": list(p.attribute_ids),
+            "alternatives": list(p.alternative_ids),
+        },
+        "experts": dict(zip(p.expert_ids, solution.expert_weights.tolist())),
+        "attributes": dict(zip(p.attribute_ids, solution.attribute_weights.tolist())),
+        "alternatives": dict(zip(p.alternative_ids, solution.alternative_weights.tolist())),
+        "cell_weights": {eid: dict(zip(p.attribute_ids, w_i))
+                         for eid, w_i in zip(p.expert_ids, cell_weights.tolist())},
+        "rank_weights": {eid: {aid: solution.rank_weights[i, j, :p.max_rank[i, j]].tolist()
+                               for j, aid in enumerate(p.attribute_ids)}
+                         for i, eid in enumerate(p.expert_ids)},
+        "flags": {
+            "gap_free": bool(p.gap_free),
+            "has_exclusions": bool(solution.exclusions_flagged),
+            "weight_sums": {
+                "experts": float(solution.expert_weights.sum()),
+                "attributes": float(solution.attribute_weights.sum()),
+                "alternatives": float(solution.alternative_weights.sum()),
+            },
+        },
+    }
+    if solution.utilities is not None:
+        report["bound_mode"] = bound_mode or "equality"
+        report["utilities"] = _distinct_utilities(p, solution.utilities)
+    return report
 
 
 def _ws_primal(log_base, exponent):

@@ -19,6 +19,7 @@ import pytest
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 
 import checks  # noqa: E402
+import layers  # noqa: E402
 import spans  # noqa: E402
 
 # called as gopa.cli.main, as the benchmark calls it, so the tracer's wrapper runs
@@ -72,6 +73,30 @@ def test_uninstall_restores_every_function(tmp_path):
             "pipeline.elicit_utilities", "elicit_discrete.elicit_discrete",
             "elicit_continuous.elicit_continuous", "solver.solve_gopa",
             "pipeline.solution_report"} <= names
+    assert all(span.error is None for span in tracer.spans)
+
+
+def test_report_ops_traced(tmp_path):
+    # `pipeline.solution_report_ms_p50` reads the `solve` and the `opa` ops
+    path = small_document(tmp_path)
+    tracer = spans.Tracer()
+    tracer.install()
+    try:
+        for command in layers.REPORT_COMMANDS:
+            tracer.begin_op(command)
+            assert gopa.cli.main([command, str(path), "-o", str(tmp_path / "report.json")]) == 0
+    finally:
+        tracer.uninstall()
+    names = {command: {span.name for span in tracer.spans
+                       if tracer.op_commands[span.op] == command}
+             for command in layers.REPORT_COMMANDS}
+    assert {"pipeline.solution_report", "solver.solve_gopa"} <= names["solve"]
+    assert {"cli.main", "model.load_document", "pipeline.solve_document",
+            "solver.solve_opa", "pipeline.solution_report"} <= names["opa"]
+    assert not {"pipeline.elicit_utilities", "solver.solve_gopa"} & names["opa"]
+    table = layers.SpanTable(tracer)
+    for command in layers.REPORT_COMMANDS:
+        assert table.durations("pipeline.solution_report", (command,)).size == 1
     assert all(span.error is None for span in tracer.spans)
 
 

@@ -638,13 +638,23 @@ class TestMalformedReport:
         (lambda d: d["cell_weights"]["E1"].update(C2={"A1": 0.5}),
          "cell_weights.E1.C2: expected a list of 5 weights, one per alternative"),
         (lambda d: d.update(experts=[]), "experts: expected an object keyed by ids.experts"),
-        (lambda d: d.update(objective=10 ** 400), "int too large to convert to float"),
+        (lambda d: d.update(objective=10 ** 400), "objective: expected a finite number"),
+        (lambda d: d.update(objective="0.5"), "objective: expected a finite number"),
+        (lambda d: d.update(objective="nan"), "objective: expected a finite number"),
+        (lambda d: d.update(objective=True), "objective: expected a finite number"),
+        (lambda d: d.update(objective=float("inf")), "objective: expected a finite number"),
+        (lambda d: d.update(objective=float("nan")), "objective: expected a finite number"),
+        (lambda d: d.update(objective=None), "objective: expected a finite number"),
         (lambda d: d.pop("format"), "report format 1; this version reads format 2"),
         (lambda d: d.update(format=3), "report format 3; this version reads format 2"),
+        (lambda d: d.update(format=2.0), "report format 2.0; this version reads format 2"),
+        (lambda d: d.update(format="2"), "report format '2'; this version reads format 2"),
     ], ids=["duplicate_expert", "duplicate_alternative", "expert_dropped_from_ids",
             "expert_dropped_from_ids_and_section", "section_key_renamed", "id_renamed",
             "cell_key_renamed", "cell_short", "cell_long", "cell_not_list",
-            "section_not_object", "huge_objective", "format_1", "format_3"])
+            "section_not_object", "huge_objective", "text_objective", "text_nan_objective",
+            "bool_objective", "infinite_objective", "nan_objective", "null_objective",
+            "format_1", "format_3", "float_format", "text_format"])
     def test_fault_exits_2_and_names_it(self, tmp_path, clean_doc, capsys, edit, fault):
         report = tmp_path / "report.json"
         assert main(["solve", str(write_doc(tmp_path, clean_doc)), "-o", str(report)]) == 0

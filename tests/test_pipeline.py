@@ -18,7 +18,7 @@ from gopa.pipeline import (
 from gopa.solver import solve_gopa
 from gopa.structures import surrogate_weights, target_density
 
-from oracles import random_problem
+from oracles import list_solution_report, random_problem
 
 
 def document(seed=0):
@@ -200,10 +200,13 @@ class TestIrregularCells:
 
 
 class TestReportRoundTrip:
+    """`report_to_solution` over the report with unrounded weights
+    (`oracles.list_solution_report`; `test_report_writer` checks that
+    `solution_report` writes the same bytes)."""
+
     def test_report_rebuilds_consistent_solution(self):
         solution = solve_document(document())
-        report = solution_report(solution)
-        rebuilt = report_to_solution(report)
+        rebuilt = report_to_solution(list_solution_report(solution))
         assert rebuilt.objective == pytest.approx(solution.objective, rel=1e-12)
         assert np.abs(rebuilt.weights - solution.weights).max() <= 1e-15
         assert np.abs(rebuilt.expert_weights - solution.expert_weights).max() <= 1e-12
@@ -212,7 +215,7 @@ class TestReportRoundTrip:
 
     def test_report_weight_blocks_are_marginals_of_cells(self):
         solution = solve_document(document(3))
-        report = solution_report(solution)
+        report = list_solution_report(solution)
         for eid, expected in report["experts"].items():
             total = sum(w for aid in report["cell_weights"][eid]
                         for w in report["cell_weights"][eid][aid] if w is not None)
@@ -253,6 +256,6 @@ class TestReportRoundTrip:
     def test_consensus_of_rebuilt_solution(self, seed):
         # the reader's problem holds only ids: the counts come from the weights
         solution = solve_document(document(seed))
-        rebuilt = report_to_solution(json.loads(json.dumps(solution_report(solution))))
+        rebuilt = report_to_solution(json.loads(json.dumps(list_solution_report(solution))))
         assert (consensus_report(rebuilt).to_dict(rebuilt.problem)
                 == consensus_report(solution).to_dict(solution.problem))

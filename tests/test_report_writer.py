@@ -4,20 +4,24 @@ format-2 solution reports read back.
 `oracles.legacy_report_text` rounds every float through 12 significant digits
 and then runs ``json.dumps(indent=2, sort_keys=True)``, with each leaf list of
 floats and nulls on one line; the writer must give the same bytes on every
-input.
+input.  A solution report's weight grids arrive rendered by the grid pass of
+`solution_report`; its bytes must equal the oracle's over
+`oracles.list_solution_report`, which holds every weight as a Python float.
 """
 
 import json
+import re
+import struct
 
 import numpy as np
 import pytest
 
-from gopa import cli
+from gopa import cli, pipeline
 from gopa.metrics import consensus_report
-from gopa.pipeline import report_to_solution, solution_report, solve_document
-from gopa.solver import solve_gopa, solve_opa
+from gopa.pipeline import JsonText, report_to_solution, solution_report, solve_document
+from gopa.solver import WeightSolution, solve_gopa, solve_opa
 
-from oracles import legacy_report_text, random_problem, random_utilities
+from oracles import legacy_report_text, list_solution_report, random_problem, random_utilities
 
 EDGE_FLOATS = [0.0, -0.0, 1.0, 1e-5, 5e-324, 1e-310, 999999999999.5, 1e12, 1e16,
                float("nan"), float("inf"), float("-inf"),
@@ -29,18 +33,45 @@ def assert_same_bytes(doc):
     assert cli._report_text(doc) + "\n" == legacy_report_text(doc)
 
 
+def assert_report_bytes(solution, bound_mode=None):
+    assert (cli._report_text(solution_report(solution, bound_mode)) + "\n"
+            == legacy_report_text(list_solution_report(solution, bound_mode)))
+
+
 @pytest.fixture
 def formatted(monkeypatch):
-    """The batches of floats the writer passes to `_float_texts`, in order."""
+    """The batches of floats passed to `_float_texts`, in order: by the grid
+    pass of `pipeline.solution_report` and by the writer in `cli`."""
     seen = []
 
     def recording(values):
         seen.append(list(values))
         return float_texts(values)
 
-    float_texts = cli._float_texts
-    monkeypatch.setattr(cli, "_float_texts", recording)
+    float_texts = pipeline._float_texts
+    for module in (pipeline, cli):
+        monkeypatch.setattr(module, "_float_texts", recording)
     return seen
+
+
+def edge_solution(values, seed=0, gopa=False):
+    """A hand-built solution of a small irregular problem whose valid rank
+    weights cycle through ``values``; cell weights are gathered from them as
+    the solver gathers its own."""
+    rng = np.random.default_rng(seed)
+    problem, _ = random_problem(rng, 3, 2, 6, irregular=True)
+    mask = problem.rank_mask
+    rank_weights = np.zeros(mask.shape)
+    rank_weights[mask] = np.resize(np.array(values, dtype=float), mask.sum())
+    ranks = problem.alternative_ranks
+    mapped = np.take_along_axis(rank_weights, np.maximum(ranks - 1, 0), axis=2)
+    weights = np.where(ranks > 0, mapped, 0.0)
+    return WeightSolution(
+        problem=problem, objective=0.5, rank_weights=rank_weights, weights=weights,
+        expert_weights=weights.sum(axis=(1, 2)), attribute_weights=weights.sum(axis=(0, 2)),
+        alternative_weights=weights.sum(axis=(0, 1)),
+        utilities=random_utilities(rng, problem) if gopa else None,
+        exclusions_flagged=bool((ranks == 0).any()))
 
 
 @pytest.mark.parametrize("x", EDGE_FLOATS, ids=repr)
@@ -66,6 +97,15 @@ def test_leaf_lists_on_one_line():
         '  "nested": [\n    [0.1],\n    [null],\n    [],\n'
         '    [\n      1.0,\n      2\n    ]\n  ],\n'
         '  "w": [0.5, null, 0.25]\n}')
+
+
+def test_json_text_copied_as_it_is():
+    leaf = JsonText("[0.5, null]")
+    doc = {"a": {"x": leaf, "y": leaf}, "b": [leaf, "[0.5, null]"], "c": leaf}
+    assert cli._report_text(doc) == (
+        '{\n  "a": {\n    "x": [0.5, null],\n    "y": [0.5, null]\n  },\n'
+        '  "b": [\n    [0.5, null],\n    "[0.5, null]"\n  ],\n'
+        '  "c": [0.5, null]\n}')
 
 
 def test_non_float_values():
@@ -106,12 +146,25 @@ def test_random_bit_floats():
 @pytest.mark.parametrize("seed", range(4))
 def test_solution_and_consensus_reports(seed):
     rng = np.random.default_rng(seed)
-    problem, _ = random_problem(rng, 3, 4, 6, irregular=seed % 2 == 1)
+    irregular = seed % 2 == 1
+    problem, _ = random_problem(rng, 3, 4, 6, irregular=irregular)
+    # ties, gaps and exclusions in every irregular problem
+    assert problem.has_duplicates.any() == problem.has_missing.any() == irregular
+    assert (problem.alternative_ranks == 0).any() == irregular
     opa = solve_opa(problem)
     gopa = solve_gopa(problem, random_utilities(rng, problem))
-    assert_same_bytes(solution_report(opa))
-    assert_same_bytes(solution_report(gopa, "inequality"))
+    assert_report_bytes(opa)
+    assert_report_bytes(gopa, "inequality")
     assert_same_bytes({"kind": "consensus", **consensus_report(gopa).to_dict(problem)})
+
+
+EDGE_RANK_WEIGHTS = [0.0, -0.0, 5e-324, 1e-310, 999999999999.5, 1e16, float("nan")]
+
+
+@pytest.mark.parametrize("gopa", [False, True], ids=["opa", "gopa"])
+@pytest.mark.parametrize("seed", range(3))
+def test_edge_rank_weights(seed, gopa):
+    assert_report_bytes(edge_solution(EDGE_RANK_WEIGHTS, seed, gopa))
 
 
 def test_verify_summary(monkeypatch):
@@ -122,13 +175,8 @@ def test_verify_summary(monkeypatch):
     assert_same_bytes(summary)
 
 
-def assert_formatted_once(batches):
-    """A nonzero number formatted for one leaf is looked up, not formatted, later on."""
-    done = set()
-    for batch in batches:
-        numbers = {x for x in batch if x == x and x != 0.0}
-        assert not numbers & done
-        done |= numbers
+def bit_patterns(values):
+    return [struct.pack("<d", x) for x in values]
 
 
 NAN = float("nan")
@@ -136,7 +184,7 @@ REPEATED = [0.0, -0.0, NAN, float("inf"), float("-inf"), 5e-324, 999999999999.5,
 
 
 @pytest.mark.parametrize("zeros", [(0.0, -0.0), (-0.0, 0.0)], ids=["plus_first", "minus_first"])
-def test_repeated_edge_floats_within_and_across_leaves(zeros, formatted):
+def test_repeated_edge_floats_within_and_across_leaves(zeros):
     first, second = zeros
     leaf = [first, second, *REPEATED, first, NAN, float("nan"), second]
     doc = {
@@ -148,12 +196,23 @@ def test_repeated_edge_floats_within_and_across_leaves(zeros, formatted):
         "f": second,
     }
     assert_same_bytes(doc)
-    formatted.clear()
     assert cli._report_text(doc).count("NaN") == 3 + 1 + 2 + 2
-    assert_formatted_once(formatted)
-    assert not any(x is NAN for batch in formatted[1:] for x in batch)   # a hit
-    assert sum(x != x for batch in formatted[1:] for x in batch) == 2    # misses
-    assert sum(x == 0.0 for batch in formatted for x in batch) == 16   # every zero
+
+
+@pytest.mark.parametrize("zeros", [(0.0, -0.0), (-0.0, 0.0)], ids=["plus_first", "minus_first"])
+def test_grid_pass_formats_each_bit_pattern_once(zeros, formatted):
+    # every value many times over, zeros of both signs and NaNs of two bit patterns
+    other_nan = struct.unpack("<d", struct.pack("<Q", 0x7FF8000000000001))[0]
+    solution = edge_solution([*zeros, *REPEATED, other_nan, *reversed(REPEATED)])
+    formatted.clear()
+    report = solution_report(solution)
+    (grid,) = formatted
+    valid = solution.rank_weights[solution.problem.rank_mask].tolist()
+    assert sorted(bit_patterns(grid)) == sorted(set(bit_patterns(valid)))
+    assert len(grid) == len(REPEATED) + 1
+    text = cli._report_text(report)
+    assert text + "\n" == legacy_report_text(list_solution_report(solution))
+    assert {"-0.0", "0.0"} <= set(re.findall(r"[^\s\[\],]+", text))
 
 
 def test_same_key_row_at_two_depths():
@@ -171,28 +230,30 @@ def test_keys_with_format_characters():
     assert_same_bytes(doc)
 
 
-def test_no_state_carries_over_between_reports(formatted):
+def test_no_state_carries_over_between_reports():
     minus = {"w": [-0.0, 0.1, NAN], "v": {"a": 0.1, "b": -0.0}}
     plus = {"w": [0.0, 0.1, NAN], "v": {"a": 0.1, "b": 0.0}}
     for doc in (minus, plus, minus, [0.1, {"a": 0.2}], plus):
         assert_same_bytes(doc)
-    formatted.clear()
-    cli._report_text(minus)
-    cli._report_text(plus)
-    # each report formats 0.1 and NAN once: a hit within one, a miss in the next
-    assert sum(x == 0.1 for batch in formatted for x in batch) == 2
-    assert sum(x is NAN for batch in formatted for x in batch) == 2
+    for zero in (-0.0, 0.0, -0.0):
+        assert_report_bytes(edge_solution([zero, 0.1, NAN]))
 
 
 @pytest.mark.parametrize("method", ["opa", "gopa"])
 def test_wide_solution_report(method, formatted):
     _, doc = random_problem(np.random.default_rng(30), 30, 30, 30)
-    report = solution_report(solve_document(doc, method=method))
-    assert_same_bytes(report)
+    solution = solve_document(doc, method=method)
     formatted.clear()
-    cli._report_text(report)
-    assert_formatted_once(formatted)
-    assert sum(map(len, formatted)) < 30 * 30 * 30 / 2
+    report = solution_report(solution)
+    # both grids from one call, with each distinct rank weight once (all are
+    # positive, so their bit patterns sort as the numbers do)
+    (grid,) = formatted
+    assert grid == sorted(set(solution.rank_weights[solution.problem.rank_mask].tolist()))
+    formatted.clear()
+    text = cli._report_text(report)
+    assert text + "\n" == legacy_report_text(list_solution_report(solution))
+    # the writer formats only the aggregates and the distinct utilities
+    assert sum(map(len, formatted)) < 30 * 30
 
 
 def round12(x):
@@ -235,7 +296,7 @@ class TestFormat2RoundTrip:
     def test_excluded_alternatives_are_null(self, seed, irregular):
         solution = self.solution(seed, irregular)
         p = solution.problem
-        cells = solution_report(solution)["cell_weights"]
+        cells = json.loads(cli._report_text(solution_report(solution)))["cell_weights"]
         for i, j in p.cells():
             cell = cells[p.expert_ids[i]][p.attribute_ids[j]]
             assert [w is None for w in cell] == (p.alternative_ranks[i, j] == 0).tolist()
