@@ -70,7 +70,7 @@ from .model import (
     validate_problem,
     validate_structures,
 )
-from .pipeline import elicit_utilities, solution_report, solve_document
+from .pipeline import elicit_utilities, solve_document
 from .sensitivity import ScenarioStats, describe, permutation_stats
 from .solver import WeightSolution, decompose, solve_gopa, solve_opa
 from .structures import (

@@ -54,6 +54,8 @@ from .model import load_document
 from .pipeline import (
     JsonText,
     _float_texts,
+    _leaf,
+    _leaf_texts,
     elicit_cell,
     elicit_utilities,
     report_to_solution,
@@ -75,8 +77,8 @@ def _report_text(obj, nl="\n", rows=None):
     The layout is that of ``json.dumps(obj, indent=2, sort_keys=True)``
     (ASCII-escaped strings, ``NaN``/``Infinity``, tuples as lists, numpy
     scalars as their Python values), except that a leaf list, one whose
-    items are all Python floats or None, is written on one line as
-    ``[a, b, null]``, its floats formatted in one `_float_texts` call; a
+    items are all Python floats or None, is written on one line by
+    `pipeline._leaf`, its floats formatted in one `_float_texts` call; a
     `JsonText` is copied as it is.  ``nl`` is the newline plus the indent
     of the current nesting level.
 
@@ -106,7 +108,7 @@ def _report_text(obj, nl="\n", rows=None):
         if not obj:
             return "[]"
         if {*map(type, obj)} <= _LEAF_TYPES:
-            return "[" + ", ".join(_leaf_texts(obj)) + "]"
+            return _leaf(_leaf_texts(obj))
         inner = nl + "  "
         texts = [_report_text(v, inner, rows) for v in obj]
         return "[" + inner + ("," + inner).join(texts) + nl + "]"
@@ -131,14 +133,6 @@ def _item_texts(values, nl, rows):
     if {*map(type, values)} <= _LEAF_TYPES:
         return _leaf_texts(values)
     return [_report_text(v, nl, rows) for v in values]
-
-
-def _leaf_texts(values):
-    """Texts of floats and Nones: the floats in one `_float_texts` call, None as ``null``."""
-    if None not in values:
-        return _float_texts(values)
-    texts = iter(_float_texts([v for v in values if v is not None]))
-    return ["null" if v is None else next(texts) for v in values]
 
 
 def _write_text(text, path):

@@ -1,7 +1,8 @@
 """End-to-end orchestration: validate, elicit per cell, solve, report."""
 
 import json
-from itertools import chain
+import math
+from itertools import chain, repeat
 from types import SimpleNamespace
 
 import numpy as np
@@ -117,10 +118,29 @@ def _float_texts(values):
     return exact
 
 
-def solution_report(solution, bound_mode=None):
-    """Serialize a solution into the report document consumed downstream.
+def _leaf_texts(values):
+    """Texts of floats and Nones: the floats in one `_float_texts` call, None as ``null``."""
+    if None not in values:
+        return _float_texts(values)
+    texts = iter(_float_texts([v for v in values if v is not None]))
+    return ["null" if v is None else next(texts) for v in values]
 
-    ``method`` is ``"gopa"`` for a solution with utilities, else ``"opa"``;
+
+def _leaf(texts):
+    """A leaf list, one whose items are all floats or nulls, from its item
+    texts: written on one line, ``[a, b, null]``."""
+    return JsonText("[" + ", ".join(texts) + "]")
+
+
+def solution_report(solution, bound_mode=None):
+    """The solution report as the `cli` writer takes it: the rendering step of
+    ``gopa solve`` and ``gopa opa``, not a JSON document of its own.
+
+    Its two weight grids hold `JsonText` leaves, JSON text already written,
+    so ``json.dumps`` would write them as strings and `report_to_solution`
+    refuses them; the report document is the text ``cli._report_text``
+    writes, and ``json.loads`` of that text is what `report_to_solution`
+    reads.  ``method`` is ``"gopa"`` for a solution with utilities, else ``"opa"``;
     ``bound_mode`` (None reads as ``"equality"``) is written only into a
     report that holds utilities.  In format 2 ``cell_weights[eid][aid]`` is
     a list in ``ids.alternatives`` order, None where the cell excludes the
@@ -133,8 +153,7 @@ def solution_report(solution, bound_mode=None):
     bit patterns of the rank weights are formatted in one `_float_texts`
     call (so ``-0.0`` and ``0.0`` keep their own texts), and each cell
     weight takes its text from its alternative's rank, as `solver` gathers
-    the weights themselves.  The `cli` writer copies a leaf as it is; in
-    Python, ``json.loads(leaf)`` gives its list.
+    the weights themselves.  The writer copies a leaf as it is.
     """
     p = solution.problem
     mask = p.rank_mask
@@ -158,8 +177,7 @@ def solution_report(solution, bound_mode=None):
         "experts": dict(zip(p.expert_ids, solution.expert_weights.tolist())),
         "attributes": dict(zip(p.attribute_ids, solution.attribute_weights.tolist())),
         "alternatives": dict(zip(p.alternative_ids, solution.alternative_weights.tolist())),
-        "cell_weights": _leaves(p, cell_texts.tolist(),
-                                np.full_like(p.max_rank, p.n_alternatives)),
+        "cell_weights": _leaves(p, cell_texts.tolist()),
         "rank_weights": _leaves(p, rank_texts.tolist(), p.max_rank),
         "flags": {
             "gap_free": bool(p.gap_free),
@@ -177,12 +195,12 @@ def solution_report(solution, bound_mode=None):
     return report
 
 
-def _leaves(problem, texts, lengths):
-    """``{eid: {aid: leaf}}``: the first ``lengths[i, j]`` of cell (i, j)'s
-    texts joined into one `JsonText` list."""
-    return {eid: {aid: JsonText("[" + ", ".join(cell[:n]) + "]")
-                  for aid, cell, n in zip(problem.attribute_ids, row, n_i)}
-            for eid, row, n_i in zip(problem.expert_ids, texts, lengths.tolist())}
+def _leaves(problem, texts, lengths=None):
+    """``{eid: {aid: leaf}}``: cell (i, j)'s texts, the first ``lengths[i, j]``
+    of them if given (``cell[:None]`` is the whole cell), as one `_leaf`."""
+    counts = repeat(repeat(None)) if lengths is None else lengths.tolist()
+    return {eid: {aid: _leaf(cell[:n]) for aid, cell, n in zip(problem.attribute_ids, row, n_i)}
+            for eid, row, n_i in zip(problem.expert_ids, texts, counts)}
 
 
 def _distinct_utilities(problem, padded):
@@ -235,13 +253,17 @@ def report_to_solution(report):
                          f"{attributes[c % len(attributes)]}: weights must be finite "
                          "numbers or null (excluded)")
     weights = weights.reshape(len(experts), len(attributes), len(alternatives))
-    objective = _read_weights([report["objective"]])
-    if objective is None or report["objective"] is None:
+    objective = report["objective"]
+    try:
+        finite = type(objective) in (int, float) and math.isfinite(objective)
+    except OverflowError:   # an int beyond the float range
+        finite = False
+    if not finite:
         raise ValueError("objective: expected a finite number")
     return WeightSolution(
         problem=SimpleNamespace(expert_ids=experts, attribute_ids=attributes,
                                 alternative_ids=alternatives),
-        objective=float(objective[0]),
+        objective=float(objective),
         rank_weights=None,
         weights=weights,
         expert_weights=weights.sum(axis=(1, 2)),

@@ -1,9 +1,10 @@
+import dataclasses
 import json
 
 import numpy as np
 import pytest
 
-from gopa import pipeline, projection
+from gopa import cli, pipeline, projection
 from gopa.elicit_continuous import cumulative_utilities, elicit_continuous
 from gopa.elicit_discrete import elicit_discrete
 from gopa.exceptions import InfeasibleContext, NumericFailure
@@ -18,7 +19,7 @@ from gopa.pipeline import (
 from gopa.solver import solve_gopa
 from gopa.structures import surrogate_weights, target_density
 
-from oracles import list_solution_report, random_problem
+from oracles import random_problem
 
 
 def document(seed=0):
@@ -199,23 +200,29 @@ class TestIrregularCells:
             solve_document(doc)
 
 
-class TestReportRoundTrip:
-    """`report_to_solution` over the report with unrounded weights
-    (`oracles.list_solution_report`; `test_report_writer` checks that
-    `solution_report` writes the same bytes)."""
+def written_report(solution):
+    """The report document as the CLI writes it and `metrics` reads it."""
+    return json.loads(cli._report_text(solution_report(solution)))
 
+
+def round12(x):
+    return float(format(x, ".12g"))
+
+
+class TestReportRoundTrip:
     def test_report_rebuilds_consistent_solution(self):
         solution = solve_document(document())
-        rebuilt = report_to_solution(list_solution_report(solution))
-        assert rebuilt.objective == pytest.approx(solution.objective, rel=1e-12)
-        assert np.abs(rebuilt.weights - solution.weights).max() <= 1e-15
+        rebuilt = report_to_solution(written_report(solution))
+        # the report writes each number rounded to 12 significant digits
+        assert rebuilt.objective == round12(solution.objective)
+        assert rebuilt.weights.tolist() == np.vectorize(round12)(solution.weights).tolist()
         assert np.abs(rebuilt.expert_weights - solution.expert_weights).max() <= 1e-12
         assert np.abs(rebuilt.alternative_weights
                       - solution.alternative_weights).max() <= 1e-12
 
     def test_report_weight_blocks_are_marginals_of_cells(self):
         solution = solve_document(document(3))
-        report = list_solution_report(solution)
+        report = written_report(solution)
         for eid, expected in report["experts"].items():
             total = sum(w for aid in report["cell_weights"][eid]
                         for w in report["cell_weights"][eid][aid] if w is not None)
@@ -254,8 +261,10 @@ class TestReportRoundTrip:
 
     @pytest.mark.parametrize("seed", range(4))
     def test_consensus_of_rebuilt_solution(self, seed):
-        # the reader's problem holds only ids: the counts come from the weights
+        # the reader's problem holds only ids: the counts come from the weights,
+        # which are the report's rounded ones on both sides
         solution = solve_document(document(seed))
-        rebuilt = report_to_solution(json.loads(json.dumps(list_solution_report(solution))))
+        rebuilt = report_to_solution(written_report(solution))
+        full = dataclasses.replace(rebuilt, problem=solution.problem)
         assert (consensus_report(rebuilt).to_dict(rebuilt.problem)
-                == consensus_report(solution).to_dict(solution.problem))
+                == consensus_report(full).to_dict(solution.problem))

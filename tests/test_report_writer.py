@@ -16,6 +16,7 @@ import struct
 import numpy as np
 import pytest
 
+import gopa
 from gopa import cli, pipeline
 from gopa.metrics import consensus_report
 from gopa.pipeline import JsonText, report_to_solution, solution_report, solve_document
@@ -106,6 +107,19 @@ def test_json_text_copied_as_it_is():
         '{\n  "a": {\n    "x": [0.5, null],\n    "y": [0.5, null]\n  },\n'
         '  "b": [\n    [0.5, null],\n    "[0.5, null]"\n  ],\n'
         '  "c": [0.5, null]\n}')
+
+
+def test_rendered_report_is_only_for_the_writer():
+    # the grids are written text: the package exports no report document
+    solution = solve_document(random_problem(np.random.default_rng(60), 3, 3, 4)[1])
+    report = solution_report(solution)
+    leaf = report["cell_weights"]["E1"]["C1"]
+    assert type(leaf) is JsonText and json.loads(leaf) == json.loads(
+        cli._report_text(report))["cell_weights"]["E1"]["C1"]
+    assert json.loads(json.dumps(report))["cell_weights"]["E1"]["C1"] == leaf
+    with pytest.raises(ValueError, match="cell_weights.E1.C1: expected a list"):
+        report_to_solution(report)
+    assert not hasattr(gopa, "solution_report")
 
 
 def test_non_float_values():
