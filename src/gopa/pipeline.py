@@ -140,20 +140,22 @@ def solution_report(solution, bound_mode=None):
     so ``json.dumps`` would write them as strings and `report_to_solution`
     refuses them; the report document is the text ``cli._report_text``
     writes, and ``json.loads`` of that text is what `report_to_solution`
-    reads.  ``method`` is ``"gopa"`` for a solution with utilities, else ``"opa"``;
+    reads.
+
+    ``method`` is ``"gopa"`` for a solution with utilities, else ``"opa"``;
     ``bound_mode`` (None reads as ``"equality"``) is written only into a
     report that holds utilities.  In format 2 ``cell_weights[eid][aid]`` is
-    a list in ``ids.alternatives`` order, None where the cell excludes the
-    alternative; ``rank_weights`` keeps one list per cell (with gaps it holds
+    a list in ``ids.alternatives`` order, ``null`` where the cell excludes
+    the alternative; ``rank_weights`` keeps one list per cell (with gaps it holds
     weights that no alternative maps to), so each cell weight repeats the
     rank weight of its alternative's rank.  ``utilities`` holds each distinct
     cell vector once and maps each cell to its index.
 
-    Both weight grids are rendered here, as `JsonText` leaves: the distinct
+    Both grids are rendered in one pass over the padded arrays: the distinct
     bit patterns of the rank weights are formatted in one `_float_texts`
     call (so ``-0.0`` and ``0.0`` keep their own texts), and each cell
     weight takes its text from its alternative's rank, as `solver` gathers
-    the weights themselves.  The writer copies a leaf as it is.
+    the weights themselves.
     """
     p = solution.problem
     mask = p.rank_mask
