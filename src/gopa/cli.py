@@ -34,6 +34,7 @@ import io
 import json
 import sys
 from functools import cache
+from itertools import repeat
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
@@ -69,6 +70,11 @@ from .structures import surrogate_weights, target_density
 
 def _fmt(x):
     return format(float(x), ".12g")
+
+
+def _fmts(values):
+    """`_fmt` of each of a list of floats, formatted in one ``%`` call."""
+    return (",".join(["%.12g"] * len(values)) % tuple(values)).split(",")
 
 
 def _report_text(obj, nl="\n", rows=None):
@@ -295,19 +301,19 @@ def _cmd_sensitivity(config):
     stats = permutation_stats(problem, utilities)
     rows = [("section", "id", "mean", "skewness", "kurtosis", "cv", "min", "max")]
     for section in ("experts", "attributes", "alternatives"):
-        for name, st in stats[section]:
-            rows.append((section, name, _fmt(st.mean), _fmt(st.skewness),
-                         _fmt(st.kurtosis), _fmt(st.cv), _fmt(st.minimum),
-                         _fmt(st.maximum)))
+        texts = _fmts([v for _, st in stats[section] for v in (
+            st.mean, st.skewness, st.kurtosis, st.cv, st.minimum, st.maximum)])
+        rows += [(section, name, *texts[6 * q:6 * q + 6])
+                 for q, (name, _) in enumerate(stats[section])]
     _write_csv(rows, config.output)
     if config.raw is not None:
         raw_rows = [("scenario", "section", "id", "weight")]
         for section in ("experts", "attributes", "alternatives"):
             ids = [name for name, _ in stats[section]]
             matrix = stats["raw"][section]
-            for n in range(matrix.shape[0]):
-                for idx, name in enumerate(ids):
-                    raw_rows.append((n, section, name, _fmt(matrix[n, idx])))
+            scenarios = [n for n in range(matrix.shape[0]) for _ in ids]
+            raw_rows += zip(scenarios, repeat(section), ids * matrix.shape[0],
+                            _fmts(matrix.ravel().tolist()))
         _write_csv(raw_rows, config.raw)
     return 0
 

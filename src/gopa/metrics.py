@@ -26,13 +26,24 @@ def psd(contributions, aggregate):
     dimensionless.
     """
     w = np.asarray(contributions, dtype=float)
-    if w.size < 2:
+    return float(_psd_columns(w.reshape(-1, 1), [aggregate])[0])
+
+
+def _psd_columns(contributions, aggregates):
+    """`psd` of every column of an (experts, entities) matrix against its aggregate.
+
+    Each column is reduced along the last axis of a C-contiguous copy of the
+    transpose, in the order numpy sums a 1-D sample.
+    """
+    w = np.ascontiguousarray(np.asarray(contributions, dtype=float).T)
+    n_experts = w.shape[1]
+    if n_experts < 2:
         raise DegenerateError("needs contributions from at least two experts")
-    total = float(aggregate)
-    if total == 0.0:
+    total = np.asarray(aggregates, dtype=float)
+    if (total == 0.0).any():
         raise DegenerateError("aggregate weight is zero")
-    dev = total / w.size - w
-    return float(np.sqrt((dev ** 2).sum() / (w.size - 1)) / total)
+    dev = (total / n_experts)[:, None] - w
+    return np.sqrt((dev ** 2).sum(axis=1) / (n_experts - 1)) / total
 
 
 def ranks_from_weights(values, tol=1e-12):
@@ -103,14 +114,24 @@ def kendall_w(ranks):
     r = np.asarray(ranks, dtype=float)
     if r.ndim != 2 or r.shape[0] < 2 or r.shape[1] < 2:
         raise ShapeError(f"expected a raters-by-items matrix, got shape {r.shape}")
-    n_raters, n_items = r.shape
-    sums = r.sum(axis=0)
-    s = ((sums - sums.mean()) ** 2).sum()
-    correction = sum(_tie_terms(r).tolist())
+    return _kendall_stack(r[None])[0]
+
+
+def _kendall_stack(ranks):
+    """`kendall_w` of every (raters, items) matrix of a C-contiguous stack.
+
+    Item rank sums add the raters in order, and the tie corrections, whole
+    numbers, are summed over raters in order too.
+    """
+    n_stack, n_raters, n_items = ranks.shape
+    sums = ranks.sum(axis=1)
+    s = ((sums - sums.mean(axis=1, keepdims=True)) ** 2).sum(axis=1)
+    ties = _tie_terms(ranks.reshape(-1, n_items)).reshape(n_stack, n_raters)
+    correction = np.cumsum(ties, axis=1)[:, -1]
     denom = n_raters ** 2 * (n_items ** 3 - n_items) - n_raters * correction
-    if denom <= 0:
+    if (denom <= 0).any():
         raise DegenerateError("every rater ties every item; concordance undefined")
-    return float(min(max(12.0 * s / denom, 0.0), 1.0))
+    return [min(max(12.0 * a / b, 0.0), 1.0) for a, b in zip(s.tolist(), denom.tolist())]
 
 
 def _betacf(a, b, x):
@@ -277,6 +298,12 @@ def consensus_report(solution):
     for the F approximation: ``items - 1 - 2/experts > 0`` (its ``v1``).
     Ranks are derived from weights in descending order with midranks for
     exact ties.  The counts are those of ``solution.weights.shape``.
+
+    Each statistic is computed once per section, over the whole matrix: the
+    PSD of every attribute and of every alternative, and Kendall's W of every
+    attribute's (experts, alternatives) rank matrix, with the same numbers
+    `psd` and `kendall_w` give each one alone.  The confidence levels are
+    evaluated one coefficient at a time.
     """
     n_experts, n_attributes, n_alternatives = solution.weights.shape
     for section, items in (("attributes", n_attributes), ("alternatives", n_alternatives)):
@@ -286,29 +313,22 @@ def consensus_report(solution):
                                   f"experts and {items} {section}")
 
     w_ij = solution.expert_attribute_weights()
-    w_ik = solution.expert_alternative_weights()
-    psd_attr = np.array([psd(w_ij[:, j], solution.attribute_weights[j])
-                         for j in range(n_attributes)])
-    psd_alt = np.array([psd(w_ik[:, k], solution.alternative_weights[k])
-                        for k in range(n_alternatives)])
+    psd_attr = _psd_columns(w_ij, solution.attribute_weights)
+    psd_alt = _psd_columns(solution.expert_alternative_weights(), solution.alternative_weights)
 
-    rho_attr = kendall_w(ranks_from_weights(w_ij))
+    rho_attr, = _kendall_stack(ranks_from_weights(w_ij[None]))
     lcl_attr = confidence_level(rho_attr, n_experts, n_attributes)
 
     # (J, I, K): the alternative ranks each expert gives under attribute j
-    alt_ranks = ranks_from_weights(solution.weights.transpose(1, 0, 2))
-    rho_alt = np.empty(n_attributes)
-    lcl_alt = np.empty(n_attributes)
-    for j in range(n_attributes):
-        rho_alt[j] = kendall_w(alt_ranks[j])
-        lcl_alt[j] = confidence_level(rho_alt[j], n_experts, n_alternatives)
+    rho_alt = _kendall_stack(ranks_from_weights(solution.weights.transpose(1, 0, 2)))
+    lcl_alt = np.array([confidence_level(rho, n_experts, n_alternatives) for rho in rho_alt])
 
     global_level = gcl(lcl_attr, solution.attribute_weights, lcl_alt)
     return ConsensusReport(
         psd_attributes=psd_attr,
         psd_alternatives=psd_alt,
         kendall_attributes=float(rho_attr),
-        kendall_alternatives=rho_alt,
+        kendall_alternatives=np.array(rho_alt),
         lcl_attributes=float(lcl_attr),
         lcl_alternatives=lcl_alt,
         gcl=global_level,

@@ -6,7 +6,7 @@ from math import sqrt
 
 import numpy as np
 
-from .exceptions import DegenerateError, SampleSizeError, TooManyExperts
+from .exceptions import DegenerateError, SampleSizeError, ShapeError, TooManyExperts
 from .solver import solve_gopa, solve_opa
 
 MIN_PERMUTED_EXPERTS = 3
@@ -30,7 +30,7 @@ class ScenarioStats:
 
 
 def describe(samples):
-    """Bias-corrected descriptive statistics of a sample.
+    """Bias-corrected descriptive statistics of a 1-D sample.
 
     Skewness uses the adjusted Fisher-Pearson estimator
     ``g1 sqrt(n(n-1)) / (n-2)`` and kurtosis the sample excess form
@@ -38,27 +38,62 @@ def describe(samples):
     the (n-1)-denominator standard deviation.  A sample whose spread is at
     most ``CONSTANT_SPREAD`` times its largest magnitude is treated as
     constant: skewness, kurtosis and cv are then 0.
+
+    Raises
+    ------
+    ShapeError
+        The sample is not 1-D.
+    SampleSizeError
+        Fewer than 4 values.
+    DegenerateError
+        A sample that is not constant has mean 0, so no cv.
     """
     x = np.asarray(samples, dtype=float)
-    n = x.size
+    if x.ndim != 1:
+        raise ShapeError(f"expected a 1-D sample, got shape {x.shape}")
+    return _describe_columns(x[:, None])[0]
+
+
+def _describe_columns(samples):
+    """`describe` of every column of a (scenarios, quantities) matrix.
+
+    The moments are reduced along the last axis of a C-contiguous copy of
+    ``samples.T``, so each column is summed in the pairwise order numpy gives
+    a 1-D sample, and the per-column formulas are finished in Python floats:
+    a column's statistics do not depend on the matrix it came in.
+    """
+    x = np.ascontiguousarray(np.asarray(samples, dtype=float).T)
+    n = x.shape[1]
     if n < 4:
         raise SampleSizeError(f"need at least 4 samples, got {n}")
-    mean = x.mean()
-    if np.ptp(x) <= CONSTANT_SPREAD * np.abs(x).max():
-        return ScenarioStats(mean=float(mean), skewness=0.0, kurtosis=0.0,
-                             cv=0.0, minimum=float(x.min()), maximum=float(x.max()))
-    dev = x - mean
+    mean = x.mean(axis=1)
+    lo = x.min(axis=1)
+    hi = x.max(axis=1)
+    constant = hi - lo <= CONSTANT_SPREAD * np.maximum(np.abs(lo), np.abs(hi))
+    dev = x - mean[:, None]
     dev2 = dev * dev    # products: numpy evaluates `dev ** 3` and `** 4` by generic pow
-    m2 = dev2.mean()
-    g1 = (dev2 * dev).mean() / m2 ** 1.5
-    g2 = (dev2 * dev2).mean() / m2 ** 2 - 3.0
-    skew = g1 * sqrt(n * (n - 1.0)) / (n - 2.0)
-    kurt = ((n + 1.0) * g2 + 6.0) * (n - 1.0) / ((n - 2.0) * (n - 3.0))
-    std = sqrt(m2 * n / (n - 1.0))
-    if mean == 0.0:
+    m2 = dev2.mean(axis=1)
+    m3 = (dev2 * dev).mean(axis=1)
+    m4 = (dev2 * dev2).mean(axis=1)
+    if (mean[~constant] == 0.0).any():
         raise DegenerateError("coefficient of variation undefined for zero mean")
-    return ScenarioStats(mean=float(mean), skewness=float(skew), kurtosis=float(kurt),
-                         cv=float(std / mean), minimum=float(x.min()), maximum=float(x.max()))
+    stats = []
+    for mu, c2, c3, c4, flat, low, high in zip(mean.tolist(), m2.tolist(), m3.tolist(),
+                                              m4.tolist(), constant.tolist(),
+                                              lo.tolist(), hi.tolist()):
+        if flat:
+            stats.append(ScenarioStats(mean=mu, skewness=0.0, kurtosis=0.0, cv=0.0,
+                                       minimum=low, maximum=high))
+            continue
+        g1 = c3 / c2 ** 1.5
+        g2 = c4 / c2 ** 2 - 3.0
+        stats.append(ScenarioStats(
+            mean=mu,
+            skewness=g1 * sqrt(n * (n - 1.0)) / (n - 2.0),
+            kurtosis=((n + 1.0) * g2 + 6.0) * (n - 1.0) / ((n - 2.0) * (n - 3.0)),
+            cv=sqrt(c2 * n / (n - 1.0)) / mu,
+            minimum=low, maximum=high))
+    return stats
 
 
 def permutation_stats(problem, utilities=None):
@@ -76,7 +111,9 @@ def permutation_stats(problem, utilities=None):
     lexicographic in the expert ranks, so the sweep is deterministic.
 
     Returns a dict with ``experts``, ``attributes``, and ``alternatives``
-    lists of ``(id, ScenarioStats)`` plus the raw per-scenario weight arrays.
+    lists of ``(id, ScenarioStats)`` plus the raw per-scenario weight arrays
+    (scenarios by quantities).  Each section is described in one pass over its
+    matrix, with the same numbers `describe` gives each column alone.
 
     Raises
     ------
@@ -102,12 +139,9 @@ def permutation_stats(problem, utilities=None):
     attributes = inv_ranks @ sol.expert_attribute_weights() / norm
     alternatives = inv_ranks @ sol.expert_alternative_weights() / norm
     return {
-        "experts": [(eid, describe(experts[:, i]))
-                    for i, eid in enumerate(problem.expert_ids)],
-        "attributes": [(aid, describe(attributes[:, j]))
-                       for j, aid in enumerate(problem.attribute_ids)],
-        "alternatives": [(mid, describe(alternatives[:, k]))
-                         for k, mid in enumerate(problem.alternative_ids)],
+        "experts": list(zip(problem.expert_ids, _describe_columns(experts))),
+        "attributes": list(zip(problem.attribute_ids, _describe_columns(attributes))),
+        "alternatives": list(zip(problem.alternative_ids, _describe_columns(alternatives))),
         "raw": {"experts": experts, "attributes": attributes,
                 "alternatives": alternatives},
     }

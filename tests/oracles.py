@@ -2,8 +2,9 @@
 
 The oracles deliberately avoid the production solve paths: the KL oracle is a
 vectorized grid search over the feasible polytope, integrals come from scipy
-quadrature, the stage-2 closed forms are evaluated in exact rationals, and
-concordance is evaluated from its defining sums.
+quadrature, the stage-2 closed forms are evaluated in exact rationals,
+concordance is evaluated from its defining sums, and the sweep and consensus
+statistics are evaluated one sample at a time, as numpy sums a 1-D array.
 """
 
 import json
@@ -12,15 +13,22 @@ from collections import namedtuple
 from dataclasses import replace
 from fractions import Fraction
 from itertools import permutations
+from math import sqrt
 
 import numpy as np
 import scipy.linalg
 
 from gopa.elicit_discrete import discrete_constraint_system
-from gopa.exceptions import NumericFailure
+from gopa.exceptions import (
+    DegenerateError,
+    NumericFailure,
+    SampleSizeError,
+    ShapeError,
+)
 from gopa.lpcheck import LinearProgram, solve_lp
 from gopa.model import CellContext, validate_problem
 from gopa.pipeline import REPORT_FORMAT, _distinct_utilities
+from gopa.sensitivity import CONSTANT_SPREAD, ScenarioStats
 
 
 def kl_objective(u, v):
@@ -239,6 +247,59 @@ def tie_term_unique(row):
     """Per-rater tie correction from `np.unique` counts of the 9-digit-rounded row."""
     _, counts = np.unique(np.round(np.asarray(row, dtype=float), 9), return_counts=True)
     return float((counts.astype(float) ** 3 - counts).sum())
+
+
+def describe_scalar(samples):
+    """`gopa.sensitivity.describe` as it was written for one 1-D sample: one
+    numpy reduction per moment, the formulas finished on numpy scalars."""
+    x = np.asarray(samples, dtype=float)
+    n = x.size
+    if n < 4:
+        raise SampleSizeError(f"need at least 4 samples, got {n}")
+    mean = x.mean()
+    if np.ptp(x) <= CONSTANT_SPREAD * np.abs(x).max():
+        return ScenarioStats(mean=float(mean), skewness=0.0, kurtosis=0.0,
+                             cv=0.0, minimum=float(x.min()), maximum=float(x.max()))
+    dev = x - mean
+    dev2 = dev * dev
+    m2 = dev2.mean()
+    g1 = (dev2 * dev).mean() / m2 ** 1.5
+    g2 = (dev2 * dev2).mean() / m2 ** 2 - 3.0
+    skew = g1 * sqrt(n * (n - 1.0)) / (n - 2.0)
+    kurt = ((n + 1.0) * g2 + 6.0) * (n - 1.0) / ((n - 2.0) * (n - 3.0))
+    std = sqrt(m2 * n / (n - 1.0))
+    if mean == 0.0:
+        raise DegenerateError("coefficient of variation undefined for zero mean")
+    return ScenarioStats(mean=float(mean), skewness=float(skew), kurtosis=float(kurt),
+                         cv=float(std / mean), minimum=float(x.min()), maximum=float(x.max()))
+
+
+def psd_scalar(contributions, aggregate):
+    """`gopa.metrics.psd` as it was written for one entity's contributions."""
+    w = np.asarray(contributions, dtype=float)
+    if w.size < 2:
+        raise DegenerateError("needs contributions from at least two experts")
+    total = float(aggregate)
+    if total == 0.0:
+        raise DegenerateError("aggregate weight is zero")
+    dev = total / w.size - w
+    return float(np.sqrt((dev ** 2).sum() / (w.size - 1)) / total)
+
+
+def kendall_w_scalar(ranks):
+    """`gopa.metrics.kendall_w` as it was written for one rank matrix, its tie
+    correction summed rater by rater from `tie_term_unique`."""
+    r = np.asarray(ranks, dtype=float)
+    if r.ndim != 2 or r.shape[0] < 2 or r.shape[1] < 2:
+        raise ShapeError(f"expected a raters-by-items matrix, got shape {r.shape}")
+    n_raters, n_items = r.shape
+    sums = r.sum(axis=0)
+    s = ((sums - sums.mean()) ** 2).sum()
+    correction = sum(tie_term_unique(row) for row in r)
+    denom = n_raters ** 2 * (n_items ** 3 - n_items) - n_raters * correction
+    if denom <= 0:
+        raise DegenerateError("every rater ties every item; concordance undefined")
+    return float(min(max(12.0 * s / denom, 0.0), 1.0))
 
 
 def _round_floats(obj):

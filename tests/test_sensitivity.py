@@ -3,7 +3,7 @@ from math import factorial
 import numpy as np
 import pytest
 
-from gopa.exceptions import SampleSizeError, TooManyExperts
+from gopa.exceptions import SampleSizeError, ShapeError, TooManyExperts
 from gopa.model import validate_problem
 from gopa.sensitivity import describe, permutation_stats
 from gopa.solver import solve_gopa, solve_opa
@@ -72,6 +72,12 @@ class TestDescribe:
     def test_small_sample_rejected(self):
         with pytest.raises(SampleSizeError):
             describe([1.0, 2.0, 3.0])
+
+    @pytest.mark.parametrize("shape", [(), (4, 2), (1, 6), (6, 1)])
+    def test_sample_that_is_not_1d_rejected(self, shape):
+        # a matrix is not read as its flattened values
+        with pytest.raises(ShapeError, match=r"1-D sample"):
+            describe(np.random.default_rng(6).random(shape))
 
     def test_constant_up_to_rounding(self):
         # Every expert ranks C1 > C2 over gap-free cells, so each expert
