@@ -297,13 +297,11 @@ def consensus_report(solution):
     Requires at least two experts, and enough attributes and alternatives
     for the F approximation: ``items - 1 - 2/experts > 0`` (its ``v1``).
     Ranks are derived from weights in descending order with midranks for
-    exact ties.  The counts are those of ``solution.weights.shape``.
-
-    Each statistic is computed once per section, over the whole matrix: the
+    exact ties.  The counts are those of ``solution.weights.shape``.  The
     PSD of every attribute and of every alternative, and Kendall's W of every
-    attribute's (experts, alternatives) rank matrix, with the same numbers
-    `psd` and `kendall_w` give each one alone.  The confidence levels are
-    evaluated one coefficient at a time.
+    attribute's (experts, alternatives) rank matrix, are computed once per
+    section, with the numbers `psd` and `kendall_w` give each one alone; the
+    confidence levels are evaluated one at a time.
     """
     n_experts, n_attributes, n_alternatives = solution.weights.shape
     for section, items in (("attributes", n_attributes), ("alternatives", n_alternatives)):

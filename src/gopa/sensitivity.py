@@ -37,16 +37,9 @@ def describe(samples):
     ``((n+1) g2 + 6)(n-1) / ((n-2)(n-3))``; the coefficient of variation uses
     the (n-1)-denominator standard deviation.  A sample whose spread is at
     most ``CONSTANT_SPREAD`` times its largest magnitude is treated as
-    constant: skewness, kurtosis and cv are then 0.
-
-    Raises
-    ------
-    ShapeError
-        The sample is not 1-D.
-    SampleSizeError
-        Fewer than 4 values.
-    DegenerateError
-        A sample that is not constant has mean 0, so no cv.
+    constant: skewness, kurtosis and cv are then 0.  Raises `ShapeError` for
+    a sample that is not 1-D, `SampleSizeError` below 4 values and
+    `DegenerateError` for a sample that varies around mean 0 (no cv).
     """
     x = np.asarray(samples, dtype=float)
     if x.ndim != 1:
@@ -81,18 +74,14 @@ def _describe_columns(samples):
     for mu, c2, c3, c4, flat, low, high in zip(mean.tolist(), m2.tolist(), m3.tolist(),
                                               m4.tolist(), constant.tolist(),
                                               lo.tolist(), hi.tolist()):
-        if flat:
-            stats.append(ScenarioStats(mean=mu, skewness=0.0, kurtosis=0.0, cv=0.0,
-                                       minimum=low, maximum=high))
-            continue
-        g1 = c3 / c2 ** 1.5
-        g2 = c4 / c2 ** 2 - 3.0
-        stats.append(ScenarioStats(
-            mean=mu,
-            skewness=g1 * sqrt(n * (n - 1.0)) / (n - 2.0),
-            kurtosis=((n + 1.0) * g2 + 6.0) * (n - 1.0) / ((n - 2.0) * (n - 3.0)),
-            cv=sqrt(c2 * n / (n - 1.0)) / mu,
-            minimum=low, maximum=high))
+        skew = kurt = cv = 0.0
+        if not flat:
+            g1 = c3 / c2 ** 1.5
+            g2 = c4 / c2 ** 2 - 3.0
+            skew = g1 * sqrt(n * (n - 1.0)) / (n - 2.0)
+            kurt = ((n + 1.0) * g2 + 6.0) * (n - 1.0) / ((n - 2.0) * (n - 3.0))
+            cv = sqrt(c2 * n / (n - 1.0)) / mu
+        stats.append(ScenarioStats(mu, skew, kurt, cv, minimum=low, maximum=high))
     return stats
 
 
