@@ -11,16 +11,17 @@ Reports are deterministic: sorted keys, two-space indent except for a leaf
 list of floats and nulls, which takes one line, ASCII-escaped strings, and
 each float rounded to 12 significant digits and written as the shortest
 string that reads back as the rounded value; NaN and infinities are written
-``NaN`` and ``(-)Infinity``.  Solution reports are format 2; their weight
-grids arrive as `JsonText` leaves, rendered in one pass by
-`pipeline.solution_report`, and the writer copies them as they are.
+``NaN`` and ``(-)Infinity``.  Solution reports are format 3, without the
+``rank_weights`` of format 2; their cell weights arrive as `JsonText` leaves,
+rendered in one pass by `pipeline.solution_report`, and the writer copies
+them as they are.
 
 Exit codes: 0 success, 1 failed verification, 2 validation error,
 3 infeasible preference context, 4 numeric failure.  Exit 2 also covers an
 input that cannot be read (a directory, not UTF-8), an output path that
 cannot be written (a missing directory, a ``--csv`` path that is a file)
 and a solution report given to ``metrics`` that lacks a key, whose format
-is not the integer 2 or that holds a malformed field (an objective that is
+is not the integer 3 or that holds a malformed field (an objective that is
 not a finite number, a duplicate id, keys that differ from the ids, a cell
 list of the wrong length); the message names the path and the key, the
 format, the field, the section or the cell.

@@ -2,7 +2,7 @@
 
 import json
 import math
-from itertools import chain, repeat
+from itertools import chain
 from types import SimpleNamespace
 
 import numpy as np
@@ -81,7 +81,7 @@ def solve_document(doc, method="gopa", bound_mode=None):
                                                 bound_mode=bound_mode))
 
 
-REPORT_FORMAT = 2
+REPORT_FORMAT = 3
 SECTIONS = ("experts", "attributes", "alternatives")
 
 
@@ -136,36 +136,30 @@ def solution_report(solution, bound_mode=None):
     """The solution report as the `cli` writer takes it: the rendering step of
     ``gopa solve`` and ``gopa opa``, not a JSON document of its own.
 
-    Its two weight grids hold `JsonText` leaves, JSON text already written,
-    so ``json.dumps`` would write them as strings and `report_to_solution`
+    Its weight grid holds `JsonText` leaves, JSON text already written, so
+    ``json.dumps`` would write them as strings and `report_to_solution`
     refuses them; the report document is the text ``cli._report_text``
     writes, and ``json.loads`` of that text is what `report_to_solution`
     reads.
 
     ``method`` is ``"gopa"`` for a solution with utilities, else ``"opa"``;
     ``bound_mode`` (None reads as ``"equality"``) is written only into a
-    report that holds utilities.  In format 2 ``cell_weights[eid][aid]`` is
+    report that holds utilities.  In format 3 ``cell_weights[eid][aid]`` is
     a list in ``ids.alternatives`` order, ``null`` where the cell excludes
-    the alternative; ``rank_weights`` keeps one list per cell (with gaps it holds
-    weights that no alternative maps to), so each cell weight repeats the
-    rank weight of its alternative's rank.  ``utilities`` holds each distinct
-    cell vector once and maps each cell to its index.
+    the alternative.  The report holds no ``rank_weights`` (format 2 did):
+    library users read `WeightSolution.rank_weights`.  ``utilities`` holds
+    each distinct cell vector once and maps each cell to its index.
 
-    Both grids are rendered in one pass over the padded arrays: the distinct
-    bit patterns of the rank weights are formatted in one `_float_texts`
-    call (so ``-0.0`` and ``0.0`` keep their own texts), and each cell
-    weight takes its text from its alternative's rank, as `solver` gathers
-    the weights themselves.
+    The grid is rendered in one pass over ``solution.weights``: the distinct
+    bit patterns of the held weights are formatted in one `_float_texts`
+    call, so ``-0.0`` and ``0.0`` keep their own texts.
     """
     p = solution.problem
-    mask = p.rank_mask
-    bits, inverse = np.unique(solution.rank_weights[mask].view(np.uint64), return_inverse=True)
+    held = p.alternative_ranks > 0
+    bits, inverse = np.unique(solution.weights[held].view(np.uint64), return_inverse=True)
     texts = np.array(_float_texts(bits.view(np.float64).tolist()), dtype=object)
-    rank_texts = np.empty(mask.shape, dtype=object)   # None beyond a cell's last rank
-    rank_texts[mask] = texts[inverse]
-    ranks = p.alternative_ranks
-    cell_texts = np.take_along_axis(rank_texts, np.maximum(ranks - 1, 0), axis=2)
-    cell_texts[ranks == 0] = "null"
+    cell_texts = np.full(held.shape, "null", dtype=object)
+    cell_texts[held] = texts[inverse]
     report = {
         "kind": "solution",
         "format": REPORT_FORMAT,
@@ -179,8 +173,8 @@ def solution_report(solution, bound_mode=None):
         "experts": dict(zip(p.expert_ids, solution.expert_weights.tolist())),
         "attributes": dict(zip(p.attribute_ids, solution.attribute_weights.tolist())),
         "alternatives": dict(zip(p.alternative_ids, solution.alternative_weights.tolist())),
-        "cell_weights": _leaves(p, cell_texts.tolist()),
-        "rank_weights": _leaves(p, rank_texts.tolist(), p.max_rank),
+        "cell_weights": {eid: dict(zip(p.attribute_ids, map(_leaf, row)))
+                         for eid, row in zip(p.expert_ids, cell_texts.tolist())},
         "flags": {
             "gap_free": bool(p.gap_free),
             "has_exclusions": bool(solution.exclusions_flagged),
@@ -195,14 +189,6 @@ def solution_report(solution, bound_mode=None):
         report["bound_mode"] = bound_mode or "equality"
         report["utilities"] = _distinct_utilities(p, solution.utilities)
     return report
-
-
-def _leaves(problem, texts, lengths=None):
-    """``{eid: {aid: leaf}}``: cell (i, j)'s texts, the first ``lengths[i, j]``
-    of them if given (``cell[:None]`` is the whole cell), as one `_leaf`."""
-    counts = repeat(repeat(None)) if lengths is None else lengths.tolist()
-    return {eid: {aid: _leaf(cell[:n]) for aid, cell, n in zip(problem.attribute_ids, row, n_i)}
-            for eid, row, n_i in zip(problem.expert_ids, texts, counts)}
 
 
 def _distinct_utilities(problem, padded):
@@ -222,11 +208,12 @@ def _distinct_utilities(problem, padded):
 
 
 def report_to_solution(report):
-    """Rebuild a weight solution from a format-2 report document (for
-    diagnostics); its ``problem`` holds only the three id tuples.
+    """Rebuild a weight solution from a format-3 report document (for
+    diagnostics); its ``problem`` holds only the three id tuples and its
+    ``rank_weights`` is None, as the report holds none.
 
     Raises `ValueError` naming the field, section or cell for a format
-    other than the integer 2, a duplicate id, keys that differ from the ids,
+    other than the integer 3, a duplicate id, keys that differ from the ids,
     a cell list of the wrong length, a weight that is not a finite number or
     None (excluded), or an objective that is not a finite number.
     """

@@ -337,10 +337,9 @@ def legacy_report_text(doc):
 
 
 def list_solution_report(solution, bound_mode=None):
-    """The format-2 solution report with every weight a Python float (None where
+    """The format-3 solution report with every weight a Python float (None where
     the cell excludes the alternative), as `gopa.pipeline.solution_report` built
-    it before it rendered the weight grids itself: cell weights read from
-    ``solution.weights``, not gathered from the rank weights."""
+    it before it rendered the cell-weight grid itself."""
     p = solution.problem
     cell_weights = solution.weights.astype(object)
     cell_weights[p.alternative_ranks == 0] = None
@@ -359,9 +358,6 @@ def list_solution_report(solution, bound_mode=None):
         "alternatives": dict(zip(p.alternative_ids, solution.alternative_weights.tolist())),
         "cell_weights": {eid: dict(zip(p.attribute_ids, w_i))
                          for eid, w_i in zip(p.expert_ids, cell_weights.tolist())},
-        "rank_weights": {eid: {aid: solution.rank_weights[i, j, :p.max_rank[i, j]].tolist()
-                               for j, aid in enumerate(p.attribute_ids)}
-                         for i, eid in enumerate(p.expert_ids)},
         "flags": {
             "gap_free": bool(p.gap_free),
             "has_exclusions": bool(solution.exclusions_flagged),

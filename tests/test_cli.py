@@ -614,7 +614,7 @@ def drop_expert(doc, sections):
 
 
 class TestMalformedReport:
-    """`metrics` refuses a format-2 report whose ids and keys disagree, naming
+    """`metrics` refuses a format-3 report whose ids and keys disagree, naming
     the section or the cell, where it once computed a consensus silently."""
 
     @pytest.mark.parametrize("edit, fault", [
@@ -645,16 +645,16 @@ class TestMalformedReport:
         (lambda d: d.update(objective=float("inf")), "objective: expected a finite number"),
         (lambda d: d.update(objective=float("nan")), "objective: expected a finite number"),
         (lambda d: d.update(objective=None), "objective: expected a finite number"),
-        (lambda d: d.pop("format"), "report format 1; this version reads format 2"),
-        (lambda d: d.update(format=3), "report format 3; this version reads format 2"),
-        (lambda d: d.update(format=2.0), "report format 2.0; this version reads format 2"),
-        (lambda d: d.update(format="2"), "report format '2'; this version reads format 2"),
+        (lambda d: d.pop("format"), "report format 1; this version reads format 3"),
+        (lambda d: d.update(format=2), "report format 2; this version reads format 3"),
+        (lambda d: d.update(format=3.0), "report format 3.0; this version reads format 3"),
+        (lambda d: d.update(format="3"), "report format '3'; this version reads format 3"),
     ], ids=["duplicate_expert", "duplicate_alternative", "expert_dropped_from_ids",
             "expert_dropped_from_ids_and_section", "section_key_renamed", "id_renamed",
             "cell_key_renamed", "cell_short", "cell_long", "cell_not_list",
             "section_not_object", "huge_objective", "text_objective", "text_nan_objective",
             "bool_objective", "infinite_objective", "nan_objective", "null_objective",
-            "format_1", "format_3", "float_format", "text_format"])
+            "format_1", "format_2", "float_format", "text_format"])
     def test_fault_exits_2_and_names_it(self, tmp_path, clean_doc, capsys, edit, fault):
         report = tmp_path / "report.json"
         assert main(["solve", str(write_doc(tmp_path, clean_doc)), "-o", str(report)]) == 0
@@ -677,4 +677,19 @@ class TestMalformedReport:
         assert main(["metrics", str(report)]) == 2
         assert capsys.readouterr().err == (f"invalid input: {report}: malformed solution "
                                            "report (report format 1; this version reads "
-                                           "format 2)\n")
+                                           "format 3)\n")
+
+    def test_format_2_report(self, tmp_path, capsys):
+        # format 2 held a rank_weights section beside the cell lists
+        ids = {"experts": ["E1", "E2"], "attributes": ["C1"], "alternatives": ["A1", "A2"]}
+        cells = {"E1": {"C1": [0.4, 0.2]}, "E2": {"C1": [0.1, 0.3]}}
+        ranks = {"E1": {"C1": [0.4, 0.2]}, "E2": {"C1": [0.3, 0.1]}}
+        report = write_doc(tmp_path, {"kind": "solution", "format": 2, "objective": 0.2,
+                                      "ids": ids, "experts": {"E1": 0.6, "E2": 0.4},
+                                      "attributes": {"C1": 1.0},
+                                      "alternatives": {"A1": 0.5, "A2": 0.5},
+                                      "cell_weights": cells, "rank_weights": ranks})
+        assert main(["metrics", str(report)]) == 2
+        assert capsys.readouterr().err == (f"invalid input: {report}: malformed solution "
+                                           "report (report format 2; this version reads "
+                                           "format 3)\n")

@@ -1,10 +1,10 @@
 """The one-pass report writer against the stdlib encoder it replaced, and
-format-2 solution reports read back.
+format-3 solution reports read back.
 
 `oracles.legacy_report_text` rounds every float through 12 significant digits
 and then runs ``json.dumps(indent=2, sort_keys=True)``, with each leaf list of
 floats and nulls on one line; the writer must give the same bytes on every
-input.  A solution report's weight grids arrive rendered by the grid pass of
+input.  A solution report's cell weights arrive rendered by the grid pass of
 `solution_report`; its bytes must equal the oracle's over
 `oracles.list_solution_report`, which holds every weight as a Python float.
 """
@@ -110,7 +110,7 @@ def test_json_text_copied_as_it_is():
 
 
 def test_rendered_report_is_only_for_the_writer():
-    # the grids are written text: the package exports no report document
+    # the grid is written text: the package exports no report document
     solution = solve_document(random_problem(np.random.default_rng(60), 3, 3, 4)[1])
     report = solution_report(solution)
     leaf = report["cell_weights"]["E1"]["C1"]
@@ -221,12 +221,30 @@ def test_grid_pass_formats_each_bit_pattern_once(zeros, formatted):
     formatted.clear()
     report = solution_report(solution)
     (grid,) = formatted
-    valid = solution.rank_weights[solution.problem.rank_mask].tolist()
-    assert sorted(bit_patterns(grid)) == sorted(set(bit_patterns(valid)))
+    held = solution.weights[solution.problem.alternative_ranks > 0].tolist()
+    assert sorted(bit_patterns(grid)) == sorted(set(bit_patterns(held)))
     assert len(grid) == len(REPEATED) + 1
     text = cli._report_text(report)
     assert text + "\n" == legacy_report_text(list_solution_report(solution))
     assert {"-0.0", "0.0"} <= set(re.findall(r"[^\s\[\],]+", text))
+
+
+def test_internal_gap_weight_left_out():
+    # distinct rank weights, exact in binary, in an irregular problem that
+    # skips a rank below some cell's maximum
+    solutions = (edge_solution(1 + np.arange(36) / 1024, seed) for seed in range(20))
+    solution = next(s for s in solutions if s.problem.has_internal_gaps)
+    p = solution.problem
+    report = solution_report(solution)
+    skipped = solution.rank_weights[(p.rank_counts == 0) & p.rank_mask].tolist()
+    tokens = set(re.findall(r"[^\s\[\],]+", cli._report_text(report)))
+    assert skipped and not tokens & set(map(repr, skipped))
+    # each cell still writes the weight of its alternative's rank
+    for i, j in p.cells():
+        gathered = [solution.rank_weights[i, j, r - 1] if r else None
+                    for r in p.alternative_ranks[i, j].tolist()]
+        assert report["cell_weights"][p.expert_ids[i]][p.attribute_ids[j]] == \
+            json.dumps(gathered)
 
 
 def test_same_key_row_at_two_depths():
@@ -259,10 +277,10 @@ def test_wide_solution_report(method, formatted):
     solution = solve_document(doc, method=method)
     formatted.clear()
     report = solution_report(solution)
-    # both grids from one call, with each distinct rank weight once (all are
+    # the grid from one call, with each distinct held weight once (all are
     # positive, so their bit patterns sort as the numbers do)
     (grid,) = formatted
-    assert grid == sorted(set(solution.rank_weights[solution.problem.rank_mask].tolist()))
+    assert grid == sorted(set(solution.weights[solution.problem.alternative_ranks > 0].tolist()))
     formatted.clear()
     text = cli._report_text(report)
     assert text + "\n" == legacy_report_text(list_solution_report(solution))
@@ -276,8 +294,8 @@ def round12(x):
 
 @pytest.mark.parametrize("irregular", [False, True], ids=["regular", "irregular"])
 @pytest.mark.parametrize("seed", range(3))
-class TestFormat2RoundTrip:
-    """A format-2 report read back from its text gives the solution to 12 digits."""
+class TestFormat3RoundTrip:
+    """A format-3 report read back from its text gives the solution to 12 digits."""
 
     def solution(self, seed, irregular):
         rng = np.random.default_rng(40 + seed)
@@ -326,4 +344,4 @@ class TestFormat2RoundTrip:
             assert cli.main(["solve", str(path), "-o", str(out)]) == 0
             texts.append(out.read_bytes())
         assert texts[0] == texts[1]
-        assert json.loads(texts[0])["format"] == 2
+        assert json.loads(texts[0])["format"] == 3
