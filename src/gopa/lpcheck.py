@@ -162,23 +162,24 @@ def _pivot(tab, basis, row, col):
 # --- builders for the weight programs ---------------------------------------
 
 
-def _flat_cells(problem):
-    """Per weight variable ``padded[rank_mask]``: its cell's ``t_i * s_ij`` and its rank."""
+def _flat_cells(problem, mask):
+    """Per variable ``padded[mask]``: its cell's ``t_i * s_ij`` and its rank.  The weight
+    programs pass the held ranks ``rank_counts > 0``, the efficiency program ``rank_mask``."""
     ts = rank_products(problem)
-    mask = problem.rank_mask
     return np.broadcast_to(ts[..., None], mask.shape)[mask], np.nonzero(mask)[2] + 1
 
 
 def _rank_rows(problem, coefficients):
-    """Rows ``coef*z - t*s*w <= 0`` plus the weighted normalization row; ``z >= 0``
-    cuts off no optimum, as ``z = 0`` with normalized weights is feasible."""
-    mask = problem.rank_mask
-    ts, _ = _flat_cells(problem)
+    """Rows ``coef*z - t*s*w <= 0`` over the held ranks (a skipped rank's row cannot
+    bind), plus the weighted normalization row; ``z >= 0`` cuts off no optimum, as
+    ``z = 0`` with normalized weights is feasible."""
+    held = problem.rank_counts > 0
+    ts, _ = _flat_cells(problem, held)
     n_w = ts.size
     lhs = np.zeros((n_w + 1, n_w + 1))
     np.fill_diagonal(lhs[:n_w], -ts)
-    lhs[:n_w, n_w] = coefficients[mask]
-    lhs[n_w, :n_w] = problem.rank_counts[mask]
+    lhs[:n_w, n_w] = coefficients[held]
+    lhs[n_w, :n_w] = problem.rank_counts[held]
     last = np.eye(1, n_w + 1, n_w)[0]   # objective z; right side 1 of the normalization row
     return LinearProgram(objective=last, lhs=lhs, rhs=last,
                          senses=("<=",) * n_w + ("=",))
@@ -204,18 +205,18 @@ class EfficiencyCheck:
 def verify_efficiency(problem, z_star):
     """Solve the second-stage efficiency program at a first-stage optimum.
 
-    Maximizes the total marginal slack subject to every marginal slack
-    staying at or above ``z_star``.  Returns the stage-2 objective, the
-    weights, and the minimum slack attained (which must equal ``z_star``
-    for a genuine first-stage optimum).
+    Maximizes the total marginal slack subject to every marginal slack staying at or
+    above ``z_star``.  Returns the stage-2 objective, the weights, and the minimum slack
+    attained (which must equal ``z_star`` for a genuine first-stage optimum).  Its
+    variables are ``padded[rank_mask]``, as each slack row pairs consecutive ranks.
 
     Raises
     ------
     InfeasibleStage2
-        If no weights attain every slack >= ``z_star``.
+        If no weights attain every slack >= ``z_star``, or the program is unbounded.
     """
     mask = problem.rank_mask
-    ts, ranks = _flat_cells(problem)
+    ts, ranks = _flat_cells(problem, mask)
     n = ts.size
     # slack of rank r: ts * r * (w_r - w_{r+1}), and ts * K_ij * w_K at a cell's last rank
     lhs = np.zeros((n + 1, n))

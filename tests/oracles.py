@@ -29,6 +29,7 @@ from gopa.lpcheck import LinearProgram, solve_lp
 from gopa.model import CellContext, validate_problem
 from gopa.pipeline import REPORT_FORMAT, _distinct_utilities
 from gopa.sensitivity import CONSTANT_SPREAD, ScenarioStats
+from gopa.solver import rank_products
 
 
 def kl_objective(u, v):
@@ -513,6 +514,21 @@ def dense_pivot(tab, basis, row, col):
     tab -= np.outer(tab[:, col], pivot_row)
     tab[row] = pivot_row
     basis[row] = col
+
+
+def rank_mask_lp(problem, coefficients):
+    """A weight program laid out over ``padded[rank_mask]``, as the builders laid it
+    out before they took the held ranks: one variable per rank up to each cell's
+    maximum, skipped ranks included, then ``z``."""
+    mask = problem.rank_mask
+    ts = np.broadcast_to(rank_products(problem)[..., None], mask.shape)[mask]
+    n_w = ts.size
+    lhs = np.zeros((n_w + 1, n_w + 1))
+    np.fill_diagonal(lhs[:n_w], -ts)
+    lhs[:n_w, n_w] = coefficients[mask]
+    lhs[n_w, :n_w] = problem.rank_counts[mask]
+    last = np.eye(1, n_w + 1, n_w)[0]
+    return LinearProgram(objective=last, lhs=lhs, rhs=last, senses=("<=",) * n_w + ("=",))
 
 
 # --- random input generators -------------------------------------------------

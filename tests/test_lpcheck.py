@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 import scipy.optimize
@@ -95,8 +97,8 @@ class TestBuilders:
         }
         p = validate_problem(doc)
         lp = build_opa_lp(p)
-        assert lp.lhs.shape == (5, 5)  # 4 rank rows + normalization
-        assert lp.lhs[-1, :4].tolist() == [1.0, 2.0, 0.0, 1.0]
+        assert lp.lhs.shape == (4, 4)  # held ranks 1, 2 and 4, then normalization
+        assert lp.lhs[-1, :3].tolist() == [1.0, 2.0, 1.0]
 
     def test_centroid_utilities_reproduce_ordinal_rows(self):
         p, _ = random_problem(np.random.default_rng(1), 2, 2, 5)
@@ -138,6 +140,40 @@ class TestEfficiency:
         z = solve_opa(p).objective
         with pytest.raises(InfeasibleStage2):
             verify_efficiency(p, 1.1 * z)
+
+    @pytest.mark.parametrize("first_cell, at_z_star", [
+        ({"A1": 2, "A2": 3}, "unbounded"),
+        ({"A1": 1, "A2": 3}, "optimal"),
+        ({"A1": 1, "A2": 1, "A3": 3}, "optimal"),
+    ])
+    def test_documents_with_a_gap(self, first_cell, at_z_star, tmp_path):
+        # only a cell that skips rank 1 makes the program unbounded; `verify`
+        # skips it on every document with an internal gap all the same
+        doc = {
+            "experts": [{"id": "E1", "rank": 1}, {"id": "E2", "rank": 2}],
+            "attributes": ["C1"],
+            "alternatives": ["A1", "A2", "A3"],
+            "attribute_ranks": {"E1": {"C1": 1}, "E2": {"C1": 1}},
+            "alternative_ranks": {"E1": {"C1": first_cell},
+                                  "E2": {"C1": {"A1": 1, "A2": 2, "A3": 3}}},
+        }
+        p = validate_problem(doc)
+        assert p.has_internal_gaps
+        z = solve_opa(p).objective
+        if at_z_star == "unbounded":
+            with pytest.raises(InfeasibleStage2, match="unbounded"):
+                verify_efficiency(p, z)
+        else:
+            assert verify_efficiency(p, z).min_slack == pytest.approx(z, abs=1e-12)
+        with pytest.raises(InfeasibleStage2, match="infeasible"):
+            verify_efficiency(p, 1.1 * z)
+
+        path, out = tmp_path / "doc.json", tmp_path / "verify.json"
+        path.write_text(json.dumps(doc))
+        assert main(["verify", str(path), "-o", str(out)]) == 0
+        checks = json.loads(out.read_text())["instances"][0]["checks"]
+        assert [c["name"] for c in checks] == ["ordinal_lp_matches_formula",
+                                               "generalized_lp_matches_formula"]
 
     def test_stage2_solution_feasible_for_stage1(self):
         p, _ = random_problem(np.random.default_rng(7), 2, 2, 4)

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from gopa.exceptions import EmptyCellError
-from gopa.lpcheck import build_gopa_lp, build_opa_lp
+from gopa.lpcheck import build_gopa_lp, build_opa_lp, solve_lp
 from gopa.model import validate_problem
 from gopa.solver import harmonic_coefficients, solve_gopa, solve_opa
 
@@ -26,6 +26,7 @@ from oracles import (
     harmonic_tail,
     random_problem,
     random_utilities,
+    rank_mask_lp,
     rank_structure_by_cell,
 )
 
@@ -110,22 +111,59 @@ class TestClosedFormsAgainstExactRationals:
 class TestLinearPrograms:
     def test_ordinal_rows_saturate_on_irregular_problem(self):
         p = irregular_problem(3, (3, 3, 7))
-        assert p.has_missing.any() and (p.max_rank < 7).any()
+        assert p.has_missing.any() and (p.max_rank < 7).any() and p.has_internal_gaps
         sol = solve_opa(p)
         lp = build_opa_lp(p)
-        rows = lp.lhs @ np.append(sol.rank_weights[p.rank_mask], sol.objective)
+        rows = lp.lhs @ np.append(sol.rank_weights[p.rank_counts > 0], sol.objective)
         assert np.abs(rows[:-1]).max() <= 1e-12
         assert rows[-1] == pytest.approx(1.0, abs=1e-12)
 
     def test_generalized_rows_saturate_on_irregular_problem(self):
         p = irregular_problem(4, (3, 3, 7))
-        assert p.has_missing.any() and (p.max_rank < 7).any()
+        assert p.has_missing.any() and (p.max_rank < 7).any() and p.has_internal_gaps
         u = random_utilities(np.random.default_rng(4), p)
         sol = solve_gopa(p, u)
         lp = build_gopa_lp(p, u)
-        rows = lp.lhs @ np.append(sol.rank_weights[p.rank_mask], sol.objective)
+        rows = lp.lhs @ np.append(sol.rank_weights[p.rank_counts > 0], sol.objective)
         assert np.abs(rows[:-1]).max() <= 1e-12
         assert rows[-1] == pytest.approx(1.0, abs=1e-12)
+
+
+class TestHeldRankPrograms:
+    """The weight programs take one variable per held rank, ``padded[rank_counts > 0]``."""
+
+    @pytest.mark.parametrize("shape", SHAPES)
+    @pytest.mark.parametrize("seed", range(6))
+    def test_gap_free_programs_equal_rank_mask_layout(self, seed, shape):
+        p = random_problem(np.random.default_rng(seed), *shape)[0]
+        assert not p.has_internal_gaps
+        u = random_utilities(np.random.default_rng(seed), p)
+        for lp, reference in ((build_opa_lp(p), rank_mask_lp(p, harmonic_coefficients(p))),
+                              (build_gopa_lp(p, u), rank_mask_lp(p, p.max_rank[..., None] * u))):
+            assert lp.senses == reference.senses
+            for name in ("objective", "lhs", "rhs"):
+                ours, theirs = getattr(lp, name), getattr(reference, name)
+                assert ours.shape == theirs.shape and ours.tobytes() == theirs.tobytes()
+
+    @pytest.mark.parametrize("shape", SHAPES)
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_one_variable_per_held_rank(self, seed, shape):
+        p = irregular_problem(seed, shape)
+        held = int((p.rank_counts > 0).sum())
+        u = random_utilities(np.random.default_rng(seed), p)
+        for lp in (build_opa_lp(p), build_gopa_lp(p, u)):
+            assert lp.lhs.shape == (held + 1, held + 1) and lp.objective.size == held + 1
+            assert (lp.lhs[-1, :-1] > 0).all()   # every weight is in the normalization row
+
+    @pytest.mark.parametrize("shape", SHAPES)
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_simplex_optimum_matches_exact_objective(self, seed, shape):
+        p = irregular_problem(seed, shape)
+        u = random_utilities(np.random.default_rng(seed), p)
+        for lp, exact in ((build_opa_lp(p), exact_opa(p)), (build_gopa_lp(p, u), exact_gopa(p, u))):
+            res = solve_lp(lp)
+            assert res.status == "optimal"
+            assert abs(Fraction(res.value) / exact.objective - 1) <= 1e-13
 
 
 class TestRankStructure:
