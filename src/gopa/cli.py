@@ -12,13 +12,12 @@ list of floats and nulls, which takes one line, ASCII-escaped strings, and
 each float rounded to 12 significant digits and written as the shortest
 string that reads back as the rounded value; NaN and infinities are written
 ``NaN`` and ``(-)Infinity``.  Solution reports are format 3, without the
-``rank_weights`` of format 2; their cell weights arrive as `JsonText` leaves,
-rendered in one pass by `pipeline.solution_report`, and the writer copies
-them as they are.
+``rank_weights`` of format 2.  `pipeline.solution_report` writes the solution
+report and `pipeline.report_text` the other JSON documents.
 
 Exit codes: 0 success, 1 failed verification, 2 validation error,
 3 infeasible preference context, 4 numeric failure.  Exit 2 also covers an
-input that cannot be read (a directory, not UTF-8), an output path that
+input that cannot be read (a directory, not UTF-8, not JSON), an output path that
 cannot be written (a missing directory, a ``--csv`` path that is a file)
 and a solution report given to ``metrics`` that lacks a key, whose format
 is not the integer 3 or that holds a malformed field (an objective that is
@@ -36,7 +35,6 @@ import json
 import sys
 from functools import cache
 from itertools import repeat
-from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 import numpy as np
@@ -54,12 +52,10 @@ from .lpcheck import build_gopa_lp, build_opa_lp, solve_lp, verify_efficiency
 from .metrics import consensus_report
 from .model import load_document
 from .pipeline import (
-    JsonText,
-    _float_texts,
-    _leaf,
-    _leaf_texts,
+    SECTIONS,
     elicit_cell,
     elicit_utilities,
+    report_text,
     report_to_solution,
     solution_report,
     solve_document,
@@ -69,77 +65,9 @@ from .solver import solve_gopa, solve_opa
 from .structures import surrogate_weights, target_density
 
 
-def _fmt(x):
-    return format(float(x), ".12g")
-
-
 def _fmts(values):
-    """`_fmt` of each of a list of floats, formatted in one ``%`` call."""
+    """CSV texts of a list of floats at 12 significant digits, formatted in one ``%`` call."""
     return (",".join(["%.12g"] * len(values)) % tuple(values)).split(",")
-
-
-def _report_text(obj, nl="\n", rows=None):
-    """Indented JSON text of a report, floats at 12 significant digits.
-
-    The layout is that of ``json.dumps(obj, indent=2, sort_keys=True)``
-    (ASCII-escaped strings, ``NaN``/``Infinity``, tuples as lists, numpy
-    scalars as their Python values), except that a leaf list, one whose
-    items are all Python floats or None, is written on one line by
-    `pipeline._leaf`, its floats formatted in one `_float_texts` call; a
-    `JsonText` is copied as it is.  ``nl`` is the newline plus the indent
-    of the current nesting level.
-
-    The top-level call makes one memo and passes it down the recursion; it
-    is dropped when the call returns, so no state carries over to the next
-    report.  ``rows`` maps a dict's sorted key tuple and ``nl`` to its ``%``
-    template, keys encoded and ``%`` escaped, so each distinct key row at
-    each depth is encoded once.
-    """
-    if rows is None:
-        rows = {}
-    if isinstance(obj, str):
-        return obj if type(obj) is JsonText else encode_basestring_ascii(obj)
-    if isinstance(obj, float):
-        return _float_texts([obj])[0]
-    if isinstance(obj, dict):
-        if not obj:
-            return "{}"
-        keys = tuple(sorted(obj))
-        template = rows.get((keys, nl))
-        if template is None:
-            inner = nl + "  "
-            items = [encode_basestring_ascii(k).replace("%", "%%") + ": %s" for k in keys]
-            template = rows[keys, nl] = "{" + inner + ("," + inner).join(items) + nl + "}"
-        return template % tuple(_item_texts([obj[k] for k in keys], nl + "  ", rows))
-    if isinstance(obj, (list, tuple)):
-        if not obj:
-            return "[]"
-        if {*map(type, obj)} <= _LEAF_TYPES:
-            return _leaf(_leaf_texts(obj))
-        inner = nl + "  "
-        texts = [_report_text(v, inner, rows) for v in obj]
-        return "[" + inner + ("," + inner).join(texts) + nl + "]"
-    if obj is None:
-        return "null"
-    if obj is True:
-        return "true"
-    if obj is False:
-        return "false"
-    if isinstance(obj, int):
-        return int.__repr__(obj)
-    if isinstance(obj, (np.floating, np.integer, np.bool_)):
-        return _report_text(obj.item(), nl, rows)
-    raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
-
-
-_LEAF_TYPES = {float, type(None)}
-
-
-def _item_texts(values, nl, rows):
-    """Texts of a dict's values; floats and Nones alone are formatted in one call."""
-    if {*map(type, values)} <= _LEAF_TYPES:
-        return _leaf_texts(values)
-    return [_report_text(v, nl, rows) for v in values]
 
 
 def _write_text(text, path):
@@ -153,7 +81,7 @@ def _write_text(text, path):
 
 
 def _write_json(doc, path):
-    _write_text(_report_text(doc) + "\n", path)
+    _write_text(report_text(doc) + "\n", path)
 
 
 def _write_csv(rows, path):
@@ -185,22 +113,24 @@ def _load_json(path):
         raise ValidationError(str(path), f"not valid JSON ({exc})")
 
 
-def _weights_csv(report):
+def _weights_csv(solution):
+    p = solution.problem
     rows = [("section", "id", "weight")]
-    for section in ("experts", "attributes", "alternatives"):
-        for name in report["ids"][section]:
-            rows.append((section, name, _fmt(report[section][name])))
+    for section, names, weights in zip(
+            SECTIONS, (p.expert_ids, p.attribute_ids, p.alternative_ids),
+            (solution.expert_weights, solution.attribute_weights, solution.alternative_weights)):
+        rows += zip(repeat(section), names, _fmts(weights.tolist()))
     return rows
 
 
-def _utilities_csv(report):
-    rows = [("expert", "attribute", "rank", "utility")]
-    distinct, cells = report["utilities"]["distinct"], report["utilities"]["cells"]
-    for eid in report["ids"]["experts"]:
-        for aid in report["ids"]["attributes"]:
-            for r, u in enumerate(distinct[cells[eid][aid]], start=1):
-                rows.append((eid, aid, r, _fmt(u)))
-    return rows
+def _utilities_csv(solution):
+    p = solution.problem
+    keys = [(p.expert_ids[i], p.attribute_ids[j], r)
+            for i, j in p.cells() for r in range(1, p.max_rank[i, j] + 1)]
+    # rank_mask's C order runs over the cells, each by rank
+    texts = _fmts(solution.utilities[p.rank_mask].tolist())
+    return [("expert", "attribute", "rank", "utility"),
+            *((*key, text) for key, text in zip(keys, texts))]
 
 
 def _refuse_bound_mode(config, option, unread="utilities"):
@@ -213,16 +143,17 @@ def _refuse_bound_mode(config, option, unread="utilities"):
 def _cmd_solve(config):
     doc = _load_json(config.input)
     if config.command == "opa":
-        report = solution_report(solve_document(doc, method="opa"))
+        solution = solve_document(doc, method="opa")
+        text = solution_report(solution)
     else:
         solution = solve_document(doc, bound_mode=config.bound_mode)
-        report = solution_report(solution, config.bound_mode)
-    _write_json(report, config.output)
+        text = solution_report(solution, config.bound_mode)
+    _write_text(text + "\n", config.output)
     if config.csv_dir is not None:
         out = _csv_dir(config.csv_dir)
-        _write_csv(_weights_csv(report), out / "weights.csv")
-        if "utilities" in report:
-            _write_csv(_utilities_csv(report), out / "utilities.csv")
+        _write_csv(_weights_csv(solution), out / "weights.csv")
+        if solution.utilities is not None:
+            _write_csv(_utilities_csv(solution), out / "utilities.csv")
     return 0
 
 
@@ -232,6 +163,13 @@ def _find_cell(problem, label):
         return problem.expert_ids.index(eid), problem.attribute_ids.index(aid)
     except (ValueError, AttributeError):
         raise ValidationError("--cell", f"expected 'EXPERT_ID,ATTRIBUTE_ID', got {label!r}")
+
+
+def _curve_rows(xs, *curves):
+    """A row per x: x and each curve's value there, formatted in one `_fmts` call."""
+    width = 1 + len(curves)
+    texts = _fmts([float(v) for x in xs for v in (x, *(curve(x) for curve in curves))])
+    return zip(*(texts[n::width] for n in range(width)))
 
 
 def _cmd_elicit(config):
@@ -248,17 +186,16 @@ def _cmd_elicit(config):
     xs = np.linspace(0.0, kij, (config.samples or 200) + 1)
     if config.dump_target and structure.is_discrete:
         target = surrogate_weights(structure, kij)
-        rows = [("rank", "target")] + [(r + 1, _fmt(v)) for r, v in enumerate(target)]
+        rows = [("rank", "target"), *enumerate(_fmts(target.tolist()), start=1)]
     elif config.dump_target:
         target = target_density(structure, kij)
-        rows = [("x", "target")] + [(_fmt(x), _fmt(target.value(x))) for x in xs]
+        rows = [("x", "target"), *_curve_rows(xs, target.value)]
     else:
         u, density = elicit_cell(structure, kij, context.cell(i, j), config.bound_mode)
         if config.samples:
-            rows = [("x", "density", "cdf")]
-            rows += [(_fmt(x), _fmt(density.value(x)), _fmt(density.cdf(x))) for x in xs]
+            rows = [("x", "density", "cdf"), *_curve_rows(xs, density.value, density.cdf)]
         else:
-            rows = [("rank", "utility")] + [(r + 1, _fmt(v)) for r, v in enumerate(u)]
+            rows = [("rank", "utility"), *enumerate(_fmts(u.tolist()), start=1)]
     _write_csv(rows, config.output)
     return 0
 
@@ -277,16 +214,16 @@ def _cmd_metrics(config):
         cons = consensus_report(solution)
     except DegenerateError as exc:
         raise DegenerateError(f"{config.input}: {exc}") from exc
-    out = {"kind": "consensus", **cons.to_dict(solution.problem)}
-    _write_json(out, config.output)
+    p = solution.problem
+    _write_json({"kind": "consensus", **cons.to_dict(p)}, config.output)
     if config.csv_dir is not None:
-        rows = [("section", "id", "psd", "kendall", "lcl", "label")]
-        for j, aid in enumerate(solution.problem.attribute_ids):
-            rows.append(("attributes", aid, _fmt(cons.psd_attributes[j]),
-                         _fmt(cons.kendall_alternatives[j]),
-                         _fmt(cons.lcl_alternatives[j]), cons.label_alternatives[j]))
-        for k, mid in enumerate(solution.problem.alternative_ids):
-            rows.append(("alternatives", mid, _fmt(cons.psd_alternatives[k]), "", "", ""))
+        psd, kendall, lcl = (_fmts(a.tolist()) for a in (
+            cons.psd_attributes, cons.kendall_alternatives, cons.lcl_alternatives))
+        rows = [("section", "id", "psd", "kendall", "lcl", "label"),
+                *zip(repeat("attributes"), p.attribute_ids, psd, kendall, lcl,
+                     cons.label_alternatives),
+                *(("alternatives", mid, text, "", "", "") for mid, text in
+                  zip(p.alternative_ids, _fmts(cons.psd_alternatives.tolist())))]
         _write_csv(rows, _csv_dir(config.csv_dir) / "metrics.csv")
     return 0
 
@@ -301,7 +238,7 @@ def _cmd_sensitivity(config):
         utilities = elicit_utilities(problem, context, structures, config.bound_mode)
     stats = permutation_stats(problem, utilities)
     rows = [("section", "id", "mean", "skewness", "kurtosis", "cv", "min", "max")]
-    for section in ("experts", "attributes", "alternatives"):
+    for section in SECTIONS:
         texts = _fmts([v for _, st in stats[section] for v in (
             st.mean, st.skewness, st.kurtosis, st.cv, st.minimum, st.maximum)])
         rows += [(section, name, *texts[6 * q:6 * q + 6])
@@ -309,7 +246,7 @@ def _cmd_sensitivity(config):
     _write_csv(rows, config.output)
     if config.raw is not None:
         raw_rows = [("scenario", "section", "id", "weight")]
-        for section in ("experts", "attributes", "alternatives"):
+        for section in SECTIONS:
             ids = [name for name, _ in stats[section]]
             matrix = stats["raw"][section]
             scenarios = [n for n in range(matrix.shape[0]) for _ in ids]

@@ -3,6 +3,7 @@
 import json
 import math
 from itertools import chain
+from json.encoder import encode_basestring_ascii
 from types import SimpleNamespace
 
 import numpy as np
@@ -86,7 +87,7 @@ SECTIONS = ("experts", "attributes", "alternatives")
 
 
 class JsonText(str):
-    """Report text that the writer copies as it is: a leaf list already rendered."""
+    """Report text that `report_text` copies as it is: a leaf list already rendered."""
 
 
 def _float_texts(values):
@@ -120,8 +121,6 @@ def _float_texts(values):
 
 def _leaf_texts(values):
     """Texts of floats and Nones: the floats in one `_float_texts` call, None as ``null``."""
-    if None not in values:
-        return _float_texts(values)
     texts = iter(_float_texts([v for v in values if v is not None]))
     return ["null" if v is None else next(texts) for v in values]
 
@@ -132,15 +131,62 @@ def _leaf(texts):
     return JsonText("[" + ", ".join(texts) + "]")
 
 
-def solution_report(solution, bound_mode=None):
-    """The solution report as the `cli` writer takes it: the rendering step of
-    ``gopa solve`` and ``gopa opa``, not a JSON document of its own.
+_LEAF_TYPES = {float, type(None)}
 
-    Its weight grid holds `JsonText` leaves, JSON text already written, so
-    ``json.dumps`` would write them as strings and `report_to_solution`
-    refuses them; the report document is the text ``cli._report_text``
-    writes, and ``json.loads`` of that text is what `report_to_solution`
-    reads.
+
+def report_text(obj, nl="\n"):
+    """Indented JSON text of a report, floats at 12 significant digits.
+
+    The layout is that of ``json.dumps(obj, indent=2, sort_keys=True)``
+    (ASCII-escaped strings, ``NaN``/``Infinity``, tuples as lists, numpy
+    scalars as their Python values), except that a leaf list, one whose
+    items are all Python floats or None, is written on one line by `_leaf`,
+    its floats formatted in one `_float_texts` call; a `JsonText` is copied
+    as it is.  ``nl`` is the newline plus the indent of the current nesting
+    level.
+    """
+    if isinstance(obj, str):
+        return obj if type(obj) is JsonText else encode_basestring_ascii(obj)
+    if isinstance(obj, float):
+        return _float_texts([obj])[0]
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        keys = sorted(obj)
+        inner = nl + "  "
+        items = [encode_basestring_ascii(k).replace("%", "%%") + ": %s" for k in keys]
+        template = "{" + inner + ("," + inner).join(items) + nl + "}"
+        return template % tuple(_item_texts([obj[k] for k in keys], inner))
+    if isinstance(obj, (list, tuple)):
+        if {*map(type, obj)} <= _LEAF_TYPES:   # an empty list too
+            return _leaf(_leaf_texts(obj))
+        inner = nl + "  "
+        return "[" + inner + ("," + inner).join(_item_texts(obj, inner)) + nl + "]"
+    if obj is None:
+        return "null"
+    if obj is True:
+        return "true"
+    if obj is False:
+        return "false"
+    if isinstance(obj, int):
+        return int.__repr__(obj)
+    if isinstance(obj, (np.floating, np.integer, np.bool_)):
+        return report_text(obj.item(), nl)
+    raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
+
+
+def _item_texts(values, nl):
+    """Texts of a dict's values or a list's items; floats and Nones alone are
+    formatted in one call."""
+    if {*map(type, values)} <= _LEAF_TYPES:
+        return _leaf_texts(values)
+    return [report_text(v, nl) for v in values]
+
+
+def solution_report(solution, bound_mode=None):
+    """The solution report text: what ``gopa solve`` and ``gopa opa`` write,
+    without the trailing newline.  ``json.loads`` of it is the document
+    `report_to_solution` reads.
 
     ``method`` is ``"gopa"`` for a solution with utilities, else ``"opa"``;
     ``bound_mode`` (None reads as ``"equality"``) is written only into a
@@ -149,17 +195,8 @@ def solution_report(solution, bound_mode=None):
     the alternative.  The report holds no ``rank_weights`` (format 2 did):
     library users read `WeightSolution.rank_weights`.  ``utilities`` holds
     each distinct cell vector once and maps each cell to its index.
-
-    The grid is rendered in one pass over ``solution.weights``: the distinct
-    bit patterns of the held weights are formatted in one `_float_texts`
-    call, so ``-0.0`` and ``0.0`` keep their own texts.
     """
     p = solution.problem
-    held = p.alternative_ranks > 0
-    bits, inverse = np.unique(solution.weights[held].view(np.uint64), return_inverse=True)
-    texts = np.array(_float_texts(bits.view(np.float64).tolist()), dtype=object)
-    cell_texts = np.full(held.shape, "null", dtype=object)
-    cell_texts[held] = texts[inverse]
     report = {
         "kind": "solution",
         "format": REPORT_FORMAT,
@@ -173,8 +210,7 @@ def solution_report(solution, bound_mode=None):
         "experts": dict(zip(p.expert_ids, solution.expert_weights.tolist())),
         "attributes": dict(zip(p.attribute_ids, solution.attribute_weights.tolist())),
         "alternatives": dict(zip(p.alternative_ids, solution.alternative_weights.tolist())),
-        "cell_weights": {eid: dict(zip(p.attribute_ids, map(_leaf, row)))
-                         for eid, row in zip(p.expert_ids, cell_texts.tolist())},
+        "cell_weights": _cell_leaves(p, solution.weights),
         "flags": {
             "gap_free": bool(p.gap_free),
             "has_exclusions": bool(solution.exclusions_flagged),
@@ -188,7 +224,21 @@ def solution_report(solution, bound_mode=None):
     if solution.utilities is not None:
         report["bound_mode"] = bound_mode or "equality"
         report["utilities"] = _distinct_utilities(p, solution.utilities)
-    return report
+    return report_text(report)
+
+
+def _cell_leaves(problem, weights):
+    """``{eid: {aid: leaf}}`` of a padded (I, J, K) weight array, ``null`` where the
+    cell excludes the alternative.  The distinct bit patterns of the held weights are
+    formatted in one `_float_texts` call, so ``-0.0`` and ``0.0`` keep their own texts.
+    Its temporaries are freed when it returns, before `report_text` runs."""
+    held = problem.alternative_ranks > 0
+    bits, inverse = np.unique(weights[held].view(np.uint64), return_inverse=True)
+    texts = np.array(_float_texts(bits.view(np.float64).tolist()), dtype=object)
+    cell_texts = np.full(held.shape, "null", dtype=object)
+    cell_texts[held] = texts[inverse]
+    return {eid: dict(zip(problem.attribute_ids, map(_leaf, row)))
+            for eid, row in zip(problem.expert_ids, cell_texts.tolist())}
 
 
 def _distinct_utilities(problem, padded):

@@ -197,14 +197,13 @@ class TargetDensity:
         if self.kind == "cara":
             return np.exp(-s.a * x)
         if self.kind in ("hara", "crra"):
-            beta = s.beta if self.kind == "hara" else 0.0
-            base = beta + (s.alpha / s.gamma) * x
-            return s.alpha * base ** (-s.gamma)
-        if self.kind == "sshape":
-            k = s.steepness
-            half = 0.5 * k * (x - self._center)
-            return (k / 4.0) / np.cosh(half) ** 2
-        raise DomainError(f"unknown continuous kind {self.kind!r}")
+            # crra holds beta at 0.0, so its density is unbounded at x = 0: inf, not a warning
+            base = s.beta + (s.alpha / s.gamma) * x
+            with np.errstate(divide="ignore"):
+                return s.alpha * base ** (-s.gamma)
+        k = s.steepness   # sshape
+        half = 0.5 * k * (x - self._center)
+        return (k / 4.0) / np.cosh(half) ** 2
 
     def _raw_integral(self, a, b):
         s = self.structure
@@ -213,16 +212,13 @@ class TargetDensity:
         if self.kind == "cara":
             return (math.exp(-s.a * a) - math.exp(-s.a * b)) / s.a
         if self.kind in ("hara", "crra"):
-            beta = s.beta if self.kind == "hara" else 0.0
             slope = s.alpha / s.gamma
-            ua, ub = beta + slope * a, beta + slope * b
+            ua, ub = s.beta + slope * a, s.beta + slope * b
             if s.gamma == 1.0:
                 return s.gamma * math.log(ub / ua)
             p = 1.0 - s.gamma
             return s.gamma * (ub ** p - ua ** p) / p
-        if self.kind == "sshape":
-            return self._logistic(b) - self._logistic(a)
-        raise DomainError(f"unknown continuous kind {self.kind!r}")
+        return self._logistic(b) - self._logistic(a)   # sshape
 
     def _logistic(self, x):
         t = self.structure.steepness * (x - self._center)
@@ -252,14 +248,11 @@ class TargetDensity:
         if self.kind == "cara":
             return s.a
         if self.kind in ("hara", "crra"):
-            beta = s.beta if self.kind == "hara" else 0.0
-            base = beta + (s.alpha / s.gamma) * x
+            base = s.beta + (s.alpha / s.gamma) * x
             if base <= 0:
                 raise DomainError(f"x={x:g} outside the density domain")
             return s.alpha / base
-        if self.kind == "sshape":
-            return s.steepness * (2.0 * self._logistic(float(x)) - 1.0)
-        raise DomainError(f"unknown continuous kind {self.kind!r}")
+        return s.steepness * (2.0 * self._logistic(float(x)) - 1.0)   # sshape
 
 
 def target_density(structure, size):

@@ -11,6 +11,7 @@ import pytest
 import gopa
 from gopa.cli import main
 from gopa.lpcheck import LPResult
+from gopa.structures import surrogate_weights
 
 from oracles import random_problem
 
@@ -66,11 +67,19 @@ class TestSolve:
         path = write_doc(tmp_path, clean_doc)
         assert main(["solve", str(path), "-o", str(tmp_path / "r.json"),
                      "--csv", str(tmp_path / "csv")]) == 0
-        weights = read_csv(tmp_path / "csv" / "weights.csv")
-        assert weights[0] == ["section", "id", "weight"]
-        assert sum(1 for row in weights if row[0] == "experts") == 3
-        utilities = read_csv(tmp_path / "csv" / "utilities.csv")
-        assert utilities[0] == ["expert", "attribute", "rank", "utility"]
+        # the tables hold the report's numbers, in its id order, at 12 digits
+        report = json.loads((tmp_path / "r.json").read_text())
+        ids = report["ids"]
+        assert read_csv(tmp_path / "csv" / "weights.csv") == [
+            ["section", "id", "weight"],
+            *([section, name, format(report[section][name], ".12g")]
+              for section in ("experts", "attributes", "alternatives") for name in ids[section])]
+        block = report["utilities"]
+        assert read_csv(tmp_path / "csv" / "utilities.csv") == [
+            ["expert", "attribute", "rank", "utility"],
+            *([eid, aid, str(r), format(u, ".12g")]
+              for eid in ids["experts"] for aid in ids["attributes"]
+              for r, u in enumerate(block["distinct"][block["cells"][eid][aid]], start=1))]
 
     def test_ordinal_subcommand_equals_centroid_solve(self, tmp_path, clean_doc):
         doc = dict(clean_doc)
@@ -150,6 +159,13 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith(f"invalid input: {path}: not UTF-8 text")
 
+    def test_invalid_json_input(self, tmp_path, capsys):
+        path = tmp_path / "truncated.json"
+        path.write_text('{"experts": [')
+        assert main(["opa", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"invalid input: {path}: not valid JSON (")
+
     def test_output_into_missing_directory(self, tmp_path, clean_doc, capsys):
         out = tmp_path / "missing" / "report.json"
         assert main(["opa", str(write_doc(tmp_path, clean_doc)), "-o", str(out)]) == 2
@@ -225,6 +241,29 @@ class TestElicitCommand:
         rows = capsys.readouterr().out.strip().splitlines()
         assert rows[0] == "x,target"
         assert len(rows) == 10
+
+    def test_discrete_target_dump(self, tmp_path, clean_doc, capsys):
+        path = write_doc(tmp_path, clean_doc)
+        assert main(["elicit", str(path), "--cell", "E1,C1", "--dump-target"]) == 0
+        size = max(clean_doc["alternative_ranks"]["E1"]["C1"].values())
+        target = surrogate_weights("roc", size)
+        assert capsys.readouterr().out.splitlines() == [
+            "rank,target", *(f"{r},{w:.12g}" for r, w in enumerate(target, start=1))]
+
+    @pytest.mark.parametrize("flags", [["--dump-target"], []], ids=["target", "solved"])
+    def test_crra_curve_unbounded_at_zero(self, tmp_path, capsys, flags):
+        # the crra density is unbounded at x = 0: written inf, with no warning
+        doc = {"experts": [{"id": "E1", "rank": 1}, {"id": "E2", "rank": 2}],
+               "attributes": ["C1"], "alternatives": ["A1", "A2", "A3"],
+               "attribute_ranks": {"E1": {"C1": 1}, "E2": {"C1": 1}},
+               "alternative_ranks": {"E1": {"C1": {"A1": 1, "A2": 2, "A3": 3}},
+                                     "E2": {"C1": {"A1": 2, "A2": 1, "A3": 3}}},
+               "structures": {"default": {"kind": "crra", "alpha": 1.0, "gamma": 0.5}}}
+        path = write_doc(tmp_path, doc)
+        assert main(["elicit", str(path), "--cell", "E1,C1", *flags, "--samples", "4"]) == 0
+        rows = capsys.readouterr().out.splitlines()
+        assert len(rows) == 6 and rows[1].startswith("0,inf")
+        assert all(np.isfinite(float(row.split(",")[1])) for row in rows[2:])
 
     def test_unknown_cell(self, tmp_path, clean_doc):
         path = write_doc(tmp_path, clean_doc)

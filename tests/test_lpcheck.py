@@ -1,4 +1,7 @@
+import inspect
+import itertools
 import json
+import sys
 
 import numpy as np
 import pytest
@@ -255,6 +258,45 @@ def random_small_programs(seed, count=150):
                             lhs=rng.integers(-3, 4, size=(m, n)), rhs=rhs, senses=senses)
 
 
+def degenerate_programs():
+    """Seeded integer programs of ``<=`` rows, each right-hand side 0 with
+    probability 0.7, so most vertices are degenerate."""
+    rng = np.random.default_rng(0)
+    while True:
+        m, n = rng.integers(2, 7), rng.integers(2, 8)
+        lhs = rng.integers(-3, 4, (m, n))
+        rhs = np.where(rng.random(m) < 0.7, 0, rng.integers(1, 4, m))
+        yield LinearProgram(objective=rng.integers(-3, 4, n), lhs=lhs, rhs=rhs,
+                            senses=("<=",) * m)
+
+
+def solve_counting_bland_steps(lp):
+    """`solve_lp(lp)`, and how many leaving rows `_simplex` picked by Bland's rule."""
+    simplex = gopa.lpcheck._simplex
+    lines, first = inspect.getsourcelines(simplex)
+    bland_line = first + next(n for n, text in enumerate(lines) if "ties = " in text)
+    steps = 0
+
+    def count(frame, event, arg):
+        nonlocal steps
+        steps += event == "line" and frame.f_lineno == bland_line
+        return count
+
+    previous = sys.gettrace()
+    sys.settrace(lambda frame, event, arg: count if frame.f_code is simplex.__code__ else None)
+    try:
+        result = solve_lp(lp)
+    finally:
+        sys.settrace(previous)
+    return result, steps
+
+
+# the draws of `degenerate_programs` whose runs make more than m degenerate
+# pivots in a row, so `_simplex` picks the leaving row by Bland's rule (found
+# with a line probe over the first 3,000 draws)
+BLAND_DRAWS = (50, 888, 1124, 1355, 1733, 1746, 2043, 2398, 2410, 2602, 2802, 2916)
+
+
 class TestSecondEngine:
     """`solve_lp` against HiGHS on the programs `verify --random` builds."""
 
@@ -270,6 +312,24 @@ class TestSecondEngine:
             if not problem.has_internal_gaps:
                 assert results[3].status == "infeasible"
                 assert highs(programs[3])[0] == "infeasible"
+
+    def test_bland_fallback_programs(self):
+        programs = list(itertools.islice(degenerate_programs(), BLAND_DRAWS[-1] + 1))
+        first = programs[BLAND_DRAWS[0]]
+        assert first.lhs.tolist() == [[3, -2, 1, 2, 3, 3, -1], [0, 0, 0, 0, 1, -1, -2],
+                                      [0, 3, 1, 2, -3, -3, -1]]
+        assert first.rhs.tolist() == [0, 0, 0]
+        assert first.objective.tolist() == [-2, 1, 2, 3, 2, 1, -1]
+        statuses = set()
+        for draw in BLAND_DRAWS:
+            ours, bland_steps = solve_counting_bland_steps(programs[draw])
+            assert bland_steps > 0
+            status, value = highs(programs[draw])
+            statuses.add(status)
+            assert ours.status == status
+            if status == "optimal":
+                assert ours.value == pytest.approx(value, abs=1e-9)
+        assert statuses == {"optimal", "unbounded"}
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_random_small_programs_cover_every_start(self, seed):

@@ -4,7 +4,7 @@ import json
 import numpy as np
 import pytest
 
-from gopa import cli, pipeline, projection
+from gopa import pipeline, projection
 from gopa.elicit_continuous import cumulative_utilities, elicit_continuous
 from gopa.elicit_discrete import elicit_discrete
 from gopa.exceptions import InfeasibleContext, NumericFailure
@@ -202,7 +202,7 @@ class TestIrregularCells:
 
 def written_report(solution):
     """The report document as the CLI writes it and `metrics` reads it."""
-    return json.loads(cli._report_text(solution_report(solution)))
+    return json.loads(solution_report(solution))
 
 
 def round12(x):
@@ -231,20 +231,20 @@ class TestReportRoundTrip:
 
     def test_method_follows_utilities(self):
         doc = document(5)
-        assert solution_report(solve_document(doc))["method"] == "gopa"
-        opa = solution_report(solve_document(doc, method="opa"))
+        assert written_report(solve_document(doc))["method"] == "gopa"
+        opa = written_report(solve_document(doc, method="opa"))
         assert opa["method"] == "opa" and "utilities" not in opa
 
     def test_utilities_block_matches_cells(self):
         problem, context, structures = load_document(document(4))
         utilities = elicit_utilities(problem, context, structures)
-        report = solution_report(solve_gopa(problem, utilities))
+        report = written_report(solve_gopa(problem, utilities))
         for i, j in problem.cells():
             eid = problem.expert_ids[i]
             aid = problem.attribute_ids[j]
             u = utilities[i, j, :problem.max_rank[i, j]]
             block = report["utilities"]
-            assert block["distinct"][block["cells"][eid][aid]] == u.tolist()
+            assert block["distinct"][block["cells"][eid][aid]] == list(map(round12, u.tolist()))
 
     def test_distinct_utilities_keyed_by_size_too(self):
         # [1, 0, 0] and [1, 0] hold the same nonzero values: cells of different
@@ -252,7 +252,7 @@ class TestReportRoundTrip:
         problem, _ = random_problem(np.random.default_rng(40), 4, 3, 7, irregular=True)
         utilities = np.zeros(problem.rank_counts.shape)
         utilities[..., 0] = 1.0
-        block = solution_report(solve_gopa(problem, utilities))["utilities"]
+        block = written_report(solve_gopa(problem, utilities))["utilities"]
         sizes = list(dict.fromkeys(int(problem.max_rank[i, j]) for i, j in problem.cells()))
         assert block["distinct"] == [[1.0] + [0.0] * (k - 1) for k in sizes]
         for i, j in problem.cells():

@@ -4,8 +4,8 @@ format-3 solution reports read back.
 `oracles.legacy_report_text` rounds every float through 12 significant digits
 and then runs ``json.dumps(indent=2, sort_keys=True)``, with each leaf list of
 floats and nulls on one line; the writer must give the same bytes on every
-input.  A solution report's cell weights arrive rendered by the grid pass of
-`solution_report`; its bytes must equal the oracle's over
+input.  `solution_report` renders its cell weights in one grid pass and
+writes the rest with the same writer; its bytes must equal the oracle's over
 `oracles.list_solution_report`, which holds every weight as a Python float.
 """
 
@@ -19,7 +19,13 @@ import pytest
 import gopa
 from gopa import cli, pipeline
 from gopa.metrics import consensus_report
-from gopa.pipeline import JsonText, report_to_solution, solution_report, solve_document
+from gopa.pipeline import (
+    JsonText,
+    report_text,
+    report_to_solution,
+    solution_report,
+    solve_document,
+)
 from gopa.solver import WeightSolution, solve_gopa, solve_opa
 
 from oracles import legacy_report_text, list_solution_report, random_problem, random_utilities
@@ -31,18 +37,18 @@ EDGE_FLOATS = [0.0, -0.0, 1.0, 1e-5, 5e-324, 1e-310, 999999999999.5, 1e12, 1e16,
 
 
 def assert_same_bytes(doc):
-    assert cli._report_text(doc) + "\n" == legacy_report_text(doc)
+    assert report_text(doc) + "\n" == legacy_report_text(doc)
 
 
 def assert_report_bytes(solution, bound_mode=None):
-    assert (cli._report_text(solution_report(solution, bound_mode)) + "\n"
+    assert (solution_report(solution, bound_mode) + "\n"
             == legacy_report_text(list_solution_report(solution, bound_mode)))
 
 
 @pytest.fixture
 def formatted(monkeypatch):
     """The batches of floats passed to `_float_texts`, in order: by the grid
-    pass of `pipeline.solution_report` and by the writer in `cli`."""
+    pass of `pipeline.solution_report`, then by the writer."""
     seen = []
 
     def recording(values):
@@ -50,8 +56,7 @@ def formatted(monkeypatch):
         return float_texts(values)
 
     float_texts = pipeline._float_texts
-    for module in (pipeline, cli):
-        monkeypatch.setattr(module, "_float_texts", recording)
+    monkeypatch.setattr(pipeline, "_float_texts", recording)
     return seen
 
 
@@ -93,7 +98,7 @@ def test_edge_floats_together():
 
 def test_leaf_lists_on_one_line():
     doc = {"w": [0.5, None, 0.25], "nested": [[0.1], [None], [], [1.0, 2]], "d": {"x": 0.5}}
-    assert cli._report_text(doc) == (
+    assert report_text(doc) == (
         '{\n  "d": {\n    "x": 0.5\n  },\n'
         '  "nested": [\n    [0.1],\n    [null],\n    [],\n'
         '    [\n      1.0,\n      2\n    ]\n  ],\n'
@@ -103,22 +108,20 @@ def test_leaf_lists_on_one_line():
 def test_json_text_copied_as_it_is():
     leaf = JsonText("[0.5, null]")
     doc = {"a": {"x": leaf, "y": leaf}, "b": [leaf, "[0.5, null]"], "c": leaf}
-    assert cli._report_text(doc) == (
+    assert report_text(doc) == (
         '{\n  "a": {\n    "x": [0.5, null],\n    "y": [0.5, null]\n  },\n'
         '  "b": [\n    [0.5, null],\n    "[0.5, null]"\n  ],\n'
         '  "c": [0.5, null]\n}')
 
 
-def test_rendered_report_is_only_for_the_writer():
-    # the grid is written text: the package exports no report document
-    solution = solve_document(random_problem(np.random.default_rng(60), 3, 3, 4)[1])
-    report = solution_report(solution)
-    leaf = report["cell_weights"]["E1"]["C1"]
-    assert type(leaf) is JsonText and json.loads(leaf) == json.loads(
-        cli._report_text(report))["cell_weights"]["E1"]["C1"]
-    assert json.loads(json.dumps(report))["cell_weights"]["E1"]["C1"] == leaf
-    with pytest.raises(ValueError, match="cell_weights.E1.C1: expected a list"):
-        report_to_solution(report)
+def test_written_report_reads_back():
+    # the report is its text, and json.loads of it is what report_to_solution reads
+    solution = solve_document(random_problem(np.random.default_rng(60), 3, 3, 4)[1], "opa")
+    text = solution_report(solution)
+    assert type(text) is str
+    rebuilt = report_to_solution(json.loads(text))
+    assert rebuilt.weights.tolist() == np.vectorize(round12)(solution.weights).tolist()
+    assert rebuilt.objective == round12(solution.objective)
     assert not hasattr(gopa, "solution_report")
 
 
@@ -142,7 +145,7 @@ def test_non_float_values():
 
 def test_unserializable_value_rejected():
     with pytest.raises(TypeError):
-        cli._report_text({"a": np.zeros(2)})
+        report_text({"a": np.zeros(2)})
 
 
 def test_random_bit_floats():
@@ -210,7 +213,7 @@ def test_repeated_edge_floats_within_and_across_leaves(zeros):
         "f": second,
     }
     assert_same_bytes(doc)
-    assert cli._report_text(doc).count("NaN") == 3 + 1 + 2 + 2
+    assert report_text(doc).count("NaN") == 3 + 1 + 2 + 2
 
 
 @pytest.mark.parametrize("zeros", [(0.0, -0.0), (-0.0, 0.0)], ids=["plus_first", "minus_first"])
@@ -219,12 +222,11 @@ def test_grid_pass_formats_each_bit_pattern_once(zeros, formatted):
     other_nan = struct.unpack("<d", struct.pack("<Q", 0x7FF8000000000001))[0]
     solution = edge_solution([*zeros, *REPEATED, other_nan, *reversed(REPEATED)])
     formatted.clear()
-    report = solution_report(solution)
-    (grid,) = formatted
+    text = solution_report(solution)
+    grid = formatted[0]
     held = solution.weights[solution.problem.alternative_ranks > 0].tolist()
     assert sorted(bit_patterns(grid)) == sorted(set(bit_patterns(held)))
     assert len(grid) == len(REPEATED) + 1
-    text = cli._report_text(report)
     assert text + "\n" == legacy_report_text(list_solution_report(solution))
     assert {"-0.0", "0.0"} <= set(re.findall(r"[^\s\[\],]+", text))
 
@@ -235,16 +237,16 @@ def test_internal_gap_weight_left_out():
     solutions = (edge_solution(1 + np.arange(36) / 1024, seed) for seed in range(20))
     solution = next(s for s in solutions if s.problem.has_internal_gaps)
     p = solution.problem
-    report = solution_report(solution)
+    text = solution_report(solution)
     skipped = solution.rank_weights[(p.rank_counts == 0) & p.rank_mask].tolist()
-    tokens = set(re.findall(r"[^\s\[\],]+", cli._report_text(report)))
+    tokens = set(re.findall(r"[^\s\[\],]+", text))
     assert skipped and not tokens & set(map(repr, skipped))
     # each cell still writes the weight of its alternative's rank
+    cells = json.loads(text)["cell_weights"]
     for i, j in p.cells():
         gathered = [solution.rank_weights[i, j, r - 1] if r else None
                     for r in p.alternative_ranks[i, j].tolist()]
-        assert report["cell_weights"][p.expert_ids[i]][p.attribute_ids[j]] == \
-            json.dumps(gathered)
+        assert cells[p.expert_ids[i]][p.attribute_ids[j]] == gathered
 
 
 def test_same_key_row_at_two_depths():
@@ -276,16 +278,14 @@ def test_wide_solution_report(method, formatted):
     _, doc = random_problem(np.random.default_rng(30), 30, 30, 30)
     solution = solve_document(doc, method=method)
     formatted.clear()
-    report = solution_report(solution)
+    text = solution_report(solution)
     # the grid from one call, with each distinct held weight once (all are
     # positive, so their bit patterns sort as the numbers do)
-    (grid,) = formatted
+    grid, *written = formatted
     assert grid == sorted(set(solution.weights[solution.problem.alternative_ranks > 0].tolist()))
-    formatted.clear()
-    text = cli._report_text(report)
     assert text + "\n" == legacy_report_text(list_solution_report(solution))
     # the writer formats only the aggregates and the distinct utilities
-    assert sum(map(len, formatted)) < 30 * 30
+    assert sum(map(len, written)) < 30 * 30
 
 
 def round12(x):
@@ -304,7 +304,7 @@ class TestFormat3RoundTrip:
 
     def test_weights_read_back(self, seed, irregular):
         solution = self.solution(seed, irregular)
-        rebuilt = report_to_solution(json.loads(cli._report_text(solution_report(solution))))
+        rebuilt = report_to_solution(json.loads(solution_report(solution)))
         assert rebuilt.weights.tolist() == np.vectorize(round12)(solution.weights).tolist()
         assert rebuilt.objective == round12(solution.objective)
         assert rebuilt.problem.alternative_ids == solution.problem.alternative_ids
@@ -312,7 +312,7 @@ class TestFormat3RoundTrip:
     def test_utilities_rebuilt_from_distinct_cells(self, seed, irregular):
         solution = self.solution(seed, irregular)
         p = solution.problem
-        block = json.loads(cli._report_text(solution_report(solution)))["utilities"]
+        block = json.loads(solution_report(solution))["utilities"]
         rebuilt = np.zeros(p.rank_counts.shape)
         for i, eid in enumerate(p.expert_ids):
             for j, aid in enumerate(p.attribute_ids):
@@ -328,7 +328,7 @@ class TestFormat3RoundTrip:
     def test_excluded_alternatives_are_null(self, seed, irregular):
         solution = self.solution(seed, irregular)
         p = solution.problem
-        cells = json.loads(cli._report_text(solution_report(solution)))["cell_weights"]
+        cells = json.loads(solution_report(solution))["cell_weights"]
         for i, j in p.cells():
             cell = cells[p.expert_ids[i]][p.attribute_ids[j]]
             assert [w is None for w in cell] == (p.alternative_ranks[i, j] == 0).tolist()

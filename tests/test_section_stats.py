@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from gopa import cli
+from gopa import cli, pipeline
 from gopa.exceptions import DegenerateError, SampleSizeError, ShapeError
 from gopa.metrics import (
     ConsensusReport,
@@ -210,7 +210,7 @@ def metrics_texts(report_text):
               cons.label_alternatives[j]) for j, aid in enumerate(p.attribute_ids)]
     rows += [("alternatives", mid, _fmt(psd_alt[k]), "", "", "")
              for k, mid in enumerate(p.alternative_ids)]
-    json_text = cli._report_text({"kind": "consensus", **cons.to_dict(p)}) + "\n"
+    json_text = pipeline.report_text({"kind": "consensus", **cons.to_dict(p)}) + "\n"
     return json_text, _csv_text(rows)
 
 

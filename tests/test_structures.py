@@ -1,4 +1,5 @@
 import importlib.util
+import math
 from dataclasses import fields
 from pathlib import Path
 
@@ -188,6 +189,14 @@ class TestTargetDensity:
             quad, _ = scipy.integrate.quad(lambda x: float(d.value(x)), a, b,
                                            epsabs=1e-13, epsrel=1e-13)
             assert d.integral(a, b) == pytest.approx(quad, abs=1e-9)
+
+    def test_hara_log_integral(self):
+        # gamma = 1: the density alpha / (beta + alpha x) integrates to a log
+        d = target_density(UtilityStructure(kind="hara", alpha=2.0, beta=1.0, gamma=1.0), 6)
+        for a, b in ((0.0, 6.0), (0.0, 1.5), (2.25, 4.0), (5.5, 6.0)):
+            closed = math.log((1.0 + 2.0 * b) / (1.0 + 2.0 * a)) / math.log(13.0)
+            assert d.integral(a, b) == pytest.approx(closed, rel=1e-14)
+        assert d.value(1.5) == pytest.approx(2.0 / 4.0 / math.log(13.0), rel=1e-14)
 
     def test_cdf_endpoints(self):
         d = target_density(_structure("cara"), 4)
