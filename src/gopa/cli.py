@@ -4,9 +4,9 @@ Subcommands: ``solve`` (full two-stage pipeline), ``opa`` (rankings only),
 ``elicit`` (first stage of one cell), ``metrics`` (consensus report from a
 solution report), ``sensitivity`` (expert-rank permutation sweep), ``verify``
 (closed forms against the LP solver); each has only the flags it reads.
-``--bound-mode`` exits 2 where a run elicits no utilities (``verify --random``,
-``sensitivity --method opa``) or no continuous density (a document of
-discrete cells only, ``elicit`` on a discrete cell or with ``--dump-target``).
+``--bound-mode`` exits 2 where a run elicits no utilities (``sensitivity
+--method opa``) or no continuous density (a document of discrete cells
+only, ``elicit`` on a discrete cell or with ``--dump-target``).
 Reports are deterministic: sorted keys, two-space indent except for a leaf
 list of floats and nulls, which takes one line, ASCII-escaped strings, and
 each float rounded to 12 significant digits and written as the shortest
@@ -184,18 +184,21 @@ def _cmd_elicit(config):
         _refuse_bound_mode(config, "--dump-target" if config.dump_target
                            else f"the discrete cell {config.cell}", "continuous density")
     xs = np.linspace(0.0, kij, (config.samples or 200) + 1)
-    if config.dump_target and structure.is_discrete:
-        target = surrogate_weights(structure, kij)
-        rows = [("rank", "target"), *enumerate(_fmts(target.tolist()), start=1)]
-    elif config.dump_target:
-        target = target_density(structure, kij)
-        rows = [("x", "target"), *_curve_rows(xs, target.value)]
-    else:
-        u, density = elicit_cell(structure, kij, context.cell(i, j), config.bound_mode)
-        if config.samples:
-            rows = [("x", "density", "cdf"), *_curve_rows(xs, density.value, density.cdf)]
+    try:
+        if config.dump_target and structure.is_discrete:
+            target = surrogate_weights(structure, kij)
+            rows = [("rank", "target"), *enumerate(_fmts(target.tolist()), start=1)]
+        elif config.dump_target:
+            target = target_density(structure, kij)
+            rows = [("x", "target"), *_curve_rows(xs, target.value)]
         else:
-            rows = [("rank", "utility"), *enumerate(_fmts(u.tolist()), start=1)]
+            u, density = elicit_cell(structure, kij, context.cell(i, j), config.bound_mode)
+            if config.samples:
+                rows = [("x", "density", "cdf"), *_curve_rows(xs, density.value, density.cdf)]
+            else:
+                rows = [("rank", "utility"), *enumerate(_fmts(u.tolist()), start=1)]
+    except DomainError as exc:   # a structure degenerate at this cell's size
+        raise DomainError(f"--cell {config.cell}: {exc}") from exc
     _write_csv(rows, config.output)
     return 0
 
@@ -283,68 +286,15 @@ def _check_instance(problem, utilities, tol):
     return checks
 
 
-def _random_document(rng):
-    n_e = int(rng.integers(1, 4))
-    n_a = int(rng.integers(1, 4))
-    n_m = int(rng.integers(2, 7))
-    experts = [{"id": f"E{i+1}", "rank": int(r)}
-               for i, r in enumerate(rng.permutation(n_e) + 1)]
-    attributes = [f"C{j+1}" for j in range(n_a)]
-    alternatives = [f"A{k+1}" for k in range(n_m)]
-    attribute_ranks = {e["id"]: {a: int(r) for a, r in
-                                 zip(attributes, rng.permutation(n_a) + 1)}
-                       for e in experts}
-    alternative_ranks = {}
-    for e in experts:
-        alternative_ranks[e["id"]] = {}
-        for a in attributes:
-            if rng.random() < 0.4:
-                present = sorted(rng.choice(n_m, size=int(rng.integers(1, n_m + 1)),
-                                            replace=False))
-                ranks = {alternatives[k]: int(rng.integers(1, n_m + 1)) for k in present}
-            else:
-                ranks = {alt: int(r) for alt, r in
-                         zip(alternatives, rng.permutation(n_m) + 1)}
-            alternative_ranks[e["id"]][a] = ranks
-    return {"experts": experts, "attributes": attributes,
-            "alternatives": alternatives, "attribute_ranks": attribute_ranks,
-            "alternative_ranks": alternative_ranks}
-
-
-def _random_utilities(problem, rng):
-    utilities = np.zeros(problem.rank_counts.shape)
-    for i, j in problem.cells():
-        kij = int(problem.max_rank[i, j])
-        u = np.sort(rng.random(kij))[::-1] + 1e-3
-        utilities[i, j, :kij] = u / u.sum()
-    return utilities
-
-
 def _cmd_verify(config):
-    summary = {"kind": "verify", "instances": []}
-    if config.random:
-        _refuse_bound_mode(config, "--random")
-        if config.input is not None:
-            raise ValidationError("input", "not read with --random, which checks "
-                                           "generated instances")
-        rng = np.random.default_rng(config.seed or 0)
-        for n in range(config.random):
-            problem, _, _ = load_document(_random_document(rng))
-            checks = _check_instance(problem, _random_utilities(problem, rng), config.tol)
-            summary["instances"].append({"instance": f"random-{n}", "checks": checks})
-    else:
-        if config.seed is not None:
-            raise ValidationError("--seed", "only read with --random")
-        if config.input is None:
-            raise ValidationError("input", "verify needs an input file or --random N")
-        doc = _load_json(config.input)
-        problem, context, structures = load_document(doc)
-        utilities = elicit_utilities(problem, context, structures, config.bound_mode)
-        checks = _check_instance(problem, utilities, config.tol)
-        summary["instances"].append({"instance": str(config.input), "checks": checks})
-    ok = all(c["pass"] for inst in summary["instances"] for c in inst["checks"])
-    summary["pass"] = ok
-    _write_json(summary, config.output)
+    doc = _load_json(config.input)
+    problem, context, structures = load_document(doc)
+    utilities = elicit_utilities(problem, context, structures, config.bound_mode)
+    checks = _check_instance(problem, utilities, config.tol)
+    ok = all(c["pass"] for c in checks)
+    _write_json({"kind": "verify", "pass": ok,
+                 "instances": [{"instance": str(config.input), "checks": checks}]},
+                config.output)
     return 0 if ok else 1
 
 
@@ -364,7 +314,6 @@ def _flag_type(convert, accept, expected):
 _finite_positive_float = _flag_type(float, lambda x: 0 < x < float("inf"),
                                    "a finite positive number")
 _positive_int = _flag_type(int, lambda n: n >= 1, "an integer >= 1")
-_nonnegative_int = _flag_type(int, lambda n: n >= 0, "an integer >= 0")
 
 
 @cache   # built once per process: parse_args leaves the parser unchanged
@@ -373,11 +322,10 @@ def _parser():
                                      description="Ordinal weight elicitation pipeline")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def command(name, handler, summary, needs_input=True, elicits=True):
+    def command(name, handler, summary, elicits=True):
         p = sub.add_parser(name, help=summary)
         p.set_defaults(handler=handler)
-        if needs_input:
-            p.add_argument("input", help="input document (JSON)")
+        p.add_argument("input", help="input document (JSON)")
         p.add_argument("-o", "--output", default=None, help="output path (default stdout)")
         if elicits:
             p.add_argument("--bound-mode", default=None,
@@ -406,12 +354,7 @@ def _parser():
     p.add_argument("--method", default="gopa", choices=("gopa", "opa"))
     p.add_argument("--raw", default=None, help="also write per-scenario weights here")
 
-    p = command("verify", _cmd_verify, "closed forms against the LP solver", needs_input=False)
-    p.add_argument("input", nargs="?", default=None)
-    p.add_argument("--random", type=_positive_int, default=None, metavar="N",
-                   help="check N random instances instead of an input file")
-    p.add_argument("--seed", type=_nonnegative_int, default=None,
-                   help="seed of the --random instances (default 0)")
+    p = command("verify", _cmd_verify, "closed forms against the LP solver")
     p.add_argument("--tol", type=_finite_positive_float, default=1e-8)
     return parser
 

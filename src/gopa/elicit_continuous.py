@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exceptions import BreakpointError, InfeasibleContext
+from .exceptions import BreakpointError, DomainError, InfeasibleContext
 from .projection import project
 
 
@@ -133,6 +133,9 @@ def elicit_continuous(target, ctx, size, bound_mode="equality"):
     Raises
     ------
     InfeasibleContext, NumericFailure
+    DomainError
+        When the target puts zero or non-finite mass on a segment between
+        breakpoints, as a steep ``sshape`` does far from its center.
     """
     if target.size != size:
         raise ValueError(f"target covers [0, {target.size}], cell has size {size}")
@@ -140,6 +143,11 @@ def elicit_continuous(target, ctx, size, bound_mode="equality"):
         raise ValueError(f"unknown bound mode {bound_mode!r}")
     pts = breakpoints(ctx, size)
     m = np.array([target.integral(a, b) for a, b in zip(pts[:-1], pts[1:])])
+    degenerate = ~((m > 0) & (m < np.inf))   # NaN included
+    if degenerate.any():
+        s = degenerate.argmax()
+        raise DomainError(f"{target.kind} target has mass {m[s]:g} on the segment "
+                          f"[{pts[s]:g}, {pts[s + 1]:g}]")
     rows, rhs, is_bound = _cumulative_rows(ctx, pts)
     # bound rows come last, so in inequality mode they are the ">=" rows
     n_eq = rows.shape[0] - (int(is_bound.sum()) if bound_mode == "inequality" else 0)

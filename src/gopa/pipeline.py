@@ -10,7 +10,7 @@ import numpy as np
 
 from .elicit_continuous import cumulative_utilities, elicit_continuous
 from .elicit_discrete import elicit_discrete
-from .exceptions import InfeasibleContext, NumericFailure, ValidationError
+from .exceptions import DomainError, InfeasibleContext, NumericFailure, ValidationError
 from .model import load_document
 from .solver import WeightSolution, solve_gopa, solve_opa
 from .structures import surrogate_weights, target_density
@@ -40,7 +40,7 @@ def elicit_utilities(problem, context, structures, bound_mode=None):
         if u is None:
             try:
                 u = solved[key] = elicit_cell(*key, bound_mode)[0]
-            except (InfeasibleContext, NumericFailure) as exc:
+            except (InfeasibleContext, NumericFailure, DomainError) as exc:
                 eid, aid = problem.expert_ids[i], problem.attribute_ids[j]
                 raise type(exc)(f"cell ({eid}, {aid}): {exc}") from exc
         utilities[i, j, :u.size] = u

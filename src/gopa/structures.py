@@ -122,7 +122,13 @@ def surrogate_weights(kind, size, exponent=DEFAULT_REF_EXPONENT):
     Returns
     -------
     ndarray, shape (size,)
-        Nonnegative, nonincreasing, summing to 1.
+        Positive, nonincreasing, summing to 1.
+
+    Raises
+    ------
+    DomainError
+        When a weight would be 0 or not finite at this size: ``ref`` once
+        its powers overflow.
     """
     if isinstance(kind, UtilityStructure):
         if not kind.is_discrete:
@@ -137,7 +143,13 @@ def surrogate_weights(kind, size, exponent=DEFAULT_REF_EXPONENT):
     elif kind == "ref":
         if not exponent > 0:
             raise ValidationError("structures.exponent", "rank exponent must be > 0")
-        v = (size + 1 - r) ** exponent
+        with np.errstate(over="ignore"):   # an infinite power fails the check below
+            v = (size + 1 - r) ** exponent
+        # every power is >= 1, so a normalized weight is 0 or not finite exactly
+        # when the sum overflows; no other kind comes near the float range
+        if not v.sum() < np.inf:
+            raise DomainError(f"ref target has a zero or non-finite weight on {size} "
+                              f"ranks (exponent {exponent:g})")
     elif kind == "rr":
         v = 1.0 / r
     elif kind == "sr":
@@ -173,7 +185,12 @@ class TargetDensity:
         self.kind = structure.kind
         self._center = (1.0 + size) / 2.0  # sshape symmetry point
         self._check_domain()
-        self._mass = self._raw_integral(0.0, float(size))
+        try:
+            self._mass = self._raw_integral(0.0, float(size))
+        except OverflowError:   # math.exp and float ** raise where arithmetic gives inf
+            self._mass = math.inf
+        if self._mass == math.inf:
+            raise DomainError(f"{self.kind} density mass on [0, {size}] overflows")
         if not self._mass > 0:
             raise DomainError(f"{self.kind} density has nonpositive mass on [0, {size}]")
 
@@ -203,7 +220,8 @@ class TargetDensity:
                 return s.alpha * base ** (-s.gamma)
         k = s.steepness   # sshape
         half = 0.5 * k * (x - self._center)
-        return (k / 4.0) / np.cosh(half) ** 2
+        with np.errstate(over="ignore"):   # far from the center of a steep one: 0, not a warning
+            return (k / 4.0) / np.cosh(half) ** 2
 
     def _raw_integral(self, a, b):
         s = self.structure

@@ -535,8 +535,9 @@ def rank_mask_lp(problem, coefficients):
 
 
 def random_problem(rng, n_experts=None, n_attributes=None, n_alternatives=None,
-                   irregular=False, expert_permutation=True):
-    """A validated random problem; ``irregular`` allows gaps and duplicates."""
+                   irregular=False, expert_permutation=True, irregular_share=0.5):
+    """A validated random problem; ``irregular`` allows gaps and duplicates,
+    drawn in each cell with probability ``irregular_share``."""
     n_e = n_experts or int(rng.integers(1, 4))
     n_a = n_attributes or int(rng.integers(1, 4))
     n_m = n_alternatives or int(rng.integers(2, 7))
@@ -560,7 +561,7 @@ def random_problem(rng, n_experts=None, n_attributes=None, n_alternatives=None,
     for e in experts:
         doc["alternative_ranks"][e["id"]] = {}
         for a in attributes:
-            if irregular and rng.random() < 0.5:
+            if irregular and rng.random() < irregular_share:
                 present = rng.choice(n_m, size=int(rng.integers(1, n_m + 1)), replace=False)
                 cell = {alternatives[k]: int(rng.integers(1, n_m + 1)) for k in sorted(present)}
             else:

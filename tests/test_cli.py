@@ -357,56 +357,33 @@ class TestSensitivityCommand:
 
 class TestVerifyCommand:
     def test_random_battery_passes(self, tmp_path):
+        rng = np.random.default_rng(3)
         out = tmp_path / "verify.json"
-        assert main(["verify", "--random", "8", "--seed", "3", "-o", str(out)]) == 0
-        doc = json.loads(out.read_text())
-        assert doc["pass"] is True
-        deltas = [c["delta"] for inst in doc["instances"] for c in inst["checks"]]
-        assert max(deltas) <= 1e-8
+        for irregular in (False, True) * 4:
+            _, doc = random_problem(rng, irregular=irregular)
+            assert main(["verify", str(write_doc(tmp_path, doc)), "-o", str(out)]) == 0
+            report = json.loads(out.read_text())
+            assert report["pass"] is True
+            assert max(c["delta"] for c in report["instances"][0]["checks"]) <= 1e-8
 
     def test_input_file_verification(self, tmp_path, clean_doc):
         path = write_doc(tmp_path, clean_doc)
         assert main(["verify", str(path), "-o", str(tmp_path / "v.json")]) == 0
 
-    def test_needs_input_or_random(self):
+    def test_needs_input(self, capsys):
         assert main(["verify"]) == 2
-
-    def test_input_and_random_are_exclusive(self, tmp_path, capsys):
-        missing = tmp_path / "missing.json"   # refused before any file is opened
-        out = tmp_path / "v.json"
-        for argv in (["verify", str(missing), "--random", "2"],
-                     ["verify", "--random", "2", "--seed", "3", str(missing)]):
-            assert main([*argv, "-o", str(out)]) == 2
-            assert capsys.readouterr().err == ("invalid input: input: not read with --random, "
-                                               "which checks generated instances\n")
-        assert not out.exists()
-
-    def test_seed_only_with_random(self, tmp_path, clean_doc, capsys):
-        path = write_doc(tmp_path, clean_doc)
-        out = tmp_path / "v.json"
-        for argv in (["verify", str(path), "--seed", "7"], ["verify", "--seed", "0"]):
-            assert main([*argv, "-o", str(out)]) == 2
-            assert capsys.readouterr().err == "invalid input: --seed: only read with --random\n"
-        assert not out.exists()
-
-    def test_random_seed_defaults_to_zero(self, tmp_path):
-        outputs = []
-        for seed in ([], ["--seed", "0"]):
-            out = tmp_path / "v.json"
-            assert main(["verify", "--random", "2", *seed, "-o", str(out)]) == 0
-            outputs.append(out.read_bytes())
-        assert outputs[0] == outputs[1]
+        assert "error: the following arguments are required: input" in capsys.readouterr().err
 
     def test_tol_must_be_finite(self, capsys):
-        assert main(["verify", "--random", "2", "--tol", "inf"]) == 2
+        assert main(["verify", "input.json", "--tol", "inf"]) == 2
         err = capsys.readouterr().err
         assert "error: argument --tol: expected a finite positive number, got 'inf'" in err
 
-    def test_unsolved_lp_fails_at_any_finite_tol(self, tmp_path, monkeypatch):
+    def test_unsolved_lp_fails_at_any_finite_tol(self, tmp_path, clean_doc, monkeypatch):
         # an LP that is not optimal has delta = inf, which no finite --tol reaches
         monkeypatch.setattr(gopa.cli, "solve_lp", lambda lp: LPResult("infeasible"))
-        out = tmp_path / "v.json"
-        assert main(["verify", "--random", "1", "--tol", "1e308", "-o", str(out)]) == 1
+        path, out = write_doc(tmp_path, clean_doc), tmp_path / "v.json"
+        assert main(["verify", str(path), "--tol", "1e308", "-o", str(out)]) == 1
         checks = json.loads(out.read_text())["instances"][0]["checks"]
         assert [c["pass"] for c in checks[:2]] == [False, False]
 
@@ -419,9 +396,10 @@ def child_env():
             "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
 
 
-def test_console_script_runs():
+def test_console_script_runs(tmp_path, clean_doc):
     result = subprocess.run([sys.executable, "-m", "gopa.cli", "verify",
-                             "--random", "2"], capture_output=True, text=True, env=child_env())
+                             str(write_doc(tmp_path, clean_doc))],
+                            capture_output=True, text=True, env=child_env())
     assert result.returncode == 0
     assert '"pass": true' in result.stdout
 
@@ -509,12 +487,7 @@ class TestInputBoundary:
     """Bad flags and bad documents end in exit 2 inside `main`."""
 
     @pytest.mark.parametrize("argv", [
-        ["verify", "--random", "-3"],
-        ["verify", "--random", "2", "--seed", "-1"],
-        ["verify", "--random", "2", "--tol", "nan"],
-        ["verify", "--random", "x"],
-        ["verify", "--random", "0"],
-        ["verify", "input.json", "--random", "0"],
+        ["verify", "input.json", "--tol", "nan"],
         ["elicit", "input.json", "--cell", "E2,C2", "--samples", "0"],
         ["elicit", "input.json", "--cell", "E2,C2", "--dump-target", "--samples", "0"],
     ])
@@ -535,19 +508,18 @@ class TestInputBoundary:
         for command in ("solve", "opa", "sensitivity", "verify")
     ] + [
         ["opa", "input.json", "--bound-mode", "inequality"],
+        ["verify", "--random", "2"],
+        ["verify", "input.json", "--seed", "0"],
     ] + [
         # argparse accepts --bound-mode here; the run refuses it before reading a file
-        ["verify", "--random", "3", "--seed", "5", "--bound-mode", "inequality"],
-        ["verify", "--bound-mode", "equality", "--random", "3"],
         ["sensitivity", "input.json", "--method", "opa", "--bound-mode", "inequality"],
         ["sensitivity", "input.json", "--bound-mode", "equality", "--method", "opa"],
     ])
     def test_options_only_where_read(self, argv, capsys):
         assert main(argv) == 2
         err = capsys.readouterr().err
-        if "--bound-mode" in argv and argv[0] in ("verify", "sensitivity"):
-            option = "--random" if argv[0] == "verify" else "--method opa"
-            assert err == (f"invalid input: --bound-mode: not read with {option}, "
+        if "--bound-mode" in argv and argv[0] == "sensitivity":
+            assert err == ("invalid input: --bound-mode: not read with --method opa, "
                            "which elicits no utilities\n")
         else:
             assert "error: unrecognized arguments" in err
@@ -561,9 +533,8 @@ class TestInputBoundary:
                 assert main([*argv, *mode, "-o", str(out)]) == 0
                 outputs.append(out.read_bytes())
             assert outputs[0] == outputs[1]
-        assert main(["sensitivity", str(path), "--bound-mode", "inequality",
-                     "-o", str(tmp_path / "out")]) == 0
-        assert main(["verify", "--random", "3", "--seed", "5", "-o", str(tmp_path / "out")]) == 0
+        for argv in (["sensitivity", str(path)], ["verify", str(path)]):
+            assert main([*argv, "--bound-mode", "inequality", "-o", str(tmp_path / "out")]) == 0
 
     @pytest.mark.parametrize("command", ["solve", "sensitivity", "verify"])
     @pytest.mark.parametrize("mode", ["equality", "inequality"])
@@ -583,6 +554,33 @@ class TestInputBoundary:
         assert main([command, str(path), "-o", str(out)]) == 0
         if command == "solve":
             assert json.loads(out.read_text())["bound_mode"] == "equality"
+
+    @pytest.mark.parametrize("structure, size, fault", [
+        ({"kind": "ref", "exponent": 250}, 30, "ref target has a zero or non-finite weight "
+                                               "on 30 ranks (exponent 250)"),
+        ({"kind": "cara", "a": -25}, 30, "cara density mass on [0, 30] overflows"),
+        # the lower bound's breakpoint at 1 leaves [0, 1] no mass this far from the center
+        ({"kind": "sshape", "steepness": 1000}, 10, "sshape target has mass 0 on the "
+                                                    "segment [0, 1]"),
+    ], ids=["ref", "cara", "sshape"])
+    def test_structure_degenerate_at_cell_size(self, tmp_path, capsys, structure, size, fault):
+        _, doc = random_problem(np.random.default_rng(4), 3, 2, size)
+        doc["structures"] = {"default": {"kind": "roc"}, "cells": {"E2": {"C1": structure}}}
+        doc["contexts"] = {"E2": {"C1": {"lowerbound": [{"rank": 1, "gamma": 0.2}]}}}
+        path, out = write_doc(tmp_path, doc), tmp_path / "out"
+        cell_argvs = [["elicit", str(path), "--cell", "E2,C1", *dump]
+                      for dump in ([], ["--dump-target"])]
+        if structure["kind"] == "sshape":
+            # without breakpoints the target is one segment, and its dump is fine
+            assert main([*cell_argvs.pop(), "-o", str(out)]) == 0
+            out.unlink()
+        for argvs, label in (([[command, str(path)] for command in
+                               ("solve", "sensitivity", "verify")], "cell (E2, C1)"),
+                             (cell_argvs, "--cell E2,C1")):
+            for argv in argvs:
+                assert main([*argv, "-o", str(out)]) == 2
+                assert capsys.readouterr().err == f"invalid input: {label}: {fault}\n"
+        assert not out.exists()
 
     def test_negative_samples_on_continuous_cell(self, tmp_path, clean_doc):
         path = write_doc(tmp_path, clean_doc)

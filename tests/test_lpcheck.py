@@ -8,7 +8,7 @@ import pytest
 import scipy.optimize
 
 import gopa.lpcheck
-from gopa.cli import _random_document, _random_utilities, main
+from gopa.cli import main
 from gopa.exceptions import DimensionError, InfeasibleStage2
 from gopa.lpcheck import (
     LinearProgram,
@@ -18,7 +18,7 @@ from gopa.lpcheck import (
     solve_lp,
     verify_efficiency,
 )
-from gopa.model import load_document, validate_problem
+from gopa.model import validate_problem
 from gopa.solver import solve_gopa, solve_opa
 from gopa.structures import surrogate_weights
 
@@ -223,16 +223,23 @@ def highs(lp):
     return "optimal", -res.fun
 
 
+def verify_instances(seed):
+    """20 seeded problems of up to 3 x 3 x 6, each cell allowed gaps and duplicates
+    with probability 0.4, and random utilities: ``(problem, doc, utilities)``."""
+    rng = np.random.default_rng(seed)
+    for _ in range(20):
+        problem, doc = random_problem(rng, irregular=True, irregular_share=0.4)
+        yield problem, doc, random_utilities(rng, problem)
+
+
 def random_verify_programs(seed):
-    """Each instance of `verify --random 20 --seed seed` and the LPs `verify` solves for it.
+    """Each instance of `verify_instances(seed)` and the LPs `verify` solves for it.
 
     The LPs are the ordinal and the generalized program, then the efficiency
     programs at ``z*`` and ``1.1 z*``.
     """
-    rng = np.random.default_rng(seed)
-    for _ in range(20):
-        problem, _, _ = load_document(_random_document(rng))
-        programs = [build_opa_lp(problem), build_gopa_lp(problem, _random_utilities(problem, rng))]
+    for problem, _, utilities in verify_instances(seed):
+        programs = [build_opa_lp(problem), build_gopa_lp(problem, utilities)]
 
         def capture(lp):
             programs.append(lp)
@@ -298,7 +305,7 @@ BLAND_DRAWS = (50, 888, 1124, 1355, 1733, 1746, 2043, 2398, 2410, 2602, 2802, 29
 
 
 class TestSecondEngine:
-    """`solve_lp` against HiGHS on the programs `verify --random` builds."""
+    """`solve_lp` against HiGHS on the programs `verify` builds for small problems."""
 
     @pytest.mark.parametrize("seed", [0, 1, 2, 24003])
     def test_random_verify_programs(self, seed):
@@ -433,7 +440,7 @@ class TestSparsePivot:
 
 
 def test_efficiency_program_at_8x8x10():
-    # `verify --random` stops at 3 x 3 x 6; this gap-free program has 640 weights
+    # `verify_instances` stops at 3 x 3 x 6; this gap-free program has 640 weights
     rng = np.random.default_rng(810)
     problem, _ = random_problem(rng, 8, 8, 10)
     utilities = random_utilities(rng, problem)
@@ -463,6 +470,15 @@ def test_efficiency_program_at_8x8x10():
 
 
 def test_verify_random_seed_24003_passes(tmp_path):
-    # instance 18 (3 x 2 x 6, gap-free) has an infeasible efficiency program at 1.1 z*
-    assert main(["verify", "--random", "20", "--seed", "24003",
-                 "-o", str(tmp_path / "verify.json")]) == 0
+    # this 3 x 2 x 6 gap-free problem has an infeasible efficiency program at 1.1 z*
+    *_, (problem, doc, _) = itertools.islice(verify_instances(24003), 19)
+    assert (problem.n_experts, problem.n_attributes, problem.n_alternatives) == (3, 2, 6)
+    assert not problem.has_internal_gaps
+    path = tmp_path / "instance.json"
+    path.write_text(json.dumps(doc))
+    out = tmp_path / "verify.json"
+    assert main(["verify", str(path), "-o", str(out)]) == 0
+    checks = json.loads(out.read_text())["instances"][0]["checks"]
+    assert [c["name"] for c in checks] == [
+        "ordinal_lp_matches_formula", "generalized_lp_matches_formula",
+        "stage2_min_slack_equals_objective", "stage2_rejects_inflated_objective"]

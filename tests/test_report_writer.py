@@ -184,12 +184,17 @@ def test_edge_rank_weights(seed, gopa):
     assert_report_bytes(edge_solution(EDGE_RANK_WEIGHTS, seed, gopa))
 
 
-def test_verify_summary(monkeypatch):
+def test_verify_summary(monkeypatch, tmp_path):
     docs = []
     monkeypatch.setattr(cli, "_write_json", lambda doc, path: docs.append(doc))
-    assert cli.main(["verify", "--random", "6", "--seed", "5"]) == 0
-    (summary,) = docs
-    assert_same_bytes(summary)
+    path = tmp_path / "doc.json"
+    for irregular in (False, True):
+        path.write_text(json.dumps(random_problem(np.random.default_rng(5), 3, 2, 6,
+                                                  irregular=irregular)[1]))
+        assert cli.main(["verify", str(path)]) == 0
+    assert len(docs) == 2
+    for summary in docs:
+        assert_same_bytes(summary)
 
 
 def bit_patterns(values):
