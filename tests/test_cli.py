@@ -558,11 +558,14 @@ class TestInputBoundary:
     @pytest.mark.parametrize("structure, size, fault", [
         ({"kind": "ref", "exponent": 250}, 30, "ref target has a zero or non-finite weight "
                                                "on 30 ranks (exponent 250)"),
+        # 10 ** 310 overflows as well; the largest power sets the limit, not the size
+        ({"kind": "ref", "exponent": 310}, 10, "ref target has a zero or non-finite weight "
+                                               "on 10 ranks (exponent 310)"),
         ({"kind": "cara", "a": -25}, 30, "cara density mass on [0, 30] overflows"),
         # the lower bound's breakpoint at 1 leaves [0, 1] no mass this far from the center
         ({"kind": "sshape", "steepness": 1000}, 10, "sshape target has mass 0 on the "
                                                     "segment [0, 1]"),
-    ], ids=["ref", "cara", "sshape"])
+    ], ids=["ref", "ref-10", "cara", "sshape"])
     def test_structure_degenerate_at_cell_size(self, tmp_path, capsys, structure, size, fault):
         _, doc = random_problem(np.random.default_rng(4), 3, 2, size)
         doc["structures"] = {"default": {"kind": "roc"}, "cells": {"E2": {"C1": structure}}}

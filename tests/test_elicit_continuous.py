@@ -7,7 +7,7 @@ from gopa.elicit_continuous import (
     elicit_continuous,
     risk_preference,
 )
-from gopa.exceptions import BreakpointError, InfeasibleContext
+from gopa.exceptions import BreakpointError, DomainError, InfeasibleContext
 from gopa.model import CellContext
 from gopa.structures import UtilityStructure, surrogate_weights, target_density
 
@@ -126,6 +126,12 @@ class TestElicit:
         with pytest.raises(InfeasibleContext):
             elicit_continuous(target_density("neutral", 5), ctx, 5)
 
+
+    def test_segment_without_mass_is_domain_error(self):
+        # a steep sshape centred at 5.5 leaves [0, 1] no mass in floating point
+        target = target_density(UtilityStructure(kind="sshape", steepness=1000.0), 10)
+        with pytest.raises(DomainError, match=r"mass 0 on the segment \[0, 1\]"):
+            elicit_continuous(target, CellContext(lowerbound=((1, 0.2),)), 10)
 
 class TestBoundModes:
     def test_inactive_floor_keeps_target(self):

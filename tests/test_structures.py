@@ -66,6 +66,20 @@ class TestSurrogateWeights:
             if kind != "rs":  # rank sum is exactly linear in rank
                 assert (second > 0).all()
 
+    @pytest.mark.parametrize("size, exponent", [(30, 250), (10, 310), (2, 1100)])
+    def test_ref_overflow_is_domain_error(self, size, exponent):
+        # the power sum overflows, so a normalized weight would be 0 or NaN
+        with pytest.raises(DomainError, match=f"on {size} ranks"):
+            surrogate_weights("ref", size, exponent)
+
+    def test_ref_near_overflow_keeps_formula(self):
+        # 30 ** 200 is ~1e295: the sum stays finite and the weights keep the plain formula
+        r = np.arange(1, 31, dtype=float)
+        raw = (31 - r) ** 200.0
+        v = surrogate_weights("ref", 30, 200.0)
+        assert v.tobytes() == (raw / raw.sum()).tobytes()
+        assert (v > 0).all()
+
     def test_uniform_kind_is_flat(self):
         assert surrogate_weights("uniform", 5) == pytest.approx(np.full(5, 0.2))
 
@@ -225,6 +239,10 @@ class TestTargetDensity:
         for x in (0.7, 2.2, 4.9):
             fd = -(np.log(d.value(x + h)) - np.log(d.value(x - h))) / (2 * h)
             assert d.risk_coefficient(x) == pytest.approx(float(fd), abs=1e-6)
+
+    def test_overflowing_mass_is_domain_error(self):
+        with pytest.raises(DomainError, match=r"cara density mass on \[0, 30\] overflows"):
+            target_density(UtilityStructure(kind="cara", a=-25.0), 30)
 
     def test_rejects_discrete_kind(self):
         with pytest.raises(ValidationError):
