@@ -65,10 +65,8 @@ def elicit_discrete(target, ctx, size):
         raise ValueError(f"target must be {size} positive weights")
     v = v / v.sum()
     a_eq, b_eq, g, h = discrete_constraint_system(ctx, size)
-    u, _ = project(v, np.vstack([a_eq[1:], g]), np.concatenate([b_eq[1:], h]),
-                   a_eq.shape[0] - 1, "preference constraints admit no feasible utility")
-    u = np.where(np.abs(u) < 1e-15, 0.0, u)
-    return u
+    return project(v, np.vstack([a_eq[1:], g]), np.concatenate([b_eq[1:], h]),
+                   a_eq.shape[0] - 1, "preference constraints admit no feasible utility")[0]
 
 
 def entropy_max_discrete(ctx, size):

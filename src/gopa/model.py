@@ -373,16 +373,14 @@ def validate_context(ctx_doc, problem):
 
 def validate_structures(doc, problem):
     """Validate the ``structures`` section (a default plus per-cell overrides)."""
-    if doc is None:
-        return StructureMap(default=UtilityStructure(kind="roc"))
+    doc = {} if doc is None else doc
     if not isinstance(doc, dict):
         raise ValidationError("structures", "expected an object")
     bad = set(doc) - {"default", "cells"}
     if bad:
         raise ValidationError("structures", f"unknown keys {sorted(bad)}")
-    default = UtilityStructure(kind="roc")
-    if "default" in doc:
-        default = UtilityStructure.from_dict(doc["default"], "structures.default")
+    default = UtilityStructure.from_dict(doc.get("default", {"kind": "roc"}),
+                                         "structures.default")
     cells = {(i, j): UtilityStructure.from_dict(entry, path)
              for i, j, path, entry in _cells(doc.get("cells"), "structures.cells",
                                              problem.expert_ids, problem.attribute_ids)}

@@ -1,7 +1,6 @@
 """End-to-end orchestration: validate, elicit per cell, solve, report."""
 
 import json
-import math
 from itertools import chain
 from json.encoder import encode_basestring_ascii
 from types import SimpleNamespace
@@ -259,8 +258,8 @@ def _distinct_utilities(problem, padded):
 
 def report_to_solution(report):
     """Rebuild a weight solution from a format-3 report document (for
-    diagnostics); its ``problem`` holds only the three id tuples and its
-    ``rank_weights`` is None, as the report holds none.
+    diagnostics); its ``problem`` holds only the three id tuples, its ``rank_weights``
+    is None, as the report holds none, and it flags exclusions where a weight is null.
 
     Raises `ValueError` naming the field, section or cell for a format
     other than the integer 3, a duplicate id, keys that differ from the ids,
@@ -285,19 +284,17 @@ def report_to_solution(report):
                 raise ValueError(f"cell_weights.{eid}.{aid}: expected a list of "
                                  f"{len(alternatives)} weights, one per alternative")
             cells.append(cell)
-    weights = _read_weights(list(chain.from_iterable(cells)))
-    if weights is None:
+    read = _read_weights(list(chain.from_iterable(cells)))
+    if read is None:
         c = next(c for c, cell in enumerate(cells) if _read_weights(cell) is None)
         raise ValueError(f"cell_weights.{experts[c // len(attributes)]}."
                          f"{attributes[c % len(attributes)]}: weights must be finite "
                          "numbers or null (excluded)")
+    weights, excluded = read
     weights = weights.reshape(len(experts), len(attributes), len(alternatives))
     objective = report["objective"]
-    try:
-        finite = type(objective) in (int, float) and math.isfinite(objective)
-    except OverflowError:   # an int beyond the float range
-        finite = False
-    if not finite:
+    # `_read_weights` reads a null as 0, which an objective may not be
+    if objective is None or _read_weights([objective]) is None:
         raise ValueError("objective: expected a finite number")
     return WeightSolution(
         problem=SimpleNamespace(expert_ids=experts, attribute_ids=attributes,
@@ -308,12 +305,13 @@ def report_to_solution(report):
         expert_weights=weights.sum(axis=(1, 2)),
         attribute_weights=weights.sum(axis=(0, 2)),
         alternative_weights=weights.sum(axis=(0, 1)),
+        exclusions_flagged=excluded,
     )
 
 
 def _read_weights(values):
-    """``values`` as a float array with None read as 0, or None unless each
-    value is an int, a float or None and each number is finite."""
+    """``values`` as a float array with None read as 0, and whether a None is there;
+    or None unless each value is an int, a float or None and each number is finite."""
     # by type too: np.array(..., dtype=float) reads a text "0.5" or true as a number
     if not set(map(type, values)) <= {int, float, type(None)}:
         return None
@@ -325,7 +323,7 @@ def _read_weights(values):
     if nonfinite.sum() != values.count(None):
         return None
     read[nonfinite] = 0.0
-    return read
+    return read, bool(nonfinite.any())
 
 
 def _unique_ids(ids, section):

@@ -5,7 +5,7 @@ structures are risk-preference utility densities over ``[0, K]`` together
 with closed-form segment integrals.
 """
 
-from dataclasses import dataclass, fields
+from dataclasses import InitVar, dataclass, fields
 import math
 import sys
 
@@ -38,7 +38,9 @@ class UtilityStructure:
     Continuous kinds: ``neutral``, ``hara`` (uses ``alpha, beta, gamma``),
     ``crra`` (uses ``alpha, gamma``), ``cara`` (uses ``a``), ``sshape``
     (uses ``steepness``).  A parameter the kind does not read must keep its
-    default, so that equal structures compare and hash equal.
+    default, so that equal structures compare and hash equal.  The constructor
+    checks every rule of the values and raises `ValidationError` at ``path``,
+    the structure's place in the document (not a field).
     """
 
     kind: str
@@ -48,27 +50,34 @@ class UtilityStructure:
     gamma: float = 1.0
     a: float = 1.0
     steepness: float = DEFAULT_SSHAPE_STEEPNESS
+    path: InitVar[str] = "structures"
 
-    def __post_init__(self):
-        if self.kind not in DISCRETE_KINDS + CONTINUOUS_KINDS:
-            raise ValidationError("structures.kind", f"unknown kind {self.kind!r}")
+    def __post_init__(self, path):
+        if not isinstance(self.kind, str) or self.kind not in KIND_PARAMETERS:
+            raise ValidationError(f"{path}.kind", f"unknown kind {self.kind!r}")
+        read = KIND_PARAMETERS[self.kind]
         for name, default in _PARAMETER_DEFAULTS.items():
-            if name not in KIND_PARAMETERS[self.kind] and getattr(self, name) != default:
-                raise ValidationError(f"structures.{name}",
+            if name not in read and getattr(self, name) != default:
+                raise ValidationError(f"{path}.{name}",
                                       f"kind {self.kind!r} reads no parameter {name!r}")
+        for name in read:   # the range checks below compare numbers
+            if not isinstance(getattr(self, name), (int, float)):
+                raise ValidationError(f"{path}.{name}", "expected a finite number")
         if self.kind == "ref" and not self.exponent > 0:
-            raise ValidationError("structures.exponent", "rank exponent must be > 0")
+            raise ValidationError(f"{path}.exponent", "rank exponent must be > 0")
         if self.kind in ("hara", "crra") and not self.alpha > 0:
-            raise ValidationError("structures.alpha", "density scale alpha must be > 0")
+            raise ValidationError(f"{path}.alpha", "density scale alpha must be > 0")
         if self.kind == "hara" and self.gamma == 0:
-            raise ValidationError("structures.gamma", "hara gamma must be nonzero")
+            raise ValidationError(f"{path}.gamma", "hara gamma must be nonzero")
         if self.kind == "crra" and not 0 < self.gamma < 1:
             # gamma >= 1 makes the density non-integrable at the origin
-            raise ValidationError("structures.gamma", "crra gamma must lie in (0, 1)")
+            raise ValidationError(f"{path}.gamma", "crra gamma must lie in (0, 1)")
         if self.kind == "cara" and self.a == 0:
-            raise ValidationError("structures.a", "cara coefficient must be nonzero")
+            raise ValidationError(f"{path}.a", "cara coefficient must be nonzero")
         if self.kind == "sshape" and not self.steepness > 0:
-            raise ValidationError("structures.steepness", "steepness must be > 0")
+            raise ValidationError(f"{path}.steepness", "steepness must be > 0")
+        for name in read:   # a bool, NaN or an infinity the range checks let through
+            finite(getattr(self, name), f"{path}.{name}")
 
     @property
     def is_discrete(self):
@@ -85,14 +94,7 @@ class UtilityStructure:
         if unread:
             raise ValidationError(f"{path}.{unread[0]}",
                                   f"kind {kind!r} reads no parameter {unread[0]!r}")
-        for name, value in doc.items():   # the checks of __post_init__ compare numbers
-            if name != "kind" and not isinstance(value, (int, float)):
-                raise ValidationError(f"{path}.{name}", "expected a finite number")
-        structure = cls(**doc)
-        for name, value in doc.items():   # a bool, NaN or an infinity those checks let through
-            if name != "kind":
-                finite(value, f"{path}.{name}")
-        return structure
+        return cls(**doc, path=path)
 
 
 _PARAMETER_DEFAULTS = {f.name: f.default for f in fields(UtilityStructure) if f.name != "kind"}
@@ -126,23 +128,23 @@ def surrogate_weights(kind, size, exponent=DEFAULT_REF_EXPONENT):
 
     Raises
     ------
+    ValidationError
+        For an unknown or a continuous kind, or a bad ``ref`` exponent.
     DomainError
         When a weight would be 0 or not finite at this size: ``ref`` once
         its powers overflow.
     """
-    if isinstance(kind, UtilityStructure):
-        if not kind.is_discrete:
-            raise ValidationError("structures.kind", f"{kind.kind!r} is not a discrete kind")
-        exponent = kind.exponent
-        kind = kind.kind
+    if isinstance(kind, str):   # other kinds ignore the exponent
+        kind = UtilityStructure(kind, **({"exponent": exponent} if kind == "ref" else {}))
+    if not kind.is_discrete:
+        raise ValidationError("structures.kind", f"{kind.kind!r} is not a discrete kind")
+    exponent, kind = kind.exponent, kind.kind
     if size < 1:
         raise DomainError("size must be >= 1")
     r = np.arange(1, size + 1, dtype=float)
     if kind == "rs":
         v = 2.0 * (size + 1 - r) / (size * (size + 1))
     elif kind == "ref":
-        if not exponent > 0:
-            raise ValidationError("structures.exponent", "rank exponent must be > 0")
         with np.errstate(over="ignore"):   # an infinite power fails the check below
             v = (size + 1 - r) ** exponent
         # every power is >= 1, so a normalized weight is 0 or not finite exactly
@@ -157,10 +159,8 @@ def surrogate_weights(kind, size, exponent=DEFAULT_REF_EXPONENT):
     elif kind == "roc":
         # tail sums of the harmonic series, divided by K
         v = np.cumsum(1.0 / r[::-1])[::-1] / size
-    elif kind == "uniform":
+    else:   # uniform
         v = np.ones(size)
-    else:
-        raise ValidationError("structures.kind", f"unknown discrete kind {kind!r}")
     return v / v.sum()
 
 

@@ -10,7 +10,9 @@ import pytest
 
 import gopa
 from gopa.cli import main
+from gopa.exceptions import ValidationError
 from gopa.lpcheck import LPResult
+from gopa.model import load_document
 from gopa.structures import surrogate_weights
 
 from oracles import random_problem
@@ -364,7 +366,7 @@ class TestVerifyCommand:
             assert main(["verify", str(write_doc(tmp_path, doc)), "-o", str(out)]) == 0
             report = json.loads(out.read_text())
             assert report["pass"] is True
-            assert max(c["delta"] for c in report["instances"][0]["checks"]) <= 1e-8
+            assert max(c["delta"] for c in report["checks"]) <= 1e-8
 
     def test_input_file_verification(self, tmp_path, clean_doc):
         path = write_doc(tmp_path, clean_doc)
@@ -384,7 +386,7 @@ class TestVerifyCommand:
         monkeypatch.setattr(gopa.cli, "solve_lp", lambda lp: LPResult("infeasible"))
         path, out = write_doc(tmp_path, clean_doc), tmp_path / "v.json"
         assert main(["verify", str(path), "--tol", "1e308", "-o", str(out)]) == 1
-        checks = json.loads(out.read_text())["instances"][0]["checks"]
+        checks = json.loads(out.read_text())["checks"]
         assert [c["pass"] for c in checks[:2]] == [False, False]
 
 
@@ -488,12 +490,14 @@ class TestInputBoundary:
 
     @pytest.mark.parametrize("argv", [
         ["verify", "input.json", "--tol", "nan"],
+        ["verify", "input.json", "--tol", "abc"],
         ["elicit", "input.json", "--cell", "E2,C2", "--samples", "0"],
+        ["elicit", "input.json", "--cell", "E2,C2", "--samples", "x"],
         ["elicit", "input.json", "--cell", "E2,C2", "--dump-target", "--samples", "0"],
     ])
     def test_bad_count_or_tolerance(self, argv, capsys):
         assert main(argv) == 2
-        assert "error: argument" in capsys.readouterr().err
+        assert f"error: argument {argv[-2]}: expected" in capsys.readouterr().err
 
     @pytest.mark.parametrize("argv", [
         [command, "input.json", "--tol", "1e-6"]
@@ -645,6 +649,59 @@ class TestInputBoundary:
         doc["cell_weights"]["E1"]["C1"][0] = None
         report.write_text(json.dumps(doc))
         assert main(["metrics", str(report), "-o", str(tmp_path / "m.json")]) == 0
+
+
+# A structure object that breaks one rule of its values, the parameter named and
+# the message: every range rule of a kind, then a text, a bool, NaN and an infinity.
+BAD_STRUCTURES = {
+    "ref-exponent": ({"kind": "ref", "exponent": 0}, "exponent", "rank exponent must be > 0"),
+    "hara-alpha": ({"kind": "hara", "alpha": 0}, "alpha", "density scale alpha must be > 0"),
+    "crra-alpha": ({"kind": "crra", "alpha": -1, "gamma": 0.5}, "alpha",
+                   "density scale alpha must be > 0"),
+    "hara-gamma": ({"kind": "hara", "gamma": 0}, "gamma", "hara gamma must be nonzero"),
+    "crra-gamma": ({"kind": "crra", "gamma": 1.5}, "gamma", "crra gamma must lie in (0, 1)"),
+    "cara-a": ({"kind": "cara", "a": 0.0}, "a", "cara coefficient must be nonzero"),
+    "sshape-steepness": ({"kind": "sshape", "steepness": -2}, "steepness",
+                         "steepness must be > 0"),
+    "text": ({"kind": "cara", "a": "x"}, "a", "expected a finite number"),
+    "bool": ({"kind": "sshape", "steepness": True}, "steepness", "expected a finite number"),
+    "nan": ({"kind": "hara", "beta": float("nan")}, "beta", "expected a finite number"),
+    "inf": ({"kind": "ref", "exponent": float("inf")}, "exponent", "expected a finite number"),
+}
+
+
+class TestStructureErrors:
+    """A broken structure object is reported at its own place in the document."""
+
+    PLACES = {"default": "structures.default", "cell": "structures.cells.E2.C1"}
+
+    @staticmethod
+    def document(place, structure):
+        _, doc = random_problem(np.random.default_rng(4), 3, 2, 4)
+        if place == "default":
+            doc["structures"] = {"default": structure}
+        else:
+            doc["structures"] = {"default": {"kind": "roc"}, "cells": {"E2": {"C1": structure}}}
+        return doc
+
+    @pytest.mark.parametrize("place", PLACES)
+    @pytest.mark.parametrize("structure, name, fault", BAD_STRUCTURES.values(),
+                             ids=BAD_STRUCTURES.keys())
+    def test_load_document_names_the_place(self, place, structure, name, fault):
+        with pytest.raises(ValidationError) as info:
+            load_document(self.document(place, structure))
+        assert str(info.value) == f"{self.PLACES[place]}.{name}: {fault}"
+
+    @pytest.mark.parametrize("place", PLACES)
+    @pytest.mark.parametrize("structure, name, fault", BAD_STRUCTURES.values(),
+                             ids=BAD_STRUCTURES.keys())
+    def test_solve_exits_2_naming_the_place(self, tmp_path, capsys, place, structure, name,
+                                            fault):
+        path, out = write_doc(tmp_path, self.document(place, structure)), tmp_path / "out"
+        assert main(["solve", str(path), "-o", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            f"invalid input: {self.PLACES[place]}.{name}: {fault}\n")
+        assert not out.exists()
 
 
 def drop_expert(doc, sections):

@@ -170,6 +170,14 @@ class TestRiskPreference:
             risk_preference(d, 3.0)
         with pytest.raises(BreakpointError):
             risk_preference(d, 0.0)
+        with pytest.raises(BreakpointError, match=r"x = 7.5 outside \(0, 7\)"):
+            risk_preference(d, 7.5)
+
+    def test_argument_errors(self):
+        with pytest.raises(ValueError, match=r"target covers \[0, 7\], cell has size 6"):
+            elicit_continuous(target_density(HARA, 7), CellContext(), 6)
+        with pytest.raises(ValueError, match="unknown bound mode 'sideways'"):
+            elicit_continuous(target_density(HARA, 7), CellContext(), 7, bound_mode="sideways")
 
     @pytest.mark.parametrize("structure", FAMILIES, ids=lambda s: s.kind + str(s.a))
     def test_matches_target_and_finite_differences(self, structure):

@@ -64,6 +64,12 @@ class TestElicit:
     def test_single_rank(self):
         assert elicit_discrete(np.ones(1), CellContext(), 1) == pytest.approx([1.0])
 
+    @pytest.mark.parametrize("target", [np.ones(3), np.array([0.5, 0.5, 0.0, 0.0])],
+                             ids=["short", "zero"])
+    def test_target_must_be_positive_weights_of_the_size(self, target):
+        with pytest.raises(ValueError, match="target must be 4 positive weights"):
+            elicit_discrete(target, CellContext(), 4)
+
     def test_dominance_holds_with_equalities_only(self):
         rng = np.random.default_rng(1)
         for _ in range(30):

@@ -81,6 +81,10 @@ class TestSimplex:
             LinearProgram(objective=[1.0, 2.0], lhs=[[1.0]], rhs=[1.0], senses=("<=",))
         with pytest.raises(DimensionError):
             LinearProgram(objective=[1.0], lhs=[[1.0]], rhs=[1.0], senses=("?",))
+        with pytest.raises(DimensionError, match="2 senses for 1 rows"):
+            LinearProgram(objective=[1.0], lhs=[[1.0]], rhs=[1.0], senses=("<=", "<="))
+        with pytest.raises(DimensionError, match="entries must be finite"):
+            LinearProgram(objective=[1.0], lhs=[[np.inf]], rhs=[1.0], senses=("<=",))
 
 
 class TestBuilders:
@@ -174,7 +178,7 @@ class TestEfficiency:
         path, out = tmp_path / "doc.json", tmp_path / "verify.json"
         path.write_text(json.dumps(doc))
         assert main(["verify", str(path), "-o", str(out)]) == 0
-        checks = json.loads(out.read_text())["instances"][0]["checks"]
+        checks = json.loads(out.read_text())["checks"]
         assert [c["name"] for c in checks] == ["ordinal_lp_matches_formula",
                                                "generalized_lp_matches_formula"]
 
@@ -478,7 +482,7 @@ def test_verify_random_seed_24003_passes(tmp_path):
     path.write_text(json.dumps(doc))
     out = tmp_path / "verify.json"
     assert main(["verify", str(path), "-o", str(out)]) == 0
-    checks = json.loads(out.read_text())["instances"][0]["checks"]
+    checks = json.loads(out.read_text())["checks"]
     assert [c["name"] for c in checks] == [
         "ordinal_lp_matches_formula", "generalized_lp_matches_formula",
         "stage2_min_slack_equals_objective", "stage2_rejects_inflated_objective"]

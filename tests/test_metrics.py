@@ -12,6 +12,7 @@ from gopa.metrics import (
     kendall_w,
     psd,
     ranks_from_weights,
+    regularized_incomplete_beta,
     spearman,
     sensitivity_label,
 )
@@ -176,6 +177,8 @@ class TestFCdf:
             f_cdf(-0.1, 2.0, 2.0)
         with pytest.raises(DomainError):
             f_cdf(1.0, 0.0, 2.0)
+        with pytest.raises(DomainError, match="beta parameters must be positive"):
+            regularized_incomplete_beta(0.0, 1.0, 0.5)
 
 
 class TestConfidenceLevel:
@@ -190,6 +193,11 @@ class TestConfidenceLevel:
         assert confidence_level(1.0, 5, 6) == 1.0
         assert confidence_level(0.0, 5, 6) == 0.0
 
+    def test_too_few_items(self):
+        # v1 = items - 1 - 2/raters = 0 at 2 items and 2 raters
+        with pytest.raises(DomainError, match=r"too few items \(2\) for 2 raters"):
+            confidence_level(0.5, 2, 2)
+
 
 class TestGcl:
     def test_perfect_levels(self):
@@ -197,6 +205,10 @@ class TestGcl:
 
     def test_direct_product(self):
         assert gcl(0.5, [0.5, 0.5], [1.0, 0.0]) == pytest.approx(0.25, abs=1e-15)
+
+    def test_shape_error(self):
+        with pytest.raises(ShapeError):
+            gcl(1.0, [0.4, 0.6], [1.0, 1.0, 1.0])
 
 
 class TestSpearman:
@@ -221,6 +233,10 @@ class TestSpearman:
     def test_shape_error(self):
         with pytest.raises(ShapeError):
             spearman([1, 2], [1, 2, 3])
+
+    def test_constant_ranks(self):
+        with pytest.raises(DegenerateError, match="a rank vector is constant"):
+            spearman([1.5, 1.5], [1, 2])
 
 
 class TestLabels:

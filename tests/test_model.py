@@ -332,7 +332,7 @@ class TestSectionWalk:
         p = validate_problem(grid_doc())
         with pytest.raises(ValidationError) as info:
             validate_structures({"default": {"kind": "crra", "gamma": float("nan")}}, p)
-        assert str(info.value) == "structures.gamma: crra gamma must lie in (0, 1)"
+        assert str(info.value) == "structures.default.gamma: crra gamma must lie in (0, 1)"
 
     # a NaN ratio fails its sign check first (below)
     @pytest.mark.parametrize("kind, key, value", [
@@ -350,3 +350,30 @@ class TestSectionWalk:
         p = validate_problem(grid_doc())
         with pytest.raises(SignError):
             validate_context({"E1": {"C1": {"ratio": [{"rank": 1, "alpha": float("nan")}]}}}, p)
+
+
+def with_section(key, value):
+    return lambda doc: {**doc, key: value}
+
+
+# A fault of the document outside its rank entries, with the message it gives.
+DOCUMENT_FAULTS = {
+    "not_an_object": (lambda doc: [doc], "$: input document must be a JSON object"),
+    "duplicate_expert": (lambda doc: {**doc, "experts": [*doc["experts"], doc["experts"][0]]},
+                         "experts[2]: duplicate expert id 'E1'"),
+    "duplicate_attribute": (with_section("attributes", ["C1", "C2", "C1"]),
+                            "attributes: ids must be unique"),
+    "duplicate_alternative": (with_section("alternatives", ["A1", "A2", "A3", "A2"]),
+                              "alternatives: ids must be unique"),
+    "constraint_kind": (with_section("contexts", {"E2": {"C1": {"ratios": []}}}),
+                        "contexts.E2.C1: unknown constraint kinds ['ratios']"),
+    "structures_key": (with_section("structures", {"default": {"kind": "rr"}, "cell": {}}),
+                       "structures: unknown keys ['cell']"),
+}
+
+
+@pytest.mark.parametrize("edit, fault", DOCUMENT_FAULTS.values(), ids=DOCUMENT_FAULTS.keys())
+def test_document_fault_is_named(edit, fault):
+    with pytest.raises(ValidationError) as info:
+        load_document(edit(grid_doc()))
+    assert str(info.value) == fault

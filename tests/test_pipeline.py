@@ -38,6 +38,10 @@ class TestSolveDocument:
         assert solution.utilities.shape == (3, 2, 5)
         assert np.abs(solution.utilities.sum(axis=2) - 1.0).max() <= 1e-12
 
+    def test_unknown_method(self):
+        with pytest.raises(ValueError, match="unknown method 'x'"):
+            solve_document(document(), method="x")
+
     def test_opa_ignores_contexts(self):
         solution = solve_document(document(), method="opa")
         assert solution.utilities is None
@@ -219,6 +223,17 @@ class TestReportRoundTrip:
         assert np.abs(rebuilt.expert_weights - solution.expert_weights).max() <= 1e-12
         assert np.abs(rebuilt.alternative_weights
                       - solution.alternative_weights).max() <= 1e-12
+
+    @pytest.mark.parametrize("excluded", [True, False])
+    def test_rebuilt_solution_keeps_exclusions_flag(self, excluded):
+        doc = document()
+        if excluded:   # E1/C1 ranks only A1 and A2
+            doc["alternative_ranks"]["E1"]["C1"] = {"A1": 1, "A2": 2}
+        solution = solve_document(doc)
+        report = written_report(solution)
+        assert solution.exclusions_flagged is excluded
+        assert report["flags"]["has_exclusions"] is excluded
+        assert report_to_solution(report).exclusions_flagged is excluded
 
     def test_report_weight_blocks_are_marginals_of_cells(self):
         solution = solve_document(document(3))

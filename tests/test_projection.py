@@ -189,3 +189,21 @@ def test_support_program_runs_only_for_forced_zeros(monkeypatch):
     u = elicit_discrete(surrogate_weights("roc", 3), CellContext(lowerbound=((1, 1.0),)), 3)
     assert u.tolist() == [1.0, 0.0, 0.0]
     assert len(calls) >= 1
+
+
+def test_full_support_keeps_a_coordinate_near_zero(monkeypatch):
+    # u5 = u4 / 1e8 ends below NEAR_ZERO, so the support program runs; it finds
+    # full support, and the projection's answer is kept as it is
+    supports = []
+
+    def counted(*args):
+        supports.append(positive_support(*args))
+        return supports[-1]
+
+    monkeypatch.setattr(gopa.projection, "positive_support", counted)
+    u = elicit_discrete(surrogate_weights("roc", 5), CellContext(ratio=((4, 1e8),)), 5)
+    assert [s.tolist() for s in supports] == [[True] * 5]
+    assert 0.0 < u[4] <= gopa.projection.NEAR_ZERO
+    assert format(u[4], ".12g") == "9.37500148735e-10"
+    assert u[3] - 1e8 * u[4] == 0.0
+    assert u.sum() == pytest.approx(1.0, abs=1e-15)

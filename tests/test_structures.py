@@ -89,10 +89,26 @@ class TestSurrogateWeights:
         assert surrogate_weights(st, 4) == pytest.approx(raw / raw.sum())
 
     def test_rejects_unknown_kind_and_bad_exponent(self):
-        with pytest.raises(ValidationError):
+        with pytest.raises(ValidationError, match=r"^structures\.kind: unknown kind 'zipf'$"):
             surrogate_weights("zipf", 4)
         with pytest.raises(ValidationError):
             UtilityStructure(kind="ref", exponent=0.0)
+        with pytest.raises(ValidationError, match=r"^structures\.exponent: rank exponent"):
+            surrogate_weights("ref", 4, 0.0)
+
+    @pytest.mark.parametrize("kind", ["cara", UtilityStructure(kind="cara")],
+                             ids=["text", "structure"])
+    def test_rejects_continuous_kind(self, kind):
+        with pytest.raises(ValidationError,
+                           match=r"^structures\.kind: 'cara' is not a discrete kind$"):
+            surrogate_weights(kind, 5)
+
+    def test_other_kinds_ignore_the_exponent(self):
+        assert surrogate_weights("roc", 5, -1.0).tolist() == surrogate_weights("roc", 5).tolist()
+
+    def test_rejects_empty_size(self):
+        with pytest.raises(DomainError, match="size must be >= 1"):
+            surrogate_weights("rs", 0)
 
 
 class TestStructureValidation:
@@ -137,6 +153,27 @@ class TestStructureValidation:
         default = {f.name: f.default for f in fields(UtilityStructure)}[name]
         same = UtilityStructure(kind=kind, **valid, **{name: default})
         assert same == UtilityStructure(kind=kind, **valid)
+
+    @pytest.mark.parametrize("kind, name", [
+        (kind, name) for kind, names in KIND_PARAMETERS.items() for name in names])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), True, "x"],
+                             ids=["nan", "inf", "bool", "text"])
+    def test_constructor_refuses_a_parameter_that_is_not_a_finite_number(self, kind, name,
+                                                                         value):
+        valid = {"crra": {"gamma": 0.5}}.get(kind, {})
+        with pytest.raises(ValidationError) as info:
+            UtilityStructure(kind=kind, **{**valid, name: value})
+        assert info.value.path == f"structures.{name}"
+        with pytest.raises(ValidationError) as info:
+            UtilityStructure(kind=kind, **{**valid, name: value}, path="structures.cells.E1.C2")
+        assert info.value.path == f"structures.cells.E1.C2.{name}"
+
+    def test_path_is_no_field(self):
+        at_cell = UtilityStructure(kind="cara", a=0.5, path="structures.cells.E1.C2")
+        assert at_cell == UtilityStructure(kind="cara", a=0.5)
+        assert hash(at_cell) == hash(UtilityStructure(kind="cara", a=0.5))
+        assert [f.name for f in fields(UtilityStructure)] == [
+            "kind", "exponent", "alpha", "beta", "gamma", "a", "steepness"]
 
     @pytest.mark.parametrize("kind", [[], {}, None, 3, "bogus"])
     def test_unknown_kind(self, kind):
@@ -247,3 +284,12 @@ class TestTargetDensity:
     def test_rejects_discrete_kind(self):
         with pytest.raises(ValidationError):
             TargetDensity(UtilityStructure(kind="roc"), 5)
+
+    def test_rejects_empty_size(self):
+        with pytest.raises(DomainError, match="size must be >= 1"):
+            target_density("neutral", 0)
+
+    def test_risk_coefficient_outside_the_domain(self):
+        # the hara base 1 + (4/3) x is negative at x = -1
+        with pytest.raises(DomainError, match="x=-1 outside the density domain"):
+            target_density(_structure("hara"), 7).risk_coefficient(-1.0)
