@@ -39,7 +39,7 @@ class RankingProblem:
     ``alternative_ranks[i, j, k] == 0`` encodes an alternative excluded under
     that (expert, attribute) cell.  ``max_rank[i, j]`` is the largest rank
     present in the cell and ``rank_counts[i, j, r - 1]`` the number of
-    alternatives carrying rank ``r`` there.
+    alternatives carrying rank ``r`` there, from which `gap_free` is read.
     """
 
     expert_ids: tuple
@@ -50,12 +50,10 @@ class RankingProblem:
     alternative_ranks: np.ndarray  # (I, J, K), 0 = excluded
     max_rank: np.ndarray          # (I, J)
     rank_counts: np.ndarray       # (I, J, K)
-    has_duplicates: np.ndarray    # (I, J)
-    has_missing: np.ndarray       # (I, J)
 
     def __post_init__(self):
         for name in ("expert_ranks", "attribute_ranks", "alternative_ranks",
-                     "max_rank", "rank_counts", "has_duplicates", "has_missing"):
+                     "max_rank", "rank_counts"):
             getattr(self, name).setflags(write=False)
 
     @property
@@ -72,9 +70,9 @@ class RankingProblem:
 
     @property
     def gap_free(self):
-        """True when no cell has missing or duplicate ranks and every cell ranks all alternatives."""
-        return (not self.has_missing.any() and not self.has_duplicates.any()
-                and (self.max_rank == self.n_alternatives).all())
+        """True when every cell holds each rank ``1 .. K`` exactly once: it
+        excludes no alternative, ties none and skips no rank."""
+        return bool((self.rank_counts == 1).all())
 
     @property
     def rank_mask(self):
@@ -215,8 +213,6 @@ def validate_problem(raw):
     # rank r of cell n = i * J + j is counted in bin n * K + r - 1
     slots = np.arange(I * J).reshape(I, J, 1) * K + r - 1
     counts = np.bincount(slots[r > 0], minlength=I * J * K).reshape(I, J, K)
-    has_dups = (counts > 1).any(axis=2)
-    has_missing = ((counts > 0).sum(axis=2) < max_rank) | (r == 0).any(axis=2)
 
     return RankingProblem(
         expert_ids=tuple(expert_ids),
@@ -227,8 +223,6 @@ def validate_problem(raw):
         alternative_ranks=r,
         max_rank=max_rank,
         rank_counts=counts,
-        has_duplicates=has_dups,
-        has_missing=has_missing,
     )
 
 

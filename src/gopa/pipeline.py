@@ -302,9 +302,6 @@ def report_to_solution(report):
         objective=float(objective),
         rank_weights=None,
         weights=weights,
-        expert_weights=weights.sum(axis=(1, 2)),
-        attribute_weights=weights.sum(axis=(0, 2)),
-        alternative_weights=weights.sum(axis=(0, 1)),
         exclusions_flagged=excluded,
     )
 

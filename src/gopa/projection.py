@@ -6,7 +6,7 @@ it (Csiszar 1975).  `kl_project` solves the dual: ``x = base * exp(rows.T @ y) /
 the multipliers minimize the convex ``log Z(y) - y @ rhs`` over ``y[n_eq:] >= 0``, with
 the row residual as gradient and the rows' covariance under x as Hessian.  `project`
 adds the only linear program of stage 1, run on the simplex of `gopa.lpcheck` when
-the dual fails or leaves a coordinate near zero.
+the dual fails or leaves a coordinate near zero; its first verdict is final.
 """
 
 import numpy as np
@@ -129,10 +129,10 @@ def positive_support(rows, rhs, n_eq):
 def project(base, rows, rhs, n_eq, empty_message):
     """`kl_project`, pinning at zero the coordinates the constraints force there.
 
-    `positive_support` runs only when the projection fails or ends with a
-    coordinate at most `NEAR_ZERO`, at most once per round, and each further
-    round pins at least one more coordinate.  Returns ``(x, pinned)``;
-    raises `InfeasibleContext` with ``empty_message`` for an empty polytope.
+    `positive_support` runs when the projection fails or ends with a coordinate at
+    most `NEAR_ZERO`; its first verdict is final, as pinned coordinates are zero on
+    the polytope, and a second run that disagrees raises `NumericFailure`.  Returns
+    ``(x, pinned)``; raises `InfeasibleContext` with ``empty_message`` for an empty polytope.
     """
     keep = np.ones(base.size, dtype=bool)
     while True:
@@ -144,13 +144,15 @@ def project(base, rows, rhs, n_eq, empty_message):
         except NumericFailure as exc:
             failure = exc
         support = positive_support(rows[:, keep], rhs, n_eq)
-        if support is None:
-            raise InfeasibleContext(empty_message)
-        if support.all():
+        if support is not None and support.all():
             if failure is not None:
                 raise failure
             break
-        keep[np.flatnonzero(keep)[~support]] = False
+        if not keep.all():
+            raise NumericFailure("support linear program contradicts its first verdict")
+        if support is None:
+            raise InfeasibleContext(empty_message)
+        keep[~support] = False
     full = np.zeros(base.size)
     full[keep] = x
     return full, ~keep

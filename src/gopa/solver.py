@@ -6,7 +6,7 @@ expert and attribute ranking products, normalized through the objective value
 generalized solver consumes per-cell utility vectors from the first stage.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -24,7 +24,7 @@ class WeightSolution:
     ``r``, both padded with 0 beyond ``max_rank[i, j]`` (see
     `RankingProblem.rank_mask`).  ``weights[i, j, k]`` holds the mapped
     per-alternative weights (0 where the alternative is excluded in that
-    cell).  Aggregates are marginal sums.  ``problem`` is the
+    cell).  Aggregates are derived from ``weights`` as marginal sums.  ``problem`` is the
     `RankingProblem`, or only its id tuples when read back from a report.
     """
 
@@ -32,13 +32,16 @@ class WeightSolution:
     objective: float
     rank_weights: np.ndarray
     weights: np.ndarray
-    expert_weights: np.ndarray
-    attribute_weights: np.ndarray
-    alternative_weights: np.ndarray
     utilities: np.ndarray = None
     exclusions_flagged: bool = False
+    expert_weights: np.ndarray = field(init=False)
+    attribute_weights: np.ndarray = field(init=False)
+    alternative_weights: np.ndarray = field(init=False)
 
     def __post_init__(self):
+        for name, axis in (("expert_weights", (1, 2)), ("attribute_weights", (0, 2)),
+                           ("alternative_weights", (0, 1))):
+            object.__setattr__(self, name, self.weights.sum(axis=axis))
         for array in (self.rank_weights, self.weights, self.expert_weights,
                       self.attribute_weights, self.alternative_weights, self.utilities):
             if array is not None:
@@ -101,9 +104,6 @@ def _assemble(problem, coefficients, utilities=None):
         objective=z_star,
         rank_weights=rank_weights,
         weights=weights,
-        expert_weights=weights.sum(axis=(1, 2)),
-        attribute_weights=weights.sum(axis=(0, 2)),
-        alternative_weights=weights.sum(axis=(0, 1)),
         utilities=utilities,
         exclusions_flagged=bool((ranks == 0).any()),
     )
@@ -165,10 +165,10 @@ def decompose(solution):
     Raises
     ------
     DecompositionUnsupported
-        If any cell has missing or duplicate ranks.
+        Unless the rankings are gap-free (`RankingProblem.gap_free`).
     """
     problem = solution.problem
-    if problem.has_missing.any() or problem.has_duplicates.any():
+    if not problem.gap_free:
         raise DecompositionUnsupported("decomposition requires gap-free rankings")
     expert = solution.expert_weights
     return expert.copy(), solution.rank_weights.sum(axis=1) / expert[:, None]

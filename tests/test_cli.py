@@ -10,7 +10,7 @@ import pytest
 
 import gopa
 from gopa.cli import main
-from gopa.exceptions import ValidationError
+from gopa.exceptions import InfeasibleStage2, ValidationError
 from gopa.lpcheck import LPResult
 from gopa.model import load_document
 from gopa.structures import surrogate_weights
@@ -208,6 +208,17 @@ class TestExitCodes:
         assert "cell (E1, C1)" in err
         assert "did not converge after 1 iterations (residual" in err
 
+    def test_contradicted_support_program_exits_4(self, tmp_path, capsys):
+        # feasible, but the support program's second run finds a kept utility zero
+        names = [f"A{k}" for k in range(1, 6)]
+        doc = {"experts": [{"id": "E1", "rank": 1}], "attributes": ["C1"],
+               "alternatives": names, "attribute_ranks": {"E1": {"C1": 1}},
+               "alternative_ranks": {"E1": {"C1": dict(zip(names, range(1, 6)))}},
+               "contexts": {"E1": {"C1": {"ratio": [{"rank": 4, "alpha": 1e10}]}}}}
+        assert main(["elicit", str(write_doc(tmp_path, doc)), "--cell", "E1,C1"]) == 4
+        assert capsys.readouterr().err == (
+            "numeric failure: support linear program contradicts its first verdict\n")
+
 
 class TestElicitCommand:
     def test_discrete_cell_vector(self, tmp_path, clean_doc, capsys):
@@ -389,6 +400,25 @@ class TestVerifyCommand:
         checks = json.loads(out.read_text())["checks"]
         assert [c["pass"] for c in checks[:2]] == [False, False]
 
+    def test_inflated_objective_accepted_fails(self, tmp_path, clean_doc, monkeypatch):
+        shipped = gopa.cli.verify_efficiency
+
+        def accepting(problem, objective):
+            try:
+                return shipped(problem, objective)
+            except InfeasibleStage2:
+                return None
+
+        monkeypatch.setattr(gopa.cli, "verify_efficiency", accepting)
+        path, out = write_doc(tmp_path, clean_doc), tmp_path / "v.json"
+        assert main(["verify", str(path), "-o", str(out)]) == 1
+        report = json.loads(out.read_text())
+        assert report["pass"] is False
+        assert {c["name"]: c["pass"] for c in report["checks"]} == {
+            "ordinal_lp_matches_formula": True, "generalized_lp_matches_formula": True,
+            "stage2_min_slack_equals_objective": True,
+            "stage2_rejects_inflated_objective": False}
+
 
 def child_env():
     # The child must import the package under test, also when pytest put it on
@@ -406,9 +436,10 @@ def test_console_script_runs(tmp_path, clean_doc):
     assert '"pass": true' in result.stdout
 
 
-# Runs each argv of the JSON list in argv[1] through `main` with every import of
-# scipy refused, and prints [exit code or ImportError text, stderr] per call.
-WITHOUT_SCIPY = """
+# Runs each argv of the JSON list in argv[1] through `main` and prints
+# [[exit code or ImportError text, stderr] per call, the scipy modules loaded].
+# With argv[2] == "refuse", every import of scipy is refused.
+RUN_COMMANDS = """
 import contextlib, io, json, sys
 
 class RefuseScipy:
@@ -417,7 +448,8 @@ class RefuseScipy:
             raise ModuleNotFoundError(f"No module named {name!r}")
         return None
 
-sys.meta_path.insert(0, RefuseScipy())
+if sys.argv[2] == "refuse":
+    sys.meta_path.insert(0, RefuseScipy())
 from gopa.cli import main
 
 results = []
@@ -429,8 +461,15 @@ for argv in json.loads(sys.argv[1]):
         except ImportError as exc:
             code = repr(exc)
     results.append([code, err.getvalue()])
-print(json.dumps(results))
+print(json.dumps([results, sorted(m for m in sys.modules if m.split(".")[0] == "scipy")]))
 """
+
+
+def run_commands(argvs, scipy):
+    result = subprocess.run([sys.executable, "-c", RUN_COMMANDS, json.dumps(argvs), scipy],
+                            capture_output=True, text=True, env=child_env())
+    assert result.returncode == 0, result.stderr
+    return json.loads(result.stdout)
 
 
 def test_commands_run_without_scipy(tmp_path):
@@ -449,10 +488,7 @@ def test_commands_run_without_scipy(tmp_path):
              ["metrics", out["solve.json"], "-o", out["metrics.json"]],
              ["sensitivity", str(path), "-o", out["sens.csv"]],
              ["verify", str(path), "-o", out["verify.json"]]]
-    result = subprocess.run([sys.executable, "-c", WITHOUT_SCIPY, json.dumps(argvs)],
-                            capture_output=True, text=True, env=child_env())
-    assert result.returncode == 0, result.stderr
-    (code, err), *rest = json.loads(result.stdout)
+    (code, err), *rest = run_commands(argvs, "refuse")[0]
     assert code == 3 and "E2" in err and "C1" in err
     assert [code for code, _ in rest] == [0] * len(rest)
     report = json.loads(Path(out["solve.json"]).read_text())
@@ -460,6 +496,24 @@ def test_commands_run_without_scipy(tmp_path):
     assert utilities["distinct"][utilities["cells"]["E1"]["C1"]] == [1.0, 0.0, 0.0]
     rows = read_csv(out["elicit.csv"])
     assert [float(u) for _, u in rows[1:]] == [1.0, 0.0, 0.0]
+
+
+def test_commands_load_no_scipy(tmp_path):
+    # scipy is importable, yet no command, continuous cells included, imports it
+    _, doc = random_problem(np.random.default_rng(5), 3, 2, 3)
+    doc["structures"] = {"cells": {"E2": {"C2": {"kind": "cara", "a": 0.5}}}}
+    path = str(write_doc(tmp_path, doc))
+    out = {name: str(tmp_path / name) for name in
+           ("solve.json", "opa.json", "elicit.csv", "metrics.json", "sens.csv", "verify.json")}
+    results, loaded = run_commands(
+        [["solve", path, "-o", out["solve.json"]], ["opa", path, "-o", out["opa.json"]],
+         ["elicit", path, "--cell", "E2,C2", "--samples", "10", "-o", out["elicit.csv"]],
+         ["metrics", out["solve.json"], "-o", out["metrics.json"]],
+         ["sensitivity", path, "-o", out["sens.csv"]], ["verify", path, "-o", out["verify.json"]]],
+        "allow")
+    assert results == [[0, ""]] * 6
+    assert loaded == []
+    assert read_csv(out["elicit.csv"])[0] == ["x", "density", "cdf"]   # a continuous density
 
 
 class TestRepeatedCalls:

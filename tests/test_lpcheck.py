@@ -9,7 +9,7 @@ import scipy.optimize
 
 import gopa.lpcheck
 from gopa.cli import main
-from gopa.exceptions import DimensionError, InfeasibleStage2
+from gopa.exceptions import DimensionError, InfeasibleStage2, NumericFailure
 from gopa.lpcheck import (
     LinearProgram,
     LPResult,
@@ -66,6 +66,13 @@ class TestSimplex:
         res = solve_lp(lp)
         assert res.status == "optimal"
         assert res.value == pytest.approx(0.05, abs=1e-9)
+
+    def test_iteration_budget(self, monkeypatch):
+        # a pivot that changes nothing leaves the same column eligible for ever
+        monkeypatch.setattr(gopa.lpcheck, "_pivot", lambda *args: None)
+        lp = LinearProgram(objective=[1.0], lhs=[[1.0]], rhs=[1.0], senses=("<=",))
+        with pytest.raises(NumericFailure, match="^simplex iteration budget exhausted$"):
+            solve_lp(lp)
 
     def test_deterministic_vertex(self):
         rng = np.random.default_rng(11)

@@ -163,6 +163,13 @@ class TestFCdf:
         assert f_cdf(0.0, 3.0, 5.0) == 0.0
         assert f_cdf(1e6, 3.0, 5.0) == pytest.approx(1.0, abs=1e-6)
 
+    def test_infinite_statistic(self):
+        assert f_cdf(np.inf, 3.0, 5.0) == 1.0
+
+    @pytest.mark.parametrize("x, value", [(-0.5, 0.0), (0.0, 0.0), (1.0, 1.0), (1.5, 1.0)])
+    def test_incomplete_beta_at_and_beyond_the_ends(self, x, value):
+        assert regularized_incomplete_beta(2.0, 3.0, x) == value
+
     def test_matches_scipy_with_fractional_dof(self):
         rng = np.random.default_rng(3)
         for _ in range(200):

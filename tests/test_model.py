@@ -52,8 +52,8 @@ class TestValidateProblem:
         p = validate_problem(cell_doc([1, 2, 2, 4]))
         assert p.max_rank[0, 0] == 4
         assert cell_counts(p, 0, 0).tolist() == [1, 2, 0, 1]
-        assert p.has_duplicates[0, 0]
-        assert p.has_missing[0, 0]
+        assert p.rank_counts[0, 0].max() > 1                  # a tie
+        assert (p.rank_counts[0, 0, :p.max_rank[0, 0]] == 0).any()   # a skipped rank
         assert p.has_internal_gaps
         assert not p.gap_free
 
@@ -86,8 +86,8 @@ class TestValidateProblem:
     def test_excluded_alternative_is_legal(self):
         p = validate_problem(cell_doc([1, None, 2]))
         assert p.alternative_ranks[0, 0].tolist() == [1, 0, 2]
-        assert p.has_missing[0, 0]
-        assert not p.has_internal_gaps
+        assert p.rank_counts[0, 0].tolist() == [1, 1, 0]   # 2 of 3 alternatives ranked
+        assert not p.has_internal_gaps and not p.gap_free
 
     def test_empty_cell_rejected(self):
         doc = minimal_doc()
@@ -206,7 +206,8 @@ class TestRankEntryErrors:
         assert p.alternative_ranks[0, 0].tolist() == [0, 2, 3]
         assert p.alternative_ranks[1, 1].tolist() == [1, 2, 0]
         assert p.alternative_ranks.dtype == np.int64
-        assert p.has_missing[0, 0] and p.has_missing[1, 1]
+        assert p.rank_counts[0, 0].sum() == p.rank_counts[1, 1].sum() == 2
+        assert not p.gap_free
 
 
 class TestValidateContext:

@@ -111,7 +111,7 @@ class TestClosedFormsAgainstExactRationals:
 class TestLinearPrograms:
     def test_ordinal_rows_saturate_on_irregular_problem(self):
         p = irregular_problem(3, (3, 3, 7))
-        assert p.has_missing.any() and (p.max_rank < 7).any() and p.has_internal_gaps
+        assert not p.gap_free and (p.max_rank < 7).any() and p.has_internal_gaps
         sol = solve_opa(p)
         lp = build_opa_lp(p)
         rows = lp.lhs @ np.append(sol.rank_weights[p.rank_counts > 0], sol.objective)
@@ -120,7 +120,7 @@ class TestLinearPrograms:
 
     def test_generalized_rows_saturate_on_irregular_problem(self):
         p = irregular_problem(4, (3, 3, 7))
-        assert p.has_missing.any() and (p.max_rank < 7).any() and p.has_internal_gaps
+        assert not p.gap_free and (p.max_rank < 7).any() and p.has_internal_gaps
         u = random_utilities(np.random.default_rng(4), p)
         sol = solve_gopa(p, u)
         lp = build_gopa_lp(p, u)
@@ -170,11 +170,11 @@ class TestRankStructure:
     @pytest.mark.parametrize("seed", SEEDS)
     def test_counts_and_flags_match_cell_loop(self, seed):
         p = irregular_problem(seed, (4, 5, 8))
-        counts, max_rank, dups, missing = rank_structure_by_cell(p.alternative_ranks)
-        assert (p.rank_counts == counts).all()
-        assert (p.max_rank == max_rank).all()
-        assert (p.has_duplicates == dups).all()
-        assert (p.has_missing == missing).all()
+        for q in (p, random_problem(np.random.default_rng(seed), 4, 5, 8)[0]):
+            counts, max_rank, dups, missing = rank_structure_by_cell(q.alternative_ranks)
+            assert (q.rank_counts == counts).all()
+            assert (q.max_rank == max_rank).all()
+            assert q.gap_free == (not (dups.any() or missing.any())) == (q is not p)
         gaps = any((cell_counts(p, i, j) == 0).any() for i, j in p.cells())
         assert p.has_internal_gaps == gaps
 

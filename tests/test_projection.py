@@ -191,19 +191,49 @@ def test_support_program_runs_only_for_forced_zeros(monkeypatch):
     assert len(calls) >= 1
 
 
-def test_full_support_keeps_a_coordinate_near_zero(monkeypatch):
-    # u5 = u4 / 1e8 ends below NEAR_ZERO, so the support program runs; it finds
-    # full support, and the projection's answer is kept as it is
-    supports = []
+@pytest.fixture()
+def supports(monkeypatch):
+    """The verdict of each `positive_support` run, in order."""
+    verdicts = []
 
     def counted(*args):
-        supports.append(positive_support(*args))
-        return supports[-1]
+        verdicts.append(positive_support(*args))
+        return verdicts[-1]
 
     monkeypatch.setattr(gopa.projection, "positive_support", counted)
+    return verdicts
+
+
+def test_full_support_keeps_a_coordinate_near_zero(supports):
+    # u5 = u4 / 1e8 ends below NEAR_ZERO, so the support program runs; it finds
+    # full support, and the projection's answer is kept as it is
     u = elicit_discrete(surrogate_weights("roc", 5), CellContext(ratio=((4, 1e8),)), 5)
     assert [s.tolist() for s in supports] == [[True] * 5]
     assert 0.0 < u[4] <= gopa.projection.NEAR_ZERO
     assert format(u[4], ".12g") == "9.37500148735e-10"
     assert u[3] - 1e8 * u[4] == 0.0
     assert u.sum() == pytest.approx(1.0, abs=1e-15)
+
+
+# feasible cells on which a second support program, run after the first pinned
+# coordinates, contradicted the first: it zeroed the last two utilities (a
+# ratio at rank K - 1) or found no feasible point (a ratio at rank 1)
+CONTRADICTED_CELLS = [(5, ((4, 1e10),)), (10, ((9, 10 ** 9.5),)), (10, ((9, 1e12),)),
+                      (30, ((29, 1e12),)), (30, ((29, 1e15),)), (5, ((1, 1e10),)),
+                      (8, ((1, 1e9), (3, 0.5)))]
+
+
+@pytest.mark.parametrize("size, ratio", CONTRADICTED_CELLS, ids=[
+    f"{size}-" + "-".join(f"{rank}:{alpha:g}" for rank, alpha in ratio)
+    for size, ratio in CONTRADICTED_CELLS])
+def test_second_support_verdict_that_disagrees_is_numeric_failure(size, ratio, supports):
+    with pytest.raises(NumericFailure,
+                       match="^support linear program contradicts its first verdict$"):
+        elicit_discrete(surrogate_weights("roc", size), CellContext(ratio=ratio), size)
+    assert len(supports) == 2
+
+
+def test_unbounded_support_program_is_numeric_failure():
+    # the program is bounded by s <= 1; at ratio 1e9 the simplex misreads it
+    with pytest.raises(NumericFailure, match="^support linear program is unbounded$"):
+        elicit_discrete(surrogate_weights("roc", 5), CellContext(ratio=((4, 1e9),)), 5)

@@ -74,8 +74,6 @@ def edge_solution(values, seed=0, gopa=False):
     weights = np.where(ranks > 0, mapped, 0.0)
     return WeightSolution(
         problem=problem, objective=0.5, rank_weights=rank_weights, weights=weights,
-        expert_weights=weights.sum(axis=(1, 2)), attribute_weights=weights.sum(axis=(0, 2)),
-        alternative_weights=weights.sum(axis=(0, 1)),
         utilities=random_utilities(rng, problem) if gopa else None,
         exclusions_flagged=bool((ranks == 0).any()))
 
@@ -166,7 +164,7 @@ def test_solution_and_consensus_reports(seed):
     irregular = seed % 2 == 1
     problem, _ = random_problem(rng, 3, 4, 6, irregular=irregular)
     # ties, gaps and exclusions in every irregular problem
-    assert problem.has_duplicates.any() == problem.has_missing.any() == irregular
+    assert (problem.rank_counts > 1).any() == (not problem.gap_free) == irregular
     assert (problem.alternative_ranks == 0).any() == irregular
     opa = solve_opa(problem)
     gopa = solve_gopa(problem, random_utilities(rng, problem))
