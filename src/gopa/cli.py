@@ -34,7 +34,7 @@ import io
 import json
 import sys
 from functools import cache
-from itertools import repeat
+from itertools import product, repeat
 from pathlib import Path
 
 import numpy as np
@@ -89,6 +89,13 @@ def _write_csv(rows, path):
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerows(rows)
     _write_text(buf.getvalue(), path)
+
+
+def _csv_line(row):
+    """``row`` as `_write_csv` writes it, without the line end."""
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerow(row)
+    return buf.getvalue()[:-1]
 
 
 def _csv_dir(path):
@@ -248,14 +255,14 @@ def _cmd_sensitivity(config):
                  for q, (name, _) in enumerate(stats[section])]
     _write_csv(rows, config.output)
     if config.raw is not None:
-        raw_rows = [("scenario", "section", "id", "weight")]
+        # only an id can need quoting, so each (section, id) is formatted once
+        lines = ["scenario,section,id,weight\n"]
         for section in SECTIONS:
-            ids = [name for name, _ in stats[section]]
+            keys = [_csv_line((section, name)) for name, _ in stats[section]]
             matrix = stats["raw"][section]
-            scenarios = [n for n in range(matrix.shape[0]) for _ in ids]
-            raw_rows += zip(scenarios, repeat(section), ids * matrix.shape[0],
-                            _fmts(matrix.ravel().tolist()))
-        _write_csv(raw_rows, config.raw)
+            lines += [f"{n},{key},{text}\n" for (n, key), text in zip(
+                product(range(matrix.shape[0]), keys), _fmts(matrix.ravel().tolist()))]
+        _write_text("".join(lines), config.raw)
     return 0
 
 

@@ -1,8 +1,9 @@
 """Two-phase dense-tableau simplex, the package's one LP engine, and the LP builders.
 
-Each inequality row starts basic on its slack where the slack can hold it, so
-phase I runs only over the artificials of the other rows: one, on the
-normalization row, in the weight programs.  The tableau carries the reduced
+The weight programs start on the basis of every weight and ``z``, which
+solution efficiency makes optimal, so the simplex only checks it; other
+programs start on the slack basis, and phase I runs only over the artificials
+of the rows whose slack cannot hold them.  The tableau carries the reduced
 costs as one more row, which each pivot updates with the rest.  A pivot
 updates only the columns where the pivot row is nonzero: the tableau is stored
 dense, but the pivot rows of the weight programs are sparse.
@@ -26,12 +27,18 @@ INFEASIBLE_TOL = 1e-7   # largest phase-I artificial sum of a feasible program
 
 @dataclass(frozen=True)
 class LinearProgram:
-    """A maximization LP: max c @ x subject to row senses and x >= 0."""
+    """A maximization LP: max c @ x subject to row senses and x >= 0.
+
+    ``start``, if given, names a basis to start from: one column of
+    ``[lhs | slacks]`` per row, the slacks numbered after the variables in
+    the order of the inequality rows.
+    """
 
     objective: np.ndarray
     lhs: np.ndarray
     rhs: np.ndarray
     senses: tuple
+    start: np.ndarray = None
 
     def __post_init__(self):
         c = np.asarray(self.objective, dtype=float)
@@ -46,6 +53,16 @@ class LinearProgram:
             raise DimensionError(f"unknown sense in {self.senses}")
         if not (np.isfinite(c).all() and np.isfinite(a).all() and np.isfinite(b).all()):
             raise DimensionError("entries must be finite")
+        if self.start is not None:
+            start = np.asarray(self.start)
+            columns = c.size + sum(s != "=" for s in self.senses)
+            if start.shape != (b.size,) or start.dtype.kind not in "iu":
+                raise DimensionError(f"start needs one column index per row, {b.size} rows")
+            if ((start < 0) | (start >= columns)).any():
+                raise DimensionError(f"start column out of range 0..{columns - 1}")
+            if np.unique(start).size != start.size:
+                raise DimensionError("start repeats a column")
+            object.__setattr__(self, "start", start)
         object.__setattr__(self, "objective", c)
         object.__setattr__(self, "lhs", a)
         object.__setattr__(self, "rhs", b)
@@ -59,25 +76,61 @@ class LPResult:
 
 
 def solve_lp(lp):
-    """Solve an LP with a two-phase dense-tableau simplex, started on the slack basis.
+    """Solve an LP with a dense-tableau simplex, from ``lp.start`` or the slack basis.
 
-    The tableau is ``[A | slacks | b]``, with
-    rows negated where ``b < 0`` and ``>=`` rows negated where ``b = 0``, so
-    every inequality row whose slack now reads +1 starts basic on it.  Only
-    the other rows get an artificial: ``=`` rows, and rows that read ``>=``
-    with ``b > 0`` once negated.  Phase I maximizes minus the artificial
-    sum; a sum left above `INFEASIBLE_TOL` means the program is infeasible.
-    An artificial still basic at zero is pivoted onto a structural column,
-    or its row is dropped as redundant, and phase II maximizes the
-    objective.  The lowest eligible column enters, so runs are deterministic;
-    `_simplex` says which row leaves and why runs cannot cycle.
+    The tableau is ``[A | slacks | b]``.  Given a start, ``B`` is the start's
+    columns and the tableau ``B⁻¹[A | slacks | b]``, from one `np.linalg.solve`.
+    If that finds ``B`` nonsingular and ``B⁻¹b >= -TOL`` (the basis is primal
+    feasible), phase II runs from there, and it makes no pivot when no reduced
+    cost is negative (the basis is dual feasible, hence optimal).  A start
+    that fails either test is dropped for the slack start.
+
+    The slack start negates rows where ``b < 0`` and ``>=`` rows where
+    ``b = 0``, so every inequality row whose slack now reads +1 starts basic
+    on it.  Only the other rows get an artificial: ``=`` rows, and rows that
+    read ``>=`` with ``b > 0`` once negated.  Phase I maximizes minus the
+    artificial sum; a sum left above `INFEASIBLE_TOL` means the program is
+    infeasible.  An artificial still basic at zero is pivoted onto a
+    structural column, or its row is dropped as redundant, and phase II
+    maximizes the objective.  The lowest eligible column enters, so runs are
+    deterministic; `_simplex` says which row leaves and why runs cannot cycle.
     """
     c = lp.objective
-    m = lp.rhs.size
     senses = np.asarray(lp.senses)
     slacks = np.diag(1.0 * (senses == "<=") - (senses == ">="))[:, senses != "="]
     rows = np.hstack([lp.lhs, slacks, lp.rhs[:, None]])
-    rows[(lp.rhs < 0) | ((lp.rhs == 0) & (senses == ">="))] *= -1.0
+    started = None if lp.start is None else _started(rows, lp.start)
+    if started is None:
+        started = _phase_one(rows, senses)
+        if started is None:
+            return LPResult(status="infeasible")
+    tab, basis = started
+
+    if not _simplex(tab, basis, np.concatenate([c, np.zeros(slacks.shape[1])])):
+        return LPResult(status="unbounded")
+    values = np.zeros(tab.shape[1] - 1)
+    values[basis] = tab[:-1, -1]
+    x = values[:c.size]
+    return LPResult(status="optimal", value=float(c @ x), x=x)
+
+
+def _started(rows, start):
+    """The tableau and basis at ``start``, or None if its ``B`` is singular or its
+    vertex infeasible."""
+    try:
+        tab = np.linalg.solve(rows[:, start], rows)
+    except np.linalg.LinAlgError:
+        return None
+    if not (tab[:, -1] >= -TOL).all():
+        return None
+    return np.vstack([tab, np.zeros(rows.shape[1])]), start.copy()
+
+
+def _phase_one(rows, senses):
+    """Phase I from the slack basis of ``rows = [A | slacks | b]``: the
+    tableau and basis it ends at, or None if the program is infeasible."""
+    m = senses.size
+    rows[(rows[:, -1] < 0) | ((rows[:, -1] == 0) & (senses == ">="))] *= -1.0
     n = rows.shape[1] - 1
     owned = np.flatnonzero(senses != "=")    # the row of each slack column
     slack_cols = np.arange(n - owned.size, n)
@@ -92,22 +145,14 @@ def solve_lp(lp):
 
     _simplex(tab, basis, np.repeat([0.0, -1.0], [n, artificial.size]))
     if tab[:-1][basis >= n, -1].sum() > INFEASIBLE_TOL:
-        return LPResult(status="infeasible")
+        return None
     for row in np.flatnonzero(basis >= n):
         col = np.argmax(np.abs(tab[row, :n]))
         if abs(tab[row, col]) > TOL:
             _pivot(tab, basis, row, col)
     # an artificial with no structural entry left marks a redundant row
     keep = np.append(basis < n, True)
-    tab = np.hstack([tab[keep, :n], tab[keep, -1:]])
-    basis = basis[keep[:-1]]
-
-    if not _simplex(tab, basis, np.concatenate([c, np.zeros(slacks.shape[1])])):
-        return LPResult(status="unbounded")
-    values = np.zeros(n)
-    values[basis] = tab[:-1, -1]
-    x = values[:c.size]
-    return LPResult(status="optimal", value=float(c @ x), x=x)
+    return np.hstack([tab[keep, :n], tab[keep, -1:]]), basis[keep[:-1]]
 
 
 def _simplex(tab, basis, cost):
@@ -172,7 +217,9 @@ def _flat_cells(problem, mask):
 def _rank_rows(problem, coefficients):
     """Rows ``coef*z - t*s*w <= 0`` over the held ranks (a skipped rank's row cannot
     bind), plus the weighted normalization row; ``z >= 0`` cuts off no optimum, as
-    ``z = 0`` with normalized weights is feasible."""
+    ``z = 0`` with normalized weights is feasible.  By solution efficiency every rank
+    row binds at the optimum, so the program starts on the basis of every weight and
+    ``z``."""
     held = problem.rank_counts > 0
     ts, _ = _flat_cells(problem, held)
     n_w = ts.size
@@ -182,7 +229,7 @@ def _rank_rows(problem, coefficients):
     lhs[n_w, :n_w] = problem.rank_counts[held]
     last = np.eye(1, n_w + 1, n_w)[0]   # objective z; right side 1 of the normalization row
     return LinearProgram(objective=last, lhs=lhs, rhs=last,
-                         senses=("<=",) * n_w + ("=",))
+                         senses=("<=",) * n_w + ("=",), start=np.arange(n_w + 1))
 
 
 def build_opa_lp(problem):

@@ -24,6 +24,7 @@ import spans  # noqa: E402
 
 # called as gopa.cli.main, as the benchmark calls it, so the tracer's wrapper runs
 import gopa.cli  # noqa: E402
+from gopa.model import validate_problem  # noqa: E402
 
 from oracles import random_problem  # noqa: E402
 
@@ -119,3 +120,24 @@ def test_cell_checks_run_on_elicited_cells(tmp_path):
     assert residuals.keys() == {"elicit_discrete.elicit_discrete",
                                 "elicit_continuous.elicit_continuous"}
     assert max(max(r) for r in residuals.values()) <= checks.TOL
+
+
+def test_verify_op_solves_two_weight_programs(tmp_path):
+    # `lpcheck.solve_lp_ms_p50` reads the `solve_lp` spans of `verify` ops; on a
+    # document with an internal gap those are the two weight programs alone
+    path = small_document(tmp_path)
+    doc = json.loads(path.read_text())
+    doc["alternative_ranks"]["E1"]["C1"] = {"A1": 1, "A2": 1, "A3": 3, "A4": 4}
+    assert validate_problem(doc).has_internal_gaps
+    path.write_text(json.dumps(doc))
+    tracer = spans.Tracer()
+    tracer.install()
+    try:
+        tracer.begin_op("verify")
+        assert gopa.cli.main(["verify", str(path), "-o", str(tmp_path / "verify.json")]) == 0
+    finally:
+        tracer.uninstall()
+    table = layers.SpanTable(tracer)
+    assert table.durations("lpcheck.solve_lp", ("verify",)).size == 2
+    assert table.children_of("cli.main", "lpcheck.solve_lp") == 2
+    assert all(span.error is None for span in tracer.spans)

@@ -1,4 +1,5 @@
 import csv
+import io
 import json
 import os
 import subprocess
@@ -359,6 +360,27 @@ class TestSensitivityCommand:
         rows = read_csv(raw)
         assert rows[0] == ["scenario", "section", "id", "weight"]
         assert len(rows) == 1 + 6 * (3 + 2 + 5)
+
+    def test_raw_ids_quoted_as_csv_writer_quotes_them(self, tmp_path):
+        experts = ["a,b", 'say "hi"', "line\nbreak"]
+        attributes = [" lead", ""]
+        alternatives = ["A1", "x,y", '"q"']
+        doc = {"experts": [{"id": eid, "rank": n} for n, eid in enumerate(experts, 1)],
+               "attributes": attributes, "alternatives": alternatives,
+               "attribute_ranks": {eid: {aid: 1 for aid in attributes} for eid in experts},
+               "alternative_ranks": {eid: {aid: {"A1": 1, "x,y": 2, '"q"': 2}
+                                           for aid in attributes} for eid in experts}}
+        raw = tmp_path / "raw.csv"
+        assert main(["sensitivity", str(write_doc(tmp_path, doc)), "--method", "opa",
+                     "-o", str(tmp_path / "sens.csv"), "--raw", str(raw)]) == 0
+        text = raw.read_bytes().decode()
+        rows = read_csv(raw)
+        assert [row[2] for row in rows[1:]] == experts * 6 + attributes * 6 + alternatives * 6
+        # the file is what csv.writer writes for the fields it holds
+        assert '"a,b"' in text and '"say ""hi"""' in text and '"line\nbreak"' in text
+        buf = io.StringIO()
+        csv.writer(buf, lineterminator="\n").writerows(rows)
+        assert text == buf.getvalue()
 
     def test_two_expert_panel_rejected(self, tmp_path, capsys):
         _, doc = random_problem(np.random.default_rng(22), 2, 2, 4)

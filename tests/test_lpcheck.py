@@ -2,6 +2,8 @@ import inspect
 import itertools
 import json
 import sys
+from dataclasses import replace
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -22,7 +24,15 @@ from gopa.model import validate_problem
 from gopa.solver import solve_gopa, solve_opa
 from gopa.structures import surrogate_weights
 
-from oracles import cell_counts, dense_pivot, every_cell, random_problem, random_utilities
+from oracles import (
+    cell_counts,
+    dense_pivot,
+    every_cell,
+    exact_gopa,
+    exact_opa,
+    random_problem,
+    random_utilities,
+)
 
 SHIPPED_PIVOT = gopa.lpcheck._pivot
 
@@ -82,6 +92,22 @@ class TestSimplex:
         r1 = solve_lp(lp)
         r2 = solve_lp(lp)
         assert np.array_equal(r1.x, r2.x)
+
+    def test_start_refusals(self):
+        def program(start):
+            return LinearProgram(objective=[1.0, 1.0], lhs=[[1.0, 2.0], [3.0, 1.0]],
+                                 rhs=[4.0, 6.0], senses=("<=", "="), start=start)
+
+        assert program([1, 2]).start.tolist() == [1, 2]   # columns x0, x1, slack of row 0
+        with pytest.raises(DimensionError, match="^start needs one column index per row, 2 rows$"):
+            program([0])
+        with pytest.raises(DimensionError, match="one column index per row"):
+            program([0.0, 1.0])
+        with pytest.raises(DimensionError, match="^start repeats a column$"):
+            program([1, 1])
+        for start in ([0, 3], [-1, 0]):
+            with pytest.raises(DimensionError, match=r"^start column out of range 0\.\.2$"):
+                program(start)
 
     def test_dimension_errors(self):
         with pytest.raises(DimensionError):
@@ -247,7 +273,8 @@ def random_verify_programs(seed):
     """Each instance of `verify_instances(seed)` and the LPs `verify` solves for it.
 
     The LPs are the ordinal and the generalized program, then the efficiency
-    programs at ``z*`` and ``1.1 z*``.
+    programs at ``z*`` and ``1.1 z*``, then the two weight programs again
+    without their start, so the slack start's pivots stay covered.
     """
     for problem, _, utilities in verify_instances(seed):
         programs = [build_opa_lp(problem), build_gopa_lp(problem, utilities)]
@@ -262,7 +289,7 @@ def random_verify_programs(seed):
             for scale in (1.0, 1.1):
                 with pytest.raises(InfeasibleStage2):
                     verify_efficiency(problem, scale * z)
-        yield problem, programs
+        yield problem, programs + [replace(lp, start=None) for lp in programs[:2]]
 
 
 def random_small_programs(seed, count=150):
@@ -410,7 +437,8 @@ def pivot_trace(lp, pivot, monkeypatch):
 def document_programs(seed):
     rng = np.random.default_rng(seed)
     problem, _ = random_problem(rng, 4, 4, 8)
-    return [build_opa_lp(problem), build_gopa_lp(problem, random_utilities(rng, problem))]
+    programs = [build_opa_lp(problem), build_gopa_lp(problem, random_utilities(rng, problem))]
+    return programs + [replace(lp, start=None) for lp in programs]
 
 
 PROGRAM_SETS = {
@@ -448,6 +476,63 @@ class TestSparsePivot:
         assert tab[:, 1].tobytes() == column
         assert np.array_equal(tab, full)
         assert basis.tolist() == full_basis.tolist() == [0, 1, 0]
+
+
+def weight_programs(seed, irregular):
+    """The ordinal and the generalized program of one `random_problem` draw,
+    each with the exact optimum of its closed form."""
+    rng = np.random.default_rng(seed)
+    problem, _ = random_problem(rng, 3, 3, 6, irregular=irregular, irregular_share=0.4)
+    utilities = random_utilities(rng, problem)
+    return [(build_opa_lp(problem), exact_opa(problem).objective),
+            (build_gopa_lp(problem, utilities), exact_gopa(problem, utilities).objective)]
+
+
+class TestStart:
+    """The weight programs start on the basis of every weight and ``z``."""
+
+    @pytest.mark.parametrize("irregular", [False, True], ids=["clean", "irregular"])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_started_solve_matches_cold_in_no_pivot(self, seed, irregular, monkeypatch):
+        for lp, exact in weight_programs(seed, irregular):
+            assert lp.start.tolist() == list(range(lp.objective.size))
+            started, trace = pivot_trace(lp, SHIPPED_PIVOT, monkeypatch)
+            cold, cold_trace = pivot_trace(replace(lp, start=None), SHIPPED_PIVOT, monkeypatch)
+            assert trace == [] and cold_trace != []
+            assert started.status == cold.status == "optimal"
+            assert started.value == pytest.approx(cold.value, rel=1e-12, abs=0)
+            assert abs(Fraction(started.value) / exact - 1) <= 1e-12
+            assert abs(Fraction(cold.value) / exact - 1) <= 1e-12
+
+    @pytest.mark.parametrize("irregular", [False, True], ids=["clean", "irregular"])
+    def test_wrong_start_pivots_to_the_optimum(self, irregular, monkeypatch):
+        # row 0's slack in place of z: w_0 = 1 / n_0 and every other weight 0,
+        # a feasible vertex that is not optimal
+        for lp, exact in weight_programs(1, irregular):
+            n = lp.objective.size      # z is column n - 1, row 0's slack column n
+            wrong = replace(lp, start=np.append(np.arange(n - 1), n))
+            res, trace = pivot_trace(wrong, SHIPPED_PIVOT, monkeypatch)
+            _, cold_trace = pivot_trace(replace(lp, start=None), SHIPPED_PIVOT, monkeypatch)
+            assert trace != [] and trace != cold_trace
+            assert res.status == "optimal"
+            assert abs(Fraction(res.value) / exact - 1) <= 1e-12
+
+    def test_unusable_start_takes_the_slack_start(self, monkeypatch):
+        lp, _ = weight_programs(2, False)[1]
+        n = lp.objective.size
+        columns = np.hstack([lp.lhs, np.eye(n)[:, :-1]])   # then the rank rows' slacks
+        # z's column is the sum of the rank rows' slacks, each times its coefficient
+        singular = np.append(n + np.arange(n - 1), n - 1)
+        # row 0's slack in place of w_0: it reads -coef_0 * z < 0
+        infeasible = np.append(n, np.arange(1, n))
+        assert np.linalg.matrix_rank(columns[:, singular]) < n
+        assert np.linalg.solve(columns[:, infeasible], lp.rhs).min() < 0
+        cold, cold_trace = pivot_trace(replace(lp, start=None), SHIPPED_PIVOT, monkeypatch)
+        for start in (singular, infeasible):
+            res, trace = pivot_trace(replace(lp, start=start), SHIPPED_PIVOT, monkeypatch)
+            assert trace == cold_trace
+            assert (res.status, res.value) == (cold.status, cold.value)
+            assert np.array_equal(res.x, cold.x)
 
 
 def test_efficiency_program_at_8x8x10():
