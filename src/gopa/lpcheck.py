@@ -1,12 +1,14 @@
 """Two-phase dense-tableau simplex, the package's one LP engine, and the LP builders.
 
-The weight programs start on the basis of every weight and ``z``, which
-solution efficiency makes optimal, so the simplex only checks it; other
-programs start on the slack basis, and phase I runs only over the artificials
-of the rows whose slack cannot hold them.  The tableau carries the reduced
-costs as one more row, which each pivot updates with the rest.  A pivot
-updates only the columns where the pivot row is nonzero: the tableau is stored
-dense, but the pivot rows of the weight programs are sparse.
+A named start is used only when its certificate holds; otherwise the
+program takes the slack start.  The weight programs name the basis of every
+weight and ``z``, which solution efficiency makes optimal, so a primal and a
+dual point prove it with no tableau and no pivot.  From the slack start,
+phase I runs only over the artificials of the rows whose slack cannot hold
+them.  The tableau carries the reduced costs as one more row, which each pivot
+updates with the rest.  A pivot updates only the columns where the pivot row
+is nonzero: the tableau is stored dense, but the pivot rows of the weight
+programs are sparse.
 
 Stage 1 runs it on the support program of `gopa.projection.positive_support`.
 The production path computes weights in closed form; this module rebuilds the
@@ -29,9 +31,9 @@ INFEASIBLE_TOL = 1e-7   # largest phase-I artificial sum of a feasible program
 class LinearProgram:
     """A maximization LP: max c @ x subject to row senses and x >= 0.
 
-    ``start``, if given, names a basis to start from: one column of
-    ``[lhs | slacks]`` per row, the slacks numbered after the variables in
-    the order of the inequality rows.
+    ``start``, if given, names a basis that `solve_lp` tries to certify
+    optimal: one column of ``[lhs | slacks]`` per row, the slacks numbered
+    after the variables in the order of the inequality rows.
     """
 
     objective: np.ndarray
@@ -76,14 +78,16 @@ class LPResult:
 
 
 def solve_lp(lp):
-    """Solve an LP with a dense-tableau simplex, from ``lp.start`` or the slack basis.
+    """Solve an LP from the certified ``lp.start``, or with a dense-tableau simplex.
 
-    The tableau is ``[A | slacks | b]``.  Given a start, ``B`` is the start's
-    columns and the tableau ``B⁻¹[A | slacks | b]``, from one `np.linalg.solve`.
-    If that finds ``B`` nonsingular and ``B⁻¹b >= -TOL`` (the basis is primal
-    feasible), phase II runs from there, and it makes no pivot when no reduced
-    cost is negative (the basis is dual feasible, hence optimal).  A start
-    that fails either test is dropped for the slack start.
+    A named start is used only when its certificate holds; otherwise the
+    program takes the slack start.  With ``B`` the start's columns of
+    ``[A | slacks]``, two `np.linalg.solve` calls give the vertex
+    ``x_B = B⁻¹b`` and the duals ``y = B⁻ᵀc_B``.  The certificate holds when,
+    on the built rows, ``x_B >= -TOL``, no reduced cost
+    ``yᵀ[A | slacks] - c`` is below ``-TOL``, each row's residual
+    ``|[A | slacks]·x - b|`` is within ``TOL·(1 + |A|·|x|)``, and the duality
+    gap ``|c·x - b·y|`` is within ``TOL·(1 + |c·x|)``: then ``x`` is optimal.
 
     The slack start negates rows where ``b < 0`` and ``>=`` rows where
     ``b = 0``, so every inequality row whose slack now reads +1 starts basic
@@ -99,31 +103,39 @@ def solve_lp(lp):
     senses = np.asarray(lp.senses)
     slacks = np.diag(1.0 * (senses == "<=") - (senses == ">="))[:, senses != "="]
     rows = np.hstack([lp.lhs, slacks, lp.rhs[:, None]])
-    started = None if lp.start is None else _started(rows, lp.start)
-    if started is None:
+    cost = np.concatenate([c, np.zeros(slacks.shape[1])])
+    values = None if lp.start is None else _certified(rows, cost, lp.start)
+    if values is None:
         started = _phase_one(rows, senses)
         if started is None:
             return LPResult(status="infeasible")
-    tab, basis = started
-
-    if not _simplex(tab, basis, np.concatenate([c, np.zeros(slacks.shape[1])])):
-        return LPResult(status="unbounded")
-    values = np.zeros(tab.shape[1] - 1)
-    values[basis] = tab[:-1, -1]
+        tab, basis = started
+        if not _simplex(tab, basis, cost):
+            return LPResult(status="unbounded")
+        values = np.zeros(tab.shape[1] - 1)
+        values[basis] = tab[:-1, -1]
     x = values[:c.size]
     return LPResult(status="optimal", value=float(c @ x), x=x)
 
 
-def _started(rows, start):
-    """The tableau and basis at ``start``, or None if its ``B`` is singular or its
-    vertex infeasible."""
+def _certified(rows, cost, start):
+    """The vertex of basis ``start`` in ``rows = [A | slacks | b]`` if the
+    certificate of `solve_lp` proves it maximizes ``cost``, else None."""
+    a, b = rows[:, :-1], rows[:, -1]
+    basis = a[:, start]
     try:
-        tab = np.linalg.solve(rows[:, start], rows)
+        x_b = np.linalg.solve(basis, b)
+        y = np.linalg.solve(basis.T, cost[start])
     except np.linalg.LinAlgError:
         return None
-    if not (tab[:, -1] >= -TOL).all():
-        return None
-    return np.vstack([tab, np.zeros(rows.shape[1])]), start.copy()
+    x = np.zeros(cost.size)
+    x[start] = x_b
+    value = cost @ x
+    if ((x_b >= -TOL).all() and (y @ a - cost >= -TOL).all()
+            and (np.abs(a @ x - b) <= TOL * (1 + np.abs(a) @ np.abs(x))).all()
+            and abs(value - b @ y) <= TOL * (1 + abs(value))):
+        return x
+    return None
 
 
 def _phase_one(rows, senses):

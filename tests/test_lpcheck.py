@@ -488,15 +488,35 @@ def weight_programs(seed, irregular):
             (build_gopa_lp(problem, utilities), exact_gopa(problem, utilities).objective)]
 
 
+def record_calls(patch, module, name, calls):
+    """Patch ``module.name`` to append ``name`` and the number of dimensions of
+    its second argument (for `np.linalg.solve`, the right-hand side) to ``calls``."""
+    function = getattr(module, name)
+
+    def record(*args):
+        calls.append((name, np.ndim(args[1])))
+        return function(*args)
+
+    patch.setattr(module, name, record)
+
+
 class TestStart:
-    """The weight programs start on the basis of every weight and ``z``."""
+    """The weight programs name the basis of every weight and ``z``, and
+    `solve_lp` uses it only when its certificate holds."""
 
     @pytest.mark.parametrize("irregular", [False, True], ids=["clean", "irregular"])
     @pytest.mark.parametrize("seed", range(4))
     def test_started_solve_matches_cold_in_no_pivot(self, seed, irregular, monkeypatch):
         for lp, exact in weight_programs(seed, irregular):
             assert lp.start.tolist() == list(range(lp.objective.size))
-            started, trace = pivot_trace(lp, SHIPPED_PIVOT, monkeypatch)
+            calls = []
+            with monkeypatch.context() as patch:
+                for module, name in ((gopa.lpcheck, "_phase_one"), (gopa.lpcheck, "_simplex"),
+                                     (np.linalg, "solve")):
+                    record_calls(patch, module, name, calls)
+                started, trace = pivot_trace(lp, SHIPPED_PIVOT, patch)
+            # a certified start: the vertex and the duals, and no simplex work
+            assert calls == [("solve", 1), ("solve", 1)]
             cold, cold_trace = pivot_trace(replace(lp, start=None), SHIPPED_PIVOT, monkeypatch)
             assert trace == [] and cold_trace != []
             assert started.status == cold.status == "optimal"
@@ -504,31 +524,51 @@ class TestStart:
             assert abs(Fraction(started.value) / exact - 1) <= 1e-12
             assert abs(Fraction(cold.value) / exact - 1) <= 1e-12
 
-    @pytest.mark.parametrize("irregular", [False, True], ids=["clean", "irregular"])
-    def test_wrong_start_pivots_to_the_optimum(self, irregular, monkeypatch):
-        # row 0's slack in place of z: w_0 = 1 / n_0 and every other weight 0,
-        # a feasible vertex that is not optimal
-        for lp, exact in weight_programs(1, irregular):
-            n = lp.objective.size      # z is column n - 1, row 0's slack column n
-            wrong = replace(lp, start=np.append(np.arange(n - 1), n))
-            res, trace = pivot_trace(wrong, SHIPPED_PIVOT, monkeypatch)
-            _, cold_trace = pivot_trace(replace(lp, start=None), SHIPPED_PIVOT, monkeypatch)
-            assert trace != [] and trace != cold_trace
-            assert res.status == "optimal"
+    @pytest.mark.parametrize("wrong", [
+        # each LAPACK result off by 1e-6, as from a basis singular in exact
+        # arithmetic but not in floating point
+        lambda call, result: result + 1e-6,
+        # the weights off and z right: only the rows' residuals show it
+        lambda call, result: result + (call == 0) * np.append(np.full(result.size - 1, 1e-6), 0.0),
+        # the duals scaled: still dual feasible, but only the duality gap shows it
+        lambda call, result: result * (1 + 1e-6 * (call == 1)),
+    ], ids=["both", "weights", "duals"])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_wrong_solve_fails_the_certificate(self, seed, wrong, monkeypatch):
+        solve, calls = np.linalg.solve, []
+
+        def wrong_solve(*args):
+            calls.append(None)
+            return wrong(len(calls) - 1, solve(*args))
+
+        for lp, exact in weight_programs(seed, True):
+            cold = solve_lp(replace(lp, start=None))
+            calls.clear()
+            with monkeypatch.context() as patch:
+                patch.setattr(np.linalg, "solve", wrong_solve)
+                res = solve_lp(lp)
+            assert len(calls) == 2
+            assert (res.status, res.value) == (cold.status, cold.value)
+            assert np.array_equal(res.x, cold.x)
             assert abs(Fraction(res.value) / exact - 1) <= 1e-12
 
     def test_unusable_start_takes_the_slack_start(self, monkeypatch):
-        lp, _ = weight_programs(2, False)[1]
-        n = lp.objective.size
+        lp, exact = weight_programs(2, False)[1]
+        n = lp.objective.size      # z is column n - 1, row 0's slack column n
         columns = np.hstack([lp.lhs, np.eye(n)[:, :-1]])   # then the rank rows' slacks
         # z's column is the sum of the rank rows' slacks, each times its coefficient
         singular = np.append(n + np.arange(n - 1), n - 1)
         # row 0's slack in place of w_0: it reads -coef_0 * z < 0
         infeasible = np.append(n, np.arange(1, n))
+        # row 0's slack in place of z: w_0 = 1 / n_0 and every other weight 0,
+        # a feasible vertex that is not optimal
+        wrong = np.append(np.arange(n - 1), n)
         assert np.linalg.matrix_rank(columns[:, singular]) < n
         assert np.linalg.solve(columns[:, infeasible], lp.rhs).min() < 0
+        assert np.linalg.solve(columns[:, wrong], lp.rhs).min() >= 0
         cold, cold_trace = pivot_trace(replace(lp, start=None), SHIPPED_PIVOT, monkeypatch)
-        for start in (singular, infeasible):
+        assert abs(Fraction(cold.value) / exact - 1) <= 1e-12
+        for start in (singular, infeasible, wrong):
             res, trace = pivot_trace(replace(lp, start=start), SHIPPED_PIVOT, monkeypatch)
             assert trace == cold_trace
             assert (res.status, res.value) == (cold.status, cold.value)
