@@ -32,7 +32,6 @@ from .exceptions import (
     EmptyCellError,
     GopaError,
     InfeasibleContext,
-    InfeasibleStage2,
     NumericFailure,
     SampleSizeError,
     ShapeError,

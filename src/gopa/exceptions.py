@@ -70,10 +70,6 @@ class DimensionError(GopaError):
     """Linear program arrays have inconsistent shapes."""
 
 
-class InfeasibleStage2(GopaError):
-    """The efficiency program is infeasible at the supplied objective value."""
-
-
 # --- statistics --------------------------------------------------------------
 
 class DegenerateError(GopaError):

@@ -12,15 +12,17 @@ programs are sparse.
 
 Stage 1 runs it on the support program of `gopa.projection.positive_support`.
 The production path computes weights in closed form; this module rebuilds the
-same programs as explicit LPs so the closed forms can be cross-checked, and it
-realizes the two-stage efficiency program.
+same programs as explicit LPs so the closed forms can be cross-checked.  The
+second-stage efficiency program is not solved: `verify_efficiency` checks the
+closed form's point and a dual point, which the closed form also gives, on its
+rows.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .exceptions import DimensionError, InfeasibleStage2, NumericFailure
+from .exceptions import DimensionError, NumericFailure
 from .solver import harmonic_coefficients, padded_utilities, rank_products
 
 TOL = 1e-9              # pivot and reduced-cost tolerance
@@ -219,13 +221,6 @@ def _pivot(tab, basis, row, col):
 # --- builders for the weight programs ---------------------------------------
 
 
-def _flat_cells(problem, mask):
-    """Per variable ``padded[mask]``: its cell's ``t_i * s_ij`` and its rank.  The weight
-    programs pass the held ranks ``rank_counts > 0``, the efficiency program ``rank_mask``."""
-    ts = rank_products(problem)
-    return np.broadcast_to(ts[..., None], mask.shape)[mask], np.nonzero(mask)[2] + 1
-
-
 def _rank_rows(problem, coefficients):
     """Rows ``coef*z - t*s*w <= 0`` over the held ranks (a skipped rank's row cannot
     bind), plus the weighted normalization row; ``z >= 0`` cuts off no optimum, as
@@ -233,7 +228,7 @@ def _rank_rows(problem, coefficients):
     row binds at the optimum, so the program starts on the basis of every weight and
     ``z``."""
     held = problem.rank_counts > 0
-    ts, _ = _flat_cells(problem, held)
+    ts = np.broadcast_to(rank_products(problem)[..., None], held.shape)[held]
     n_w = ts.size
     lhs = np.zeros((n_w + 1, n_w + 1))
     np.fill_diagonal(lhs[:n_w], -ts)
@@ -254,41 +249,42 @@ def build_gopa_lp(problem, utilities):
     return _rank_rows(problem, problem.max_rank[..., None] * padded_utilities(problem, utilities))
 
 
-@dataclass(frozen=True)
-class EfficiencyCheck:
-    objective: float
-    rank_weights: np.ndarray     # padded (I, J, K), 0 beyond each cell's max rank
-    min_slack: float
+# --- the second-stage efficiency program -------------------------------------
 
 
-def verify_efficiency(problem, z_star):
-    """Solve the second-stage efficiency program at a first-stage optimum.
+def verify_efficiency(solution):
+    """Certify that the `solve_opa` ``solution`` solves the second-stage efficiency program.
 
-    Maximizes the total marginal slack subject to every marginal slack staying at or
-    above ``z_star``.  Returns the stage-2 objective, the weights, and the minimum slack
-    attained (which must equal ``z_star`` for a genuine first-stage optimum).  Its
-    variables are ``padded[rank_mask]``, as each slack row pairs consecutive ranks.
+    The program's variables are ``w = padded[rank_mask]``, every rank of a cell
+    included.  Slack row ``r`` of a cell reads ``t*s*r*(w_r - w_{r+1}) >= z``,
+    without the ``w_{r+1}`` entry at the cell's last rank, and the normalization
+    row ``rank_counts[rank_mask] @ w = 1`` closes the program.  Every slack of
+    ``solution.rank_weights[rank_mask]`` equals ``z* = solution.objective``.  The
+    dual point ``y_r = N_r / (t*s*r)``, with ``N_r`` the cell's count of
+    alternatives at ranks up to ``r``, is nonnegative and ``yᵀA`` equals the
+    normalization row, so any normalized ``w >= 0`` has a least slack of at most
+    ``1 / Σy`` (a Farkas certificate), and ``Σy = 1 / z*``.
 
-    Raises
-    ------
-    InfeasibleStage2
-        If no weights attain every slack >= ``z_star``, or the program is unbounded.
+    Both points are checked on the sparse rows as built, two entries per slack
+    row.  Returns ``(delta, bound)``: ``delta`` is the largest of the primal
+    residual (each slack's relative distance from ``z*``, the normalization
+    residual, a negative weight), the dual residual (``|yᵀA - counts|``, a
+    negative ``y``) and the gap ``|z*·Σy - 1|``; ``bound`` is ``1 / Σy``, the
+    largest least slack that any normalized weights can reach.
     """
+    problem = solution.problem
     mask = problem.rank_mask
-    ts, ranks = _flat_cells(problem, mask)
-    n = ts.size
-    # slack of rank r: ts * r * (w_r - w_{r+1}), and ts * K_ij * w_K at a cell's last rank
-    lhs = np.zeros((n + 1, n))
-    np.fill_diagonal(lhs, ts * ranks)
-    inner = np.flatnonzero(ranks[1:] > 1)    # the next variable is in the same cell
-    lhs[inner, inner + 1] = -ts[inner] * ranks[inner]
-    lhs[n] = problem.rank_counts[mask]
-    rhs = np.append(np.full(n, z_star), 1.0)
-    res = solve_lp(LinearProgram(objective=ts, lhs=lhs, rhs=rhs, senses=(">=",) * n + ("=",)))
-    if res.status != "optimal":
-        raise InfeasibleStage2(f"stage-2 program is {res.status} at z* = {z_star:g}")
+    ranks = np.arange(1, problem.n_alternatives + 1)
+    diag = (rank_products(problem)[..., None] * ranks)[mask]
+    inner = np.flatnonzero((ranks < problem.max_rank[..., None])[mask])  # w_{r+1} in the row
+    n = diag.size
+    rows, cols = np.append(np.arange(n), inner), np.append(np.arange(n), inner + 1)
+    values = np.append(diag, -diag[inner])
+    counts = problem.rank_counts[mask]
 
-    weights = np.zeros(mask.shape)
-    weights[mask] = res.x
-    return EfficiencyCheck(objective=res.value, rank_weights=weights,
-                           min_slack=float((lhs[:-1] @ res.x).min()))
+    z, w = solution.objective, solution.rank_weights[mask]
+    y = np.cumsum(problem.rank_counts, axis=2)[mask] / diag
+    slacks = np.bincount(rows, values * w[cols])
+    primal = max(np.abs(slacks / z - 1.0).max(), abs(counts @ w - 1.0), -w.min())
+    dual = max(np.abs(np.bincount(cols, values * y[rows]) - counts).max(), -y.min())
+    return float(max(primal, dual, abs(z * y.sum() - 1.0))), float(1.0 / y.sum())

@@ -531,6 +531,38 @@ def rank_mask_lp(problem, coefficients):
     return LinearProgram(objective=last, lhs=lhs, rhs=last, senses=("<=",) * n_w + ("=",))
 
 
+def efficiency_lp(problem, z_star):
+    """The second-stage efficiency program at ``z_star``, dense, for the simplex
+    and HiGHS: maximize the total ``t*s*w`` subject to every marginal slack
+    ``t*s*r*(w_r - w_{r+1})`` (``t*s*K*w_K`` at a cell's last rank) staying at or
+    above ``z_star``, and to the normalization row, over ``padded[rank_mask]``.
+
+    At ``z*`` it is feasible, and unbounded where a cell skips rank 1: that
+    rank's weight has no normalization entry.  Above ``z*`` it is infeasible.
+    """
+    mask = problem.rank_mask
+    ts = np.broadcast_to(rank_products(problem)[..., None], mask.shape)[mask]
+    ranks = np.nonzero(mask)[2] + 1
+    n = ts.size
+    lhs = np.zeros((n + 1, n))
+    np.fill_diagonal(lhs, ts * ranks)
+    inner = np.flatnonzero(ranks[1:] > 1)    # the next variable is in the same cell
+    lhs[inner, inner + 1] = -ts[inner] * ranks[inner]
+    lhs[n] = problem.rank_counts[mask]
+    rhs = np.append(np.full(n, z_star), 1.0)
+    return LinearProgram(objective=ts, lhs=lhs, rhs=rhs, senses=(">=",) * n + ("=",))
+
+
+def max_min_slack_lp(problem):
+    """`efficiency_lp` with ``z`` as one more variable to maximize: its optimum
+    is the largest least slack that normalized weights can reach."""
+    lp = efficiency_lp(problem, 0.0)
+    n = lp.objective.size
+    z_column = np.append(-np.ones(n), 0.0)[:, None]
+    return LinearProgram(objective=np.eye(1, n + 1, n)[0], lhs=np.hstack([lp.lhs, z_column]),
+                         rhs=lp.rhs, senses=lp.senses)
+
+
 # --- random input generators -------------------------------------------------
 
 

@@ -25,7 +25,6 @@ from gopa.elicit_discrete import (
     entropy_max_discrete,
     kkt_residual_discrete,
 )
-from gopa.exceptions import InfeasibleStage2
 from gopa.lpcheck import build_gopa_lp, build_opa_lp, solve_lp, verify_efficiency
 from gopa.metrics import confidence_level, f_cdf, kendall_w, spearman
 from gopa.model import CellContext, validate_problem
@@ -40,6 +39,7 @@ from gopa.structures import (
 from model_helpers import case_study_problem
 
 from oracles import (
+    efficiency_lp,
     every_cell,
     grid_kl_minimum,
     kendall_bruteforce,
@@ -273,11 +273,16 @@ def test_criterion_09_two_stage_efficiency():
         }
         docs.append(validate_problem(dup_doc))
         for problem in docs:
-            z_star = solve_opa(problem).objective
-            check = verify_efficiency(problem, z_star)
-            assert abs(check.min_slack - z_star) <= 1e-8
-            with pytest.raises(InfeasibleStage2):
-                verify_efficiency(problem, 1.1 * z_star)
+            solution = solve_opa(problem)
+            z_star = solution.objective
+            delta, bound = verify_efficiency(solution)
+            assert delta <= 1e-8
+            assert bound == pytest.approx(z_star, rel=1e-12)
+            assert 1.1 * z_star > bound
+            # the reference LP agrees: its optimum's least slack is z*, and 1.1 z* is infeasible
+            lp = efficiency_lp(problem, z_star)
+            assert abs((lp.lhs[:-1] @ solve_lp(lp).x).min() - z_star) <= 1e-8
+            assert solve_lp(efficiency_lp(problem, 1.1 * z_star)).status == "infeasible"
 
 
 def test_criterion_10_metric_fixtures():

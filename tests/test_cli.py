@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -11,7 +12,7 @@ import pytest
 
 import gopa
 from gopa.cli import main
-from gopa.exceptions import InfeasibleStage2, ValidationError
+from gopa.exceptions import ValidationError
 from gopa.lpcheck import LPResult
 from gopa.model import load_document
 from gopa.structures import surrogate_weights
@@ -423,15 +424,10 @@ class TestVerifyCommand:
         assert [c["pass"] for c in checks[:2]] == [False, False]
 
     def test_inflated_objective_accepted_fails(self, tmp_path, clean_doc, monkeypatch):
+        # a certificate whose bound admits 1.1 z*, its residuals intact
         shipped = gopa.cli.verify_efficiency
-
-        def accepting(problem, objective):
-            try:
-                return shipped(problem, objective)
-            except InfeasibleStage2:
-                return None
-
-        monkeypatch.setattr(gopa.cli, "verify_efficiency", accepting)
+        monkeypatch.setattr(gopa.cli, "verify_efficiency", lambda solution: (
+            shipped(solution)[0], 1.1 * solution.objective))
         path, out = write_doc(tmp_path, clean_doc), tmp_path / "v.json"
         assert main(["verify", str(path), "-o", str(out)]) == 1
         report = json.loads(out.read_text())
@@ -440,6 +436,33 @@ class TestVerifyCommand:
             "ordinal_lp_matches_formula": True, "generalized_lp_matches_formula": True,
             "stage2_min_slack_equals_objective": True,
             "stage2_rejects_inflated_objective": False}
+
+    def test_perturbed_rank_weight_fails_the_certificate(self, tmp_path, clean_doc,
+                                                         monkeypatch):
+        shipped = gopa.cli.solve_opa
+
+        def perturbed(problem):
+            solution = shipped(problem)
+            weights = solution.rank_weights.copy()
+            weights[0, 0, 1] += 1e-6
+            return replace(solution, rank_weights=weights)
+
+        monkeypatch.setattr(gopa.cli, "solve_opa", perturbed)
+        path, out = write_doc(tmp_path, clean_doc), tmp_path / "v.json"
+        assert main(["verify", str(path), "-o", str(out)]) == 1
+        checks = json.loads(out.read_text())["checks"]
+        # the dual point and its bound do not read the weights
+        assert [c["pass"] for c in checks] == [True, True, False, True]
+        assert checks[2]["delta"] == checks[3]["delta"] > 1e-6
+
+    def test_gap_free_10x10x15_passes(self, tmp_path):
+        # the efficiency program of this document has 1,500 weights
+        problem, doc = random_problem(np.random.default_rng(1015), 10, 10, 15)
+        assert problem.gap_free
+        path, out = write_doc(tmp_path, doc), tmp_path / "v.json"
+        assert main(["verify", str(path), "-o", str(out)]) == 0
+        report = json.loads(out.read_text())
+        assert [c["pass"] for c in report["checks"]] == [True] * 4
 
 
 def child_env():

@@ -11,10 +11,9 @@ import scipy.optimize
 
 import gopa.lpcheck
 from gopa.cli import main
-from gopa.exceptions import DimensionError, InfeasibleStage2, NumericFailure
+from gopa.exceptions import DimensionError, NumericFailure
 from gopa.lpcheck import (
     LinearProgram,
-    LPResult,
     build_gopa_lp,
     build_opa_lp,
     solve_lp,
@@ -27,9 +26,11 @@ from gopa.structures import surrogate_weights
 from oracles import (
     cell_counts,
     dense_pivot,
+    efficiency_lp,
     every_cell,
     exact_gopa,
     exact_opa,
+    max_min_slack_lp,
     random_problem,
     random_utilities,
 )
@@ -169,17 +170,41 @@ class TestRandomAgreement:
 
 
 class TestEfficiency:
+    """`verify_efficiency` certifies the closed form on the efficiency program's rows."""
+
     def test_min_slack_matches_objective(self):
         p, _ = random_problem(np.random.default_rng(5), 1, 1, 3)
-        z = solve_opa(p).objective
-        check = verify_efficiency(p, z)
-        assert check.min_slack == pytest.approx(z, abs=1e-8)
+        solution = solve_opa(p)
+        delta, bound = verify_efficiency(solution)
+        assert delta <= 1e-14
+        assert bound == pytest.approx(solution.objective, rel=1e-14)
 
     def test_inflated_objective_is_infeasible(self):
         p, _ = random_problem(np.random.default_rng(6), 2, 1, 3)
-        z = solve_opa(p).objective
-        with pytest.raises(InfeasibleStage2):
-            verify_efficiency(p, 1.1 * z)
+        solution = solve_opa(p)
+        assert 1.1 * solution.objective > verify_efficiency(solution)[1]
+
+    def test_stage2_solution_feasible_for_stage1(self):
+        # the certificate's point is normalized over the cells' rank counts and nonnegative
+        p, _ = random_problem(np.random.default_rng(7), 2, 2, 4)
+        solution = solve_opa(p)
+        assert verify_efficiency(solution)[0] <= 1e-8
+        weights = solution.rank_weights
+        total = sum(float(cell_counts(p, i, j) @ weights[i, j, :p.max_rank[i, j]])
+                    for i, j in p.cells())
+        assert total == pytest.approx(1.0, abs=1e-8)
+        for w in (weights[i, j, :p.max_rank[i, j]] for i, j in p.cells()):
+            assert (w >= -1e-10).all()
+
+    def test_bound_is_the_largest_least_slack(self):
+        # the LP that maximizes the least slack, by the simplex and by HiGHS
+        rng = np.random.default_rng(8)
+        for irregular in (False, True) * 5:
+            p, _ = random_problem(rng, irregular=irregular, irregular_share=0.4)
+            _, bound = verify_efficiency(solve_opa(p))
+            lp = max_min_slack_lp(p)
+            assert solve_lp(lp).value == pytest.approx(bound, rel=1e-9)
+            assert highs(lp) == ("optimal", pytest.approx(bound, rel=1e-9))
 
     @pytest.mark.parametrize("first_cell, at_z_star", [
         ({"A1": 2, "A2": 3}, "unbounded"),
@@ -187,8 +212,8 @@ class TestEfficiency:
         ({"A1": 1, "A2": 1, "A3": 3}, "optimal"),
     ])
     def test_documents_with_a_gap(self, first_cell, at_z_star, tmp_path):
-        # only a cell that skips rank 1 makes the program unbounded; `verify`
-        # skips it on every document with an internal gap all the same
+        # a cell that skips rank 1 makes the reference LP unbounded at z*, and
+        # the certificate holds all the same: `verify` runs every check
         doc = {
             "experts": [{"id": "E1", "rank": 1}, {"id": "E2", "rank": 2}],
             "attributes": ["C1"],
@@ -199,32 +224,80 @@ class TestEfficiency:
         }
         p = validate_problem(doc)
         assert p.has_internal_gaps
-        z = solve_opa(p).objective
-        if at_z_star == "unbounded":
-            with pytest.raises(InfeasibleStage2, match="unbounded"):
-                verify_efficiency(p, z)
-        else:
-            assert verify_efficiency(p, z).min_slack == pytest.approx(z, abs=1e-12)
-        with pytest.raises(InfeasibleStage2, match="infeasible"):
-            verify_efficiency(p, 1.1 * z)
+        solution = solve_opa(p)
+        z = solution.objective
+        delta, bound = verify_efficiency(solution)
+        assert delta <= 1e-14
+        assert bound == pytest.approx(z, rel=1e-14)
+        assert solve_lp(efficiency_lp(p, z)).status == highs(efficiency_lp(p, z))[0] == at_z_star
+        assert solve_lp(efficiency_lp(p, 1.1 * z)).status == "infeasible"
 
         path, out = tmp_path / "doc.json", tmp_path / "verify.json"
         path.write_text(json.dumps(doc))
         assert main(["verify", str(path), "-o", str(out)]) == 0
         checks = json.loads(out.read_text())["checks"]
-        assert [c["name"] for c in checks] == ["ordinal_lp_matches_formula",
-                                               "generalized_lp_matches_formula"]
+        assert [c["name"] for c in checks] == [
+            "ordinal_lp_matches_formula", "generalized_lp_matches_formula",
+            "stage2_min_slack_equals_objective", "stage2_rejects_inflated_objective"]
+        assert all(c["pass"] for c in checks)
 
-    def test_stage2_solution_feasible_for_stage1(self):
-        p, _ = random_problem(np.random.default_rng(7), 2, 2, 4)
-        sol = solve_opa(p)
-        check = verify_efficiency(p, sol.objective)
-        weights = check.rank_weights
-        total = sum(float(cell_counts(p, i, j) @ weights[i, j, :p.max_rank[i, j]])
-                    for i, j in p.cells())
-        assert total == pytest.approx(1.0, abs=1e-8)
-        for w in (weights[i, j, :p.max_rank[i, j]] for i, j in p.cells()):
-            assert (w >= -1e-10).all()
+    @pytest.mark.parametrize("irregular", [False, True], ids=["clean", "irregular"])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_perturbed_rank_weight_fails(self, seed, irregular):
+        # every rank of every cell, skipped ranks included, appears in a slack row
+        rng = np.random.default_rng(seed)
+        p, _ = random_problem(rng, 3, 3, 6, irregular=irregular, irregular_share=0.4)
+        solution = solve_opa(p)
+        for index in np.argwhere(p.rank_mask):
+            weights = solution.rank_weights.copy()
+            weights[tuple(index)] += 1e-6
+            delta, bound = verify_efficiency(replace(solution, rank_weights=weights))
+            assert delta > 1e-6
+            assert bound == verify_efficiency(solution)[1]
+
+    @pytest.mark.parametrize("irregular", [False, True], ids=["clean", "irregular"])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_raised_objective_fails(self, seed, irregular):
+        rng = np.random.default_rng(seed)
+        p, _ = random_problem(rng, 10, 10, 15, irregular=irregular, irregular_share=0.4)
+        solution = solve_opa(p)
+        raised = replace(solution, objective=solution.objective * (1 + 1e-6))
+        assert verify_efficiency(solution)[0] <= 1e-14
+        assert verify_efficiency(raised)[0] == pytest.approx(1e-6, rel=1e-6)
+
+    @pytest.mark.parametrize("irregular", [False, True], ids=["clean", "irregular"])
+    @pytest.mark.parametrize("seed", [0, 1, 2, 24003])
+    def test_verdicts_match_the_lp_and_highs(self, seed, irregular):
+        # at z*, and at a z* raised by 1e-6 relative, which no normalized weights reach
+        rng = np.random.default_rng(seed)
+        statuses = set()
+        for _ in range(20):
+            p, _ = random_problem(rng, irregular=irregular, irregular_share=0.4)
+            solution = solve_opa(p)
+            raised = replace(solution, objective=solution.objective * (1 + 1e-6))
+            for claim, verdicts in ((solution, (True, True)), (raised, (False, True))):
+                delta, bound = verify_efficiency(claim)
+                certificate = (delta <= 1e-8, 1.1 * claim.objective > bound)
+                simplex, second, status = efficiency_lp_verdicts(p, claim.objective)
+                assert certificate == simplex == second == verdicts
+                if claim is solution:
+                    statuses.add(status)
+        # a cell that skips rank 1 makes the reference LP unbounded at z*
+        assert statuses == ({"optimal", "unbounded"} if irregular else {"optimal"})
+
+
+def efficiency_lp_verdicts(problem, z_star):
+    """`verify`'s two stage-2 verdicts from the reference efficiency LP, by the
+    simplex and by HiGHS, and the simplex's status at ``z*``.  The program must
+    be feasible at ``z*`` (where the simplex finds an optimum, with a least slack
+    of ``z*``) and infeasible at ``1.1 z*``."""
+    at, above = efficiency_lp(problem, z_star), efficiency_lp(problem, 1.1 * z_star)
+    res = solve_lp(at)
+    least = (at.lhs[:-1] @ res.x).min() if res.status == "optimal" else z_star
+    simplex = (res.status != "infeasible" and abs(least - z_star) <= 1e-8,
+               solve_lp(above).status == "infeasible")
+    second = (highs(at)[0] != "infeasible", highs(above)[0] == "infeasible")
+    return simplex, second, res.status
 
 
 def highs(lp):
@@ -270,25 +343,18 @@ def verify_instances(seed):
 
 
 def random_verify_programs(seed):
-    """Each instance of `verify_instances(seed)` and the LPs `verify` solves for it.
+    """Each instance of `verify_instances(seed)`, the two LPs `verify` solves for
+    it and the reference efficiency programs.
 
     The LPs are the ordinal and the generalized program, then the efficiency
-    programs at ``z*`` and ``1.1 z*``, then the two weight programs again
-    without their start, so the slack start's pivots stay covered.
+    programs of `oracles.efficiency_lp` at ``z*`` and ``1.1 z*``, then the two
+    weight programs again without their start, so the slack start's pivots stay
+    covered.
     """
     for problem, _, utilities in verify_instances(seed):
         programs = [build_opa_lp(problem), build_gopa_lp(problem, utilities)]
-
-        def capture(lp):
-            programs.append(lp)
-            return LPResult("infeasible")   # so verify_efficiency stops before reading x
-
         z = solve_opa(problem).objective
-        with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(gopa.lpcheck, "solve_lp", capture)
-            for scale in (1.0, 1.1):
-                with pytest.raises(InfeasibleStage2):
-                    verify_efficiency(problem, scale * z)
+        programs += [efficiency_lp(problem, scale * z) for scale in (1.0, 1.1)]
         yield problem, programs + [replace(lp, start=None) for lp in programs[:2]]
 
 
@@ -354,9 +420,9 @@ class TestSecondEngine:
                 assert ours.status == status
                 if status == "optimal":
                     assert ours.value == pytest.approx(value, abs=1e-9)
-            if not problem.has_internal_gaps:
-                assert results[3].status == "infeasible"
-                assert highs(programs[3])[0] == "infeasible"
+            # the efficiency program is feasible at z* and infeasible at 1.1 z*
+            assert results[2].status in ("optimal", "unbounded")
+            assert results[3].status == "infeasible"
 
     def test_bland_fallback_programs(self):
         programs = list(itertools.islice(degenerate_programs(), BLAND_DRAWS[-1] + 1))
@@ -589,20 +655,15 @@ def test_efficiency_program_at_8x8x10():
         assert res.value == pytest.approx(closed_form, abs=1e-9)
         assert highs(lp) == ("optimal", pytest.approx(closed_form, abs=1e-9))
 
-    programs = []
-
-    def record(lp):
-        programs.append(lp)
-        return solve_lp(lp)
-
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(gopa.lpcheck, "solve_lp", record)
-        check = verify_efficiency(problem, z)
-        with pytest.raises(InfeasibleStage2, match="infeasible"):
-            verify_efficiency(problem, 1.1 * z)
-    assert check.min_slack == pytest.approx(z, abs=1e-9)
-    assert highs(programs[0]) == ("optimal", pytest.approx(check.objective, abs=1e-9))
-    assert highs(programs[1]) == ("infeasible", None)
+    delta, bound = verify_efficiency(solve_opa(problem))
+    assert delta <= 1e-14
+    assert bound == pytest.approx(z, rel=1e-14)
+    at, above = efficiency_lp(problem, z), efficiency_lp(problem, 1.1 * z)
+    res = solve_lp(at)
+    assert (at.lhs[:-1] @ res.x).min() == pytest.approx(z, abs=1e-9)
+    assert highs(at) == ("optimal", pytest.approx(res.value, abs=1e-9))
+    assert solve_lp(above).status == "infeasible"
+    assert highs(above) == ("infeasible", None)
 
 
 def test_verify_random_seed_24003_passes(tmp_path):
