@@ -22,22 +22,11 @@ from .elicit_discrete import (
     kkt_residual_discrete,
 )
 from .exceptions import (
-    BreakpointError,
-    ContextRangeError,
-    DecompositionUnsupported,
     DegenerateError,
-    DimensionError,
     DomainError,
-    DuplicateConstraintError,
-    EmptyCellError,
     GopaError,
     InfeasibleContext,
     NumericFailure,
-    SampleSizeError,
-    ShapeError,
-    SignError,
-    TooManyExperts,
-    UtilityShapeError,
     ValidationError,
 )
 from .lpcheck import (

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exceptions import BreakpointError, DomainError, InfeasibleContext
+from .exceptions import DomainError, InfeasibleContext
 from .projection import project
 
 
@@ -166,9 +166,9 @@ def risk_preference(density, x):
     """
     x = float(x)
     if np.abs(density.breakpoints - x).min() <= 1e-12:
-        raise BreakpointError(f"risk preference is undefined at breakpoint x = {x:g}")
+        raise DomainError(f"risk preference is undefined at breakpoint x = {x:g}")
     if not 0.0 < x < density.size:
-        raise BreakpointError(f"x = {x:g} outside (0, {density.size})")
+        raise DomainError(f"x = {x:g} outside (0, {density.size})")
     return density.target.risk_coefficient(x)
 
 

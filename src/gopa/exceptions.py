@@ -1,14 +1,15 @@
-"""Exception hierarchy shared across the package."""
+"""Exception hierarchy shared across the package: one class per outcome a caller
+tells apart, which `gopa.cli.main` maps to an exit code and a stderr prefix."""
 
 
 class GopaError(Exception):
     """Base class for all errors raised by this package."""
 
 
-# --- input validation -------------------------------------------------------
-
 class ValidationError(GopaError):
-    """A field of the input document is malformed or out of range.
+    """A field of the input document is malformed or out of range: an empty
+    cell, a rank outside its range, a repeated constraint, a coefficient of
+    the wrong sign.
 
     `path` points at the offending field, e.g. ``alternative_ranks.E1.C2.A3``.
     """
@@ -18,29 +19,11 @@ class ValidationError(GopaError):
         super().__init__(f"{path}: {message}")
 
 
-class EmptyCellError(ValidationError):
-    """An (expert, attribute) cell has no ranked alternative at all."""
-
-
-class ContextRangeError(ValidationError):
-    """A preference constraint references a rank outside its legal range."""
-
-
-class DuplicateConstraintError(ValidationError):
-    """Two constraints of the same kind target the same rank in one cell."""
-
-
-class SignError(ValidationError):
-    """A preference coefficient violates its sign requirement."""
-
-
-# --- utility structures and densities ---------------------------------------
-
 class DomainError(GopaError):
-    """A function argument or density parameter leaves the valid domain."""
+    """An argument leaves the valid domain: a density parameter, a point at a
+    breakpoint, utilities of the wrong shape, LP or statistics arrays of
+    inconsistent shapes."""
 
-
-# --- elicitation -------------------------------------------------------------
 
 class InfeasibleContext(GopaError):
     """The preference constraints of a cell admit no feasible utility."""
@@ -50,39 +33,6 @@ class NumericFailure(GopaError):
     """An iterative solve did not converge within its budget."""
 
 
-class BreakpointError(GopaError):
-    """Evaluation requested exactly at a segment boundary."""
-
-
-# --- second-stage solvers ----------------------------------------------------
-
-class UtilityShapeError(GopaError):
-    """Per-cell utilities are not normalized or violate rank dominance."""
-
-
-class DecompositionUnsupported(GopaError):
-    """Weight decomposition requires cells without missing/duplicate ranks."""
-
-
-# --- linear programming ------------------------------------------------------
-
-class DimensionError(GopaError):
-    """Linear program arrays have inconsistent shapes."""
-
-
-# --- statistics --------------------------------------------------------------
-
 class DegenerateError(GopaError):
-    """A statistic is undefined for the given data (e.g. zero aggregate)."""
-
-
-class ShapeError(GopaError):
-    """Statistical inputs have incompatible shapes."""
-
-
-class TooManyExperts(GopaError):
-    """Permutation sweep guard tripped (factorial growth)."""
-
-
-class SampleSizeError(GopaError):
-    """Too few samples for the requested estimator."""
+    """A statistic is undefined for the given data: a zero aggregate, too
+    few samples or experts, or too many experts to permute."""

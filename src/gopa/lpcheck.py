@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exceptions import DimensionError, NumericFailure
+from .exceptions import DomainError, NumericFailure
 from .solver import harmonic_coefficients, padded_utilities, rank_products
 
 TOL = 1e-9              # pivot and reduced-cost tolerance
@@ -49,23 +49,23 @@ class LinearProgram:
         a = np.atleast_2d(np.asarray(self.lhs, dtype=float))
         b = np.asarray(self.rhs, dtype=float)
         if a.shape != (b.size, c.size):
-            raise DimensionError(
+            raise DomainError(
                 f"lhs shape {a.shape} incompatible with {b.size} rows, {c.size} vars")
         if len(self.senses) != b.size:
-            raise DimensionError(f"{len(self.senses)} senses for {b.size} rows")
+            raise DomainError(f"{len(self.senses)} senses for {b.size} rows")
         if any(s not in ("<=", "=", ">=") for s in self.senses):
-            raise DimensionError(f"unknown sense in {self.senses}")
+            raise DomainError(f"unknown sense in {self.senses}")
         if not (np.isfinite(c).all() and np.isfinite(a).all() and np.isfinite(b).all()):
-            raise DimensionError("entries must be finite")
+            raise DomainError("entries must be finite")
         if self.start is not None:
             start = np.asarray(self.start)
             columns = c.size + sum(s != "=" for s in self.senses)
             if start.shape != (b.size,) or start.dtype.kind not in "iu":
-                raise DimensionError(f"start needs one column index per row, {b.size} rows")
+                raise DomainError(f"start needs one column index per row, {b.size} rows")
             if ((start < 0) | (start >= columns)).any():
-                raise DimensionError(f"start column out of range 0..{columns - 1}")
+                raise DomainError(f"start column out of range 0..{columns - 1}")
             if np.unique(start).size != start.size:
-                raise DimensionError("start repeats a column")
+                raise DomainError("start repeats a column")
             object.__setattr__(self, "start", start)
         object.__setattr__(self, "objective", c)
         object.__setattr__(self, "lhs", a)

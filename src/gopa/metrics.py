@@ -10,7 +10,7 @@ from math import exp, lgamma, log
 
 import numpy as np
 
-from .exceptions import DegenerateError, DomainError, ShapeError
+from .exceptions import DegenerateError, DomainError
 
 _BETA_EPS = 3e-16
 _BETA_FPMIN = 1e-300
@@ -113,7 +113,7 @@ def kendall_w(ranks):
     """
     r = np.asarray(ranks, dtype=float)
     if r.ndim != 2 or r.shape[0] < 2 or r.shape[1] < 2:
-        raise ShapeError(f"expected a raters-by-items matrix, got shape {r.shape}")
+        raise DomainError(f"expected a raters-by-items matrix, got shape {r.shape}")
     return _kendall_stack(r[None])[0]
 
 
@@ -145,25 +145,17 @@ def _betacf(a, b, x):
     h = d
     for m in range(1, _BETA_MAXIT + 1):
         m2 = 2 * m
-        aa = m * (b - m) * x / ((qam + m2) * (a + m2))
-        d = 1.0 + aa * d
-        if abs(d) < _BETA_FPMIN:
-            d = _BETA_FPMIN
-        c = 1.0 + aa / c
-        if abs(c) < _BETA_FPMIN:
-            c = _BETA_FPMIN
-        d = 1.0 / d
-        h *= d * c
-        aa = -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2))
-        d = 1.0 + aa * d
-        if abs(d) < _BETA_FPMIN:
-            d = _BETA_FPMIN
-        c = 1.0 + aa / c
-        if abs(c) < _BETA_FPMIN:
-            c = _BETA_FPMIN
-        d = 1.0 / d
-        delta = d * c
-        h *= delta
+        for aa in (m * (b - m) * x / ((qam + m2) * (a + m2)),    # even step, then odd
+                   -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2))):
+            d = 1.0 + aa * d
+            if abs(d) < _BETA_FPMIN:
+                d = _BETA_FPMIN
+            c = 1.0 + aa / c
+            if abs(c) < _BETA_FPMIN:
+                c = _BETA_FPMIN
+            d = 1.0 / d
+            delta = d * c
+            h *= delta
         if abs(delta - 1.0) < _BETA_EPS:
             return h
     raise DomainError("incomplete beta continued fraction did not converge")
@@ -222,7 +214,7 @@ def gcl(lcl_attributes, attribute_weights, lcl_per_attribute):
     w = np.asarray(attribute_weights, dtype=float)
     lcl = np.asarray(lcl_per_attribute, dtype=float)
     if w.shape != lcl.shape:
-        raise ShapeError(f"weights {w.shape} vs levels {lcl.shape}")
+        raise DomainError(f"weights {w.shape} vs levels {lcl.shape}")
     return float(lcl_attributes * (w * lcl).sum())
 
 
@@ -231,7 +223,7 @@ def spearman(rank_a, rank_b):
     a = np.asarray(rank_a, dtype=float)
     b = np.asarray(rank_b, dtype=float)
     if a.shape != b.shape or a.ndim != 1 or a.size < 2:
-        raise ShapeError(f"expected two equal-length rank vectors, got {a.shape}, {b.shape}")
+        raise DomainError(f"expected two equal-length rank vectors, got {a.shape}, {b.shape}")
     da = a - a.mean()
     db = b - b.mean()
     denom = np.sqrt((da ** 2).sum() * (db ** 2).sum())

@@ -12,13 +12,7 @@ from types import MappingProxyType
 
 import numpy as np
 
-from .exceptions import (
-    ContextRangeError,
-    DuplicateConstraintError,
-    EmptyCellError,
-    SignError,
-    ValidationError,
-)
+from .exceptions import ValidationError
 from .structures import UtilityStructure, finite
 
 
@@ -156,7 +150,7 @@ def validate_problem(raw):
 
     Raises
     ------
-    ValidationError, EmptyCellError
+    ValidationError
     """
     if not isinstance(raw, dict):
         raise ValidationError("$", "input document must be a JSON object")
@@ -208,8 +202,8 @@ def validate_problem(raw):
     max_rank = r.max(axis=2)
     if not max_rank.all():
         i, j = np.argwhere(max_rank == 0)[0]
-        raise EmptyCellError(f"alternative_ranks.{expert_ids[i]}.{attribute_ids[j]}",
-                             "cell has no ranked alternative")
+        raise ValidationError(f"alternative_ranks.{expert_ids[i]}.{attribute_ids[j]}",
+                              "cell has no ranked alternative")
     # rank r of cell n = i * J + j is counted in bin n * K + r - 1
     slots = np.arange(I * J).reshape(I, J, 1) * K + r - 1
     counts = np.bincount(slots[r > 0], minlength=I * J * K).reshape(I, J, K)
@@ -316,9 +310,9 @@ def _constraint_list(doc, path, coeff_key, kij, allow_wildcard=False):
         if not isinstance(coeff, (int, float)) or isinstance(coeff, bool):
             raise ValidationError(cpath, "coefficient must be a number")
         if coeff_key == "alpha" and not coeff > 0:
-            raise SignError(cpath, "ratio coefficient must be > 0")
+            raise ValidationError(cpath, "ratio coefficient must be > 0")
         if coeff_key in ("beta", "gamma") and coeff < 0:
-            raise SignError(cpath, "coefficient must be >= 0")
+            raise ValidationError(cpath, "coefficient must be >= 0")
         coeff = finite(coeff, cpath)
         rank = item["rank"]
         if allow_wildcard and rank == "*":
@@ -326,13 +320,11 @@ def _constraint_list(doc, path, coeff_key, kij, allow_wildcard=False):
         else:
             rank = _positive_int(rank, f"{ipath}.rank")
             if rank > top:
-                raise ContextRangeError(f"{ipath}.rank",
-                                        f"rank {rank} out of range [1, {top}]")
+                raise ValidationError(f"{ipath}.rank", f"rank {rank} out of range [1, {top}]")
             ranks = (rank,)
         for rk in ranks:
             if rk in out:
-                raise DuplicateConstraintError(f"{ipath}.rank",
-                                               f"duplicate constraint at rank {rk}")
+                raise ValidationError(f"{ipath}.rank", f"duplicate constraint at rank {rk}")
             out[rk] = coeff
     return tuple(sorted(out.items()))
 

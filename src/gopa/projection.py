@@ -138,7 +138,9 @@ def project(base, rows, rhs, n_eq, empty_message):
     while True:
         failure = None
         try:
-            x, _ = kl_project(base[keep], rows[:, keep], rhs, n_eq)
+            # huge coefficients overflow the dual steps; the residual and the LP judge them
+            with np.errstate(all="ignore"):
+                x, _ = kl_project(base[keep], rows[:, keep], rhs, n_eq)
             if x.min() > NEAR_ZERO:
                 break
         except NumericFailure as exc:

@@ -6,7 +6,7 @@ from math import sqrt
 
 import numpy as np
 
-from .exceptions import DegenerateError, SampleSizeError, ShapeError, TooManyExperts
+from .exceptions import DegenerateError, DomainError
 from .solver import solve_gopa, solve_opa
 
 MIN_PERMUTED_EXPERTS = 3
@@ -37,13 +37,13 @@ def describe(samples):
     ``((n+1) g2 + 6)(n-1) / ((n-2)(n-3))``; the coefficient of variation uses
     the (n-1)-denominator standard deviation.  A sample whose spread is at
     most ``CONSTANT_SPREAD`` times its largest magnitude is treated as
-    constant: skewness, kurtosis and cv are then 0.  Raises `ShapeError` for
-    a sample that is not 1-D, `SampleSizeError` below 4 values and
-    `DegenerateError` for a sample that varies around mean 0 (no cv).
+    constant: skewness, kurtosis and cv are then 0.  Raises `DomainError` for
+    a sample that is not 1-D and `DegenerateError` below 4 values or for a
+    sample that varies around mean 0 (no cv).
     """
     x = np.asarray(samples, dtype=float)
     if x.ndim != 1:
-        raise ShapeError(f"expected a 1-D sample, got shape {x.shape}")
+        raise DomainError(f"expected a 1-D sample, got shape {x.shape}")
     return _describe_columns(x[:, None])[0]
 
 
@@ -58,7 +58,7 @@ def _describe_columns(samples):
     x = np.ascontiguousarray(np.asarray(samples, dtype=float).T)
     n = x.shape[1]
     if n < 4:
-        raise SampleSizeError(f"need at least 4 samples, got {n}")
+        raise DegenerateError(f"need at least 4 samples, got {n}")
     mean = x.mean(axis=1)
     lo = x.min(axis=1)
     hi = x.max(axis=1)
@@ -106,17 +106,15 @@ def permutation_stats(problem, utilities=None):
 
     Raises
     ------
-    TooManyExperts
-        Above ``MAX_PERMUTED_EXPERTS`` experts.
-    SampleSizeError
-        Below ``MIN_PERMUTED_EXPERTS`` experts, whose 1 or 2 scenarios are too
-        few to describe.
+    DegenerateError
+        Above ``MAX_PERMUTED_EXPERTS`` experts, or below
+        ``MIN_PERMUTED_EXPERTS``, whose 1 or 2 scenarios are too few to describe.
     """
     n = problem.n_experts
     if n > MAX_PERMUTED_EXPERTS:
-        raise TooManyExperts(f"{n}! scenarios exceed the guard of {MAX_PERMUTED_EXPERTS}!")
+        raise DegenerateError(f"{n}! scenarios exceed the guard of {MAX_PERMUTED_EXPERTS}!")
     if n < MIN_PERMUTED_EXPERTS:
-        raise SampleSizeError(
+        raise DegenerateError(
             f"the sensitivity sweep needs at least {MIN_PERMUTED_EXPERTS} experts "
             f"({MIN_PERMUTED_EXPERTS}! scenarios); the panel has {n}")
     base = replace(problem, expert_ranks=np.ones(n, dtype=int))

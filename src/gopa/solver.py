@@ -10,7 +10,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .exceptions import DecompositionUnsupported, UtilityShapeError
+from .exceptions import DomainError
 
 UTILITY_TOL = 1e-8   # slack of the sum, sign and monotonicity checks on utilities
 
@@ -75,18 +75,17 @@ def rank_products(problem):
 def padded_utilities(problem, utilities):
     """A float copy of per-cell utilities in the padded (I, J, K) layout.
 
-    Raises `UtilityShapeError` unless the shape is that of
+    Raises `DomainError` unless the shape is that of
     ``problem.rank_mask`` and every entry beyond a cell's last rank is 0.
     """
     u = np.array(utilities, dtype=float)
     if u.shape != problem.rank_counts.shape:
-        raise UtilityShapeError(
-            f"utilities have shape {u.shape}, expected {problem.rank_counts.shape}")
+        raise DomainError(f"utilities have shape {u.shape}, expected {problem.rank_counts.shape}")
     beyond = ~problem.rank_mask & (u != 0.0)    # NaN too
     if beyond.any():
         i, j, k = np.argwhere(beyond)[0]
-        raise UtilityShapeError(f"cell ({i}, {j}) holds {u[i, j, k]} at rank {k + 1}, "
-                                f"beyond its last rank {problem.max_rank[i, j]}")
+        raise DomainError(f"cell ({i}, {j}) holds {u[i, j, k]} at rank {k + 1}, "
+                          f"beyond its last rank {problem.max_rank[i, j]}")
     return u
 
 
@@ -132,7 +131,7 @@ def solve_gopa(problem, utilities):
 
     Raises
     ------
-    UtilityShapeError
+    DomainError
         If the array is not padded as `padded_utilities` requires, or a
         cell's utilities are not normalized, or increase with rank beyond
         `UTILITY_TOL`.
@@ -147,7 +146,7 @@ def solve_gopa(problem, utilities):
                              "utilities increase with rank")):
         if failed.any():
             i, j = np.argwhere(failed)[0]
-            raise UtilityShapeError(f"cell ({i}, {j}) " + message.format(sums[i, j]))
+            raise DomainError(f"cell ({i}, {j}) " + message.format(sums[i, j]))
     return _assemble(problem, problem.max_rank[..., None] * u, utilities=u)
 
 
@@ -164,11 +163,11 @@ def decompose(solution):
 
     Raises
     ------
-    DecompositionUnsupported
+    DomainError
         Unless the rankings are gap-free (`RankingProblem.gap_free`).
     """
     problem = solution.problem
     if not problem.gap_free:
-        raise DecompositionUnsupported("decomposition requires gap-free rankings")
+        raise DomainError("decomposition requires gap-free rankings")
     expert = solution.expert_weights
     return expert.copy(), solution.rank_weights.sum(axis=1) / expert[:, None]

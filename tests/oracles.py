@@ -19,12 +19,7 @@ import numpy as np
 import scipy.linalg
 
 from gopa.elicit_discrete import discrete_constraint_system
-from gopa.exceptions import (
-    DegenerateError,
-    NumericFailure,
-    SampleSizeError,
-    ShapeError,
-)
+from gopa.exceptions import DegenerateError, DomainError, NumericFailure
 from gopa.lpcheck import LinearProgram, solve_lp
 from gopa.model import CellContext, validate_problem
 from gopa.pipeline import REPORT_FORMAT, _distinct_utilities
@@ -256,7 +251,7 @@ def describe_scalar(samples):
     x = np.asarray(samples, dtype=float)
     n = x.size
     if n < 4:
-        raise SampleSizeError(f"need at least 4 samples, got {n}")
+        raise DegenerateError(f"need at least 4 samples, got {n}")
     mean = x.mean()
     if np.ptp(x) <= CONSTANT_SPREAD * np.abs(x).max():
         return ScenarioStats(mean=float(mean), skewness=0.0, kurtosis=0.0,
@@ -292,7 +287,7 @@ def kendall_w_scalar(ranks):
     correction summed rater by rater from `tie_term_unique`."""
     r = np.asarray(ranks, dtype=float)
     if r.ndim != 2 or r.shape[0] < 2 or r.shape[1] < 2:
-        raise ShapeError(f"expected a raters-by-items matrix, got shape {r.shape}")
+        raise DomainError(f"expected a raters-by-items matrix, got shape {r.shape}")
     n_raters, n_items = r.shape
     sums = r.sum(axis=0)
     s = ((sums - sums.mean()) ** 2).sum()

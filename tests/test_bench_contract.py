@@ -123,8 +123,8 @@ def test_cell_checks_run_on_elicited_cells(tmp_path):
 
 
 def test_verify_op_solves_two_weight_programs(tmp_path):
-    # `lpcheck.solve_lp_ms_p50` reads the `solve_lp` spans of `verify` ops; on a
-    # document with an internal gap those are the two weight programs alone
+    # `lpcheck.solve_lp_ms_p50` reads the `solve_lp` spans of `verify` ops; every
+    # document's are the two weight programs alone, and an internal gap keeps it so
     path = small_document(tmp_path)
     doc = json.loads(path.read_text())
     doc["alternative_ranks"]["E1"]["C1"] = {"A1": 1, "A2": 1, "A3": 3, "A4": 4}

@@ -147,6 +147,40 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert "E2" in err and "C1" in err
 
+    def test_huge_coefficient_exits_3_with_one_line(self, tmp_path, capsys):
+        _, doc = random_problem(np.random.default_rng(0), 3, 2, 4)
+        doc["contexts"] = {"E1": {"C1": {"absdiff": [{"rank": 1, "beta": 1e200}]}}}
+        assert main(["solve", str(write_doc(tmp_path, doc))]) == 3
+        assert capsys.readouterr().err == ("infeasible preference context: cell (E1, C1): "
+                                           "preference constraints admit no feasible utility\n")
+
+    @pytest.mark.parametrize("error, code, line", [
+        (gopa.ValidationError("contexts.E1", "bad"), 2, "invalid input: contexts.E1: bad"),
+        (gopa.DomainError("bad"), 2, "invalid input: bad"),
+        (gopa.InfeasibleContext("bad"), 3, "infeasible preference context: bad"),
+        (gopa.NumericFailure("bad"), 4, "numeric failure: bad"),
+        (gopa.DegenerateError("bad"), 2, "error: bad"),
+        (gopa.GopaError("bad"), 2, "error: bad"),
+    ], ids=lambda v: type(v).__name__ if isinstance(v, Exception) else None)
+    def test_each_error_class_has_its_exit_code(self, tmp_path, clean_doc, capsys, monkeypatch,
+                                                error, code, line):
+        def fail(doc):
+            raise error
+
+        monkeypatch.setattr(gopa.cli, "load_document", fail)
+        path = write_doc(tmp_path, clean_doc)
+        assert main(["sensitivity", str(path), "--method", "opa"]) == code
+        assert capsys.readouterr().err == line + "\n"
+
+    def test_package_exports_the_six_error_classes(self):
+        errors = {name for name in gopa.__dict__ if isinstance(getattr(gopa, name), type)
+                  and issubclass(getattr(gopa, name), Exception)}
+        assert errors == {"GopaError", "ValidationError", "DomainError", "InfeasibleContext",
+                          "NumericFailure", "DegenerateError"}
+        assert all(issubclass(getattr(gopa, name), gopa.GopaError) for name in errors)
+        assert {name for name, value in vars(gopa.exceptions).items()
+                if isinstance(value, type)} == errors
+
     def test_bad_flag_value(self, tmp_path, clean_doc):
         path = write_doc(tmp_path, clean_doc)
         assert main(["verify", str(path), "--tol", "-1"]) == 2

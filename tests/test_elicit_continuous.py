@@ -7,7 +7,7 @@ from gopa.elicit_continuous import (
     elicit_continuous,
     risk_preference,
 )
-from gopa.exceptions import BreakpointError, DomainError, InfeasibleContext
+from gopa.exceptions import DomainError, InfeasibleContext
 from gopa.model import CellContext
 from gopa.structures import UtilityStructure, surrogate_weights, target_density
 
@@ -166,11 +166,11 @@ class TestRiskPreference:
 
     def test_breakpoint_rejected(self):
         d = elicit_continuous(target_density(HARA, 7), WORKED_CONTEXT, 7)
-        with pytest.raises(BreakpointError):
+        with pytest.raises(DomainError, match="^risk preference is undefined at breakpoint x = 3$"):
             risk_preference(d, 3.0)
-        with pytest.raises(BreakpointError):
+        with pytest.raises(DomainError, match="^risk preference is undefined at breakpoint x = 0$"):
             risk_preference(d, 0.0)
-        with pytest.raises(BreakpointError, match=r"x = 7.5 outside \(0, 7\)"):
+        with pytest.raises(DomainError, match=r"x = 7.5 outside \(0, 7\)"):
             risk_preference(d, 7.5)
 
     def test_argument_errors(self):

@@ -11,7 +11,7 @@ import scipy.optimize
 
 import gopa.lpcheck
 from gopa.cli import main
-from gopa.exceptions import DimensionError, NumericFailure
+from gopa.exceptions import DomainError, NumericFailure
 from gopa.lpcheck import (
     LinearProgram,
     build_gopa_lp,
@@ -100,24 +100,25 @@ class TestSimplex:
                                  rhs=[4.0, 6.0], senses=("<=", "="), start=start)
 
         assert program([1, 2]).start.tolist() == [1, 2]   # columns x0, x1, slack of row 0
-        with pytest.raises(DimensionError, match="^start needs one column index per row, 2 rows$"):
+        with pytest.raises(DomainError, match="^start needs one column index per row, 2 rows$"):
             program([0])
-        with pytest.raises(DimensionError, match="one column index per row"):
+        with pytest.raises(DomainError, match="one column index per row"):
             program([0.0, 1.0])
-        with pytest.raises(DimensionError, match="^start repeats a column$"):
+        with pytest.raises(DomainError, match="^start repeats a column$"):
             program([1, 1])
         for start in ([0, 3], [-1, 0]):
-            with pytest.raises(DimensionError, match=r"^start column out of range 0\.\.2$"):
+            with pytest.raises(DomainError, match=r"^start column out of range 0\.\.2$"):
                 program(start)
 
     def test_dimension_errors(self):
-        with pytest.raises(DimensionError):
+        with pytest.raises(DomainError,
+                           match=r"^lhs shape \(1, 1\) incompatible with 1 rows, 2 vars$"):
             LinearProgram(objective=[1.0, 2.0], lhs=[[1.0]], rhs=[1.0], senses=("<=",))
-        with pytest.raises(DimensionError):
+        with pytest.raises(DomainError, match="^unknown sense in"):
             LinearProgram(objective=[1.0], lhs=[[1.0]], rhs=[1.0], senses=("?",))
-        with pytest.raises(DimensionError, match="2 senses for 1 rows"):
+        with pytest.raises(DomainError, match="2 senses for 1 rows"):
             LinearProgram(objective=[1.0], lhs=[[1.0]], rhs=[1.0], senses=("<=", "<="))
-        with pytest.raises(DimensionError, match="entries must be finite"):
+        with pytest.raises(DomainError, match="entries must be finite"):
             LinearProgram(objective=[1.0], lhs=[[np.inf]], rhs=[1.0], senses=("<=",))
 
 

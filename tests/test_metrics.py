@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 import scipy.stats
 
-from gopa.exceptions import DegenerateError, DomainError, ShapeError
+from gopa.exceptions import DegenerateError, DomainError
 from gopa.metrics import (
     _tie_terms,
     confidence_level,
@@ -142,9 +142,10 @@ class TestKendall:
             kendall_w([[1.5, 1.5], [1.5, 1.5]])
 
     def test_shape_errors(self):
-        with pytest.raises(ShapeError):
+        expected = r"^expected a raters-by-items matrix, got shape "
+        with pytest.raises(DomainError, match=expected + r"\(3,\)$"):
             kendall_w([1, 2, 3])
-        with pytest.raises(ShapeError):
+        with pytest.raises(DomainError, match=expected + r"\(1, 3\)$"):
             kendall_w([[1, 2, 3]])
 
 
@@ -214,7 +215,7 @@ class TestGcl:
         assert gcl(0.5, [0.5, 0.5], [1.0, 0.0]) == pytest.approx(0.25, abs=1e-15)
 
     def test_shape_error(self):
-        with pytest.raises(ShapeError):
+        with pytest.raises(DomainError, match=r"^weights \(2,\) vs levels \(3,\)$"):
             gcl(1.0, [0.4, 0.6], [1.0, 1.0, 1.0])
 
 
@@ -238,7 +239,7 @@ class TestSpearman:
             assert spearman(a, b) == pytest.approx(expected, abs=1e-12)
 
     def test_shape_error(self):
-        with pytest.raises(ShapeError):
+        with pytest.raises(DomainError, match="^expected two equal-length rank vectors"):
             spearman([1, 2], [1, 2, 3])
 
     def test_constant_ranks(self):

@@ -1,13 +1,7 @@
 import numpy as np
 import pytest
 
-from gopa.exceptions import (
-    ContextRangeError,
-    DuplicateConstraintError,
-    EmptyCellError,
-    SignError,
-    ValidationError,
-)
+from gopa.exceptions import ValidationError
 from gopa.model import (
     load_document,
     validate_context,
@@ -92,8 +86,9 @@ class TestValidateProblem:
     def test_empty_cell_rejected(self):
         doc = minimal_doc()
         doc["alternative_ranks"]["E1"]["C1"] = {}
-        with pytest.raises(EmptyCellError):
+        with pytest.raises(ValidationError, match="cell has no ranked alternative$") as err:
             validate_problem(doc)
+        assert err.value.path == "alternative_ranks.E1.C1"
 
     def test_duplicate_expert_rank_accepted(self):
         doc = minimal_doc()
@@ -231,8 +226,9 @@ class TestValidateContext:
 
     def test_ratio_at_top_rank_rejected(self):
         p = validate_problem(cell_doc([1, 2, 3]))
-        with pytest.raises(ContextRangeError):
+        with pytest.raises(ValidationError, match=r"rank 3 out of range \[1, 2\]$") as err:
             validate_context({"E1": {"C1": {"ratio": [{"rank": 3, "alpha": 1.1}]}}}, p)
+        assert err.value.path == "contexts.E1.C1.ratio[0].rank"
 
     def test_lowerbound_allows_top_rank(self):
         p = validate_problem(cell_doc([1, 2, 3]))
@@ -241,16 +237,19 @@ class TestValidateContext:
 
     def test_duplicate_constraint_rejected(self):
         p = validate_problem(cell_doc([1, 2, 3]))
-        with pytest.raises(DuplicateConstraintError):
+        with pytest.raises(ValidationError, match="duplicate constraint at rank 1$") as err:
             validate_context({"E1": {"C1": {"ratio": [
                 {"rank": 1, "alpha": 1.1}, {"rank": 1, "alpha": 1.2}]}}}, p)
+        assert err.value.path == "contexts.E1.C1.ratio[1].rank"
 
     def test_sign_errors(self):
         p = validate_problem(cell_doc([1, 2, 3]))
-        with pytest.raises(SignError):
+        with pytest.raises(ValidationError, match="ratio coefficient must be > 0$") as err:
             validate_context({"E1": {"C1": {"ratio": [{"rank": 1, "alpha": 0.0}]}}}, p)
-        with pytest.raises(SignError):
+        assert err.value.path == "contexts.E1.C1.ratio[0].alpha"
+        with pytest.raises(ValidationError, match="coefficient must be >= 0$") as err:
             validate_context({"E1": {"C1": {"absdiff": [{"rank": 1, "beta": -0.1}]}}}, p)
+        assert err.value.path == "contexts.E1.C1.absdiff[0].beta"
 
     def test_unknown_ids_rejected(self):
         p = validate_problem(minimal_doc())
@@ -349,8 +348,9 @@ class TestSectionWalk:
 
     def test_nan_ratio_keeps_its_sign_error(self):
         p = validate_problem(grid_doc())
-        with pytest.raises(SignError):
+        with pytest.raises(ValidationError, match="ratio coefficient must be > 0$") as err:
             validate_context({"E1": {"C1": {"ratio": [{"rank": 1, "alpha": float("nan")}]}}}, p)
+        assert err.value.path == "contexts.E1.C1.ratio[0].alpha"
 
 
 def with_section(key, value):

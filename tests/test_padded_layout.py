@@ -13,7 +13,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from gopa.exceptions import EmptyCellError
+from gopa.exceptions import ValidationError
 from gopa.lpcheck import build_gopa_lp, build_opa_lp, solve_lp
 from gopa.model import validate_problem
 from gopa.solver import harmonic_coefficients, solve_gopa, solve_opa
@@ -188,7 +188,7 @@ class TestRankStructure:
         doc["alternative_ranks"]["E3"]["C1"] = {}
         doc["alternative_ranks"]["E2"]["C3"] = {}
         doc["alternative_ranks"]["E2"]["C2"] = {}
-        with pytest.raises(EmptyCellError) as err:
+        with pytest.raises(ValidationError, match="cell has no ranked alternative$") as err:
             validate_problem(doc)
         assert err.value.path == "alternative_ranks.E2.C2"
 

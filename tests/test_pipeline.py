@@ -7,7 +7,7 @@ import pytest
 from gopa import pipeline, projection
 from gopa.elicit_continuous import cumulative_utilities, elicit_continuous
 from gopa.elicit_discrete import elicit_discrete
-from gopa.exceptions import InfeasibleContext, NumericFailure
+from gopa.exceptions import InfeasibleContext, NumericFailure, ValidationError
 from gopa.metrics import consensus_report
 from gopa.model import load_document
 from gopa.pipeline import (
@@ -198,10 +198,9 @@ class TestIrregularCells:
             "alternative_ranks": {"E1": {"C1": {"A1": 1, "A2": 2}}},
             "contexts": {"E1": {"C1": {"lowerbound": [{"rank": 3, "gamma": 0.1}]}}},
         }
-        from gopa.exceptions import ContextRangeError
-
-        with pytest.raises(ContextRangeError):
+        with pytest.raises(ValidationError, match=r"rank 3 out of range \[1, 2\]$") as err:
             solve_document(doc)
+        assert err.value.path == "contexts.E1.C1.lowerbound[0].rank"
 
 
 def written_report(solution):

@@ -8,7 +8,7 @@ from gopa.elicit_discrete import (
     elicit_discrete,
     kkt_residual_discrete,
 )
-from gopa.exceptions import NumericFailure
+from gopa.exceptions import InfeasibleContext, NumericFailure
 from gopa.model import CellContext
 from gopa.projection import kl_project, positive_support
 from gopa.structures import UtilityStructure, surrogate_weights, target_density
@@ -168,6 +168,23 @@ class TestStageOneDefects:
         for r, gamma in ctx.lowerbound:
             assert u[r - 1] >= gamma - 1e-12
         assert kkt_residual_discrete(u, target, ctx) <= 1e-10
+
+
+@pytest.mark.parametrize("ctx", [CellContext(absdiff=((1, 1e200),)),
+                                 CellContext(absdiff=((1, 1e308),)),
+                                 CellContext(lowerbound=((1, 1e308),))],
+                         ids=["absdiff-1e200", "absdiff-1e308", "lowerbound-1e308"])
+@pytest.mark.parametrize("discrete", [True, False], ids=["discrete", "continuous"])
+def test_huge_coefficient_is_infeasible_without_warnings(ctx, discrete):
+    # the dual steps overflow; a RuntimeWarning would escape as an error here
+    if discrete:
+        with pytest.raises(InfeasibleContext,
+                           match="^preference constraints admit no feasible utility$"):
+            elicit_discrete(surrogate_weights("roc", 4), ctx, 4)
+    else:
+        with pytest.raises(InfeasibleContext,
+                           match="^cumulative constraints admit no density$"):
+            elicit_continuous(target_density("cara", 4), ctx, 4)
 
 
 def test_support_program_runs_only_for_forced_zeros(monkeypatch):

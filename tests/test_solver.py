@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from gopa.exceptions import DecompositionUnsupported, UtilityShapeError
+from gopa.exceptions import DomainError
 from gopa.lpcheck import build_gopa_lp, build_opa_lp
 from gopa.model import validate_problem
 from gopa.pipeline import solve_document
@@ -134,15 +134,15 @@ class TestGeneralizedSolver:
 
     def test_rejects_bad_utility_shapes(self):
         p, _ = random_problem(np.random.default_rng(9), 1, 1, 3)
-        with pytest.raises(UtilityShapeError):
+        with pytest.raises(DomainError, match=r"^utilities have shape \(1, 1, 2\), expected"):
             solve_gopa(p, np.array([[[0.5, 0.4]]]))
-        with pytest.raises(UtilityShapeError):
+        with pytest.raises(DomainError, match=r"^cell \(0, 0\) utilities sum to 1\.2$"):
             solve_gopa(p, np.array([[[0.5, 0.4, 0.3]]]))
-        with pytest.raises(UtilityShapeError):
+        with pytest.raises(DomainError, match=r"^cell \(0, 0\) utilities increase with rank$"):
             solve_gopa(p, np.array([[[0.2, 0.3, 0.5]]]))
-        with pytest.raises(UtilityShapeError):
+        with pytest.raises(DomainError, match=r"^utilities have shape \(3,\), expected"):
             solve_gopa(p, np.array([0.5, 0.3, 0.2]))    # one cell's vector, unpadded
-        with pytest.raises(UtilityShapeError, match="sum to nan"):
+        with pytest.raises(DomainError, match="sum to nan"):
             solve_gopa(p, np.array([[[np.nan, 0.3, 0.2]]]))
 
     def test_saturates_generalized_lp_rows(self):
@@ -180,8 +180,9 @@ class TestPaddedUtilities:
 
     @pytest.mark.parametrize("consumer", [solve_gopa, build_gopa_lp])
     @pytest.mark.parametrize("fault, match", [
-        ("one cell's vector", "shape"), ("experts and attributes swapped", "shape"),
-        ("ranks cut short", "shape"), ("nonzero padding", "beyond its last rank 2"),
+        ("one cell's vector", "^utilities have shape"),
+        ("experts and attributes swapped", "^utilities have shape"),
+        ("ranks cut short", "^utilities have shape"), ("nonzero padding", "beyond its last rank 2"),
         ("NaN padding", "holds nan at rank 3"),
     ])
     def test_refused(self, consumer, fault, match):
@@ -194,7 +195,7 @@ class TestPaddedUtilities:
             u = u[..., :2]
         else:
             u[0, 1, 2] = 1e-3 if fault == "nonzero padding" else np.nan
-        with pytest.raises(UtilityShapeError, match=match):
+        with pytest.raises(DomainError, match=match):
             consumer(p, u)
 
     def test_caller_array_stays_writable(self):
@@ -293,5 +294,5 @@ class TestDecomposition:
             "alternative_ranks": {"E1": {"C1": {"A1": 1, "A2": 1, "A3": 2}}},
         }
         p = validate_problem(doc)
-        with pytest.raises(DecompositionUnsupported):
+        with pytest.raises(DomainError, match="^decomposition requires gap-free rankings$"):
             decompose(solve_opa(p))
